@@ -237,6 +237,15 @@ def _cmd_elliptic_check(args) -> int:
     return 0
 
 
+def _coefficient(text: str, where: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise _UsageError(f"bad coefficient {text!r} in {where}") from None
+    except ZeroDivisionError:
+        raise _UsageError(f"zero denominator in coefficient {text!r} in {where}") from None
+
+
 def _parse_poly(text: str) -> LaurentPoly:
     """Polynomial text "c * x^(e0,..,em)" terms joined by '+'."""
     import re
@@ -250,8 +259,11 @@ def _parse_poly(text: str) -> LaurentPoly:
         m = term_re.match(chunk)
         if not m:
             raise _UsageError(f"cannot parse polynomial term {chunk!r}")
-        exps = tuple(int(p) for p in m.group("exps").split(","))
-        terms[exps] = terms.get(exps, Fraction(0)) + Fraction(m.group("coeff"))
+        try:
+            exps = tuple(int(p) for p in m.group("exps").split(","))
+        except ValueError:
+            raise _UsageError(f"bad exponent tuple in polynomial term {chunk!r}") from None
+        terms[exps] = terms.get(exps, Fraction(0)) + _coefficient(m.group("coeff"), chunk)
     if not terms:
         raise _UsageError("empty polynomial")
     nvars = len(next(iter(terms)))
@@ -297,10 +309,7 @@ def _cmd_jet(args) -> int:
             "m": jet.m, "N": args.N, "jet": _format_jet(jet),
         }
     else:
-        try:
-            coeffs = [Fraction(p) for p in args.cyclic.split(",")]
-        except ValueError as exc:
-            raise _UsageError(f"--cyclic wants comma-separated coefficients: {exc}")
+        coeffs = [_coefficient(p, "--cyclic") for p in args.cyclic.split(",")]
         p = UniPoly(coeffs)
         if p.is_zero():
             raise PreconditionError("cyclic module Q[t]/(0) is not torsion")

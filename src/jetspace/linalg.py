@@ -8,7 +8,8 @@ back-substitution; together they satisfy rank + nullity = cols exactly.
 
 Row elimination picks each row's minimal column as pivot position, so rows
 with disjoint column supports never interact; on block-structured input the
-cost is the sum of the block costs.
+cost is the sum of the block costs.  add_pivot_row() is one elimination
+step on integer rows; projective's shift blocks call it directly.
 """
 
 from __future__ import annotations
@@ -118,18 +119,9 @@ class ExactMatrix:
     def rank(self) -> int:
         """Exact rank by deterministic sparse fraction-free elimination."""
         pivots: dict[int, dict[int, int]] = {}
-        rank = 0
         for row in self._integer_rows():
-            while row:
-                c = min(row)
-                piv = pivots.get(c)
-                if piv is None:
-                    _make_primitive(row)
-                    pivots[c] = row
-                    rank += 1
-                    break
-                _eliminate(row, piv, c)
-        return rank
+            add_pivot_row(pivots, row)
+        return len(pivots)
 
     def _integer_rows(self) -> list[dict[int, int]]:
         raw: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
@@ -212,6 +204,19 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def add_pivot_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Reduce an integer row in place against pivots (keyed by their minimal
+    column); if anything is left, keep it, primitive, as a new pivot."""
+    while row:
+        c = min(row)
+        piv = pivots.get(c)
+        if piv is None:
+            _make_primitive(row)
+            pivots[c] = row
+            return
+        _eliminate(row, piv, c)
 
 
 def _make_primitive(row: dict[int, int]) -> None:

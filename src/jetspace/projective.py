@@ -31,7 +31,7 @@ from math import comb
 
 from .errors import InconsistencyError, PreconditionError
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, add_pivot_row
 from .weyl import WeylElement, euler_operator, falling
 
 Candidate = tuple[Exponent, Exponent]
@@ -117,6 +117,85 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
     return ExactMatrix(len(candidates), len(col_index), entries)
 
 
+def shift_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
+    """Shift orbits of the candidates: sorted negative part m -> shift count.
+
+    A candidate x^alpha d^beta has shift s = alpha - beta, and beta ranges
+    over beta >= m(s) := max(0, -s), |beta| <= N.  For each negative part
+    m(s) with |m(s)| <= N, the shifts sharing it spread the positive part
+    b - a + |m(s)| over the zero slots of m(s).  Counts are summed over the
+    orderings of m(s), keyed by sorted(m(s)).
+    """
+    orbits: dict[Exponent, int] = {}
+    for size in range(order + 1):
+        rest = b - a + size
+        if rest < 0:
+            continue
+        for m in monomials_of_degree(n + 1, size):
+            zeros = m.count(0)
+            spreads = comb(rest + zeros - 1, zeros - 1) if zeros else int(rest == 0)
+            if spreads:
+                key = tuple(sorted(m))
+                orbits[key] = orbits.get(key, 0) + spreads
+    return orbits
+
+
+class _ShiftBlock:
+    """Incremental rank of one shift block of the action matrix.
+
+    Rows are test monomials gamma, columns the beta >= m with |beta| <= N,
+    entries the integers prod_j ff(gamma_j, beta_j) (the coefficient of
+    x^(gamma + s) in x^(beta + s) d^beta x^gamma, for any s with negative
+    part m).  Pivot rows persist across feed() calls, so a larger test box
+    only has to feed the monomials it adds.
+
+    The rank never exceeds cap = C(N - |m| + n, n): each phi (E - a) with
+    phi of shift s and order <= N - 1 is a relation among the columns, and
+    these relations are independent (right multiplication by E - a is
+    injective), so there are |B_(N-1)(m)| of them.  Once the rank reaches
+    cap, no test monomial can raise it and feeding stops.
+    """
+
+    __slots__ = ("betas", "cap", "order", "pivots")
+
+    def __init__(self, m: Exponent, order: int):
+        n = len(m) - 1
+        self.betas = [tuple(x + y for x, y in zip(m, delta))
+                      for k in range(order - sum(m) + 1)
+                      for delta in monomials_of_degree(n + 1, k)]
+        self.cap = comb(order - sum(m) + n, n)
+        self.order = order
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def feed(self, gammas: list[Exponent]) -> None:
+        for gamma in gammas:
+            if len(self.pivots) == self.cap:
+                return
+            add_pivot_row(self.pivots, self._row(gamma))
+
+    def _row(self, gamma: Exponent) -> dict[int, int]:
+        tables = []
+        for g in gamma:
+            ff = [1]
+            for t in range(self.order):
+                ff.append(ff[-1] * (g - t))
+            tables.append(ff)
+        row = {}
+        for i, beta in enumerate(self.betas):
+            c = 1
+            for ff, e in zip(tables, beta):
+                c *= ff[e]
+                if not c:
+                    break
+            if c:
+                row[i] = c
+        return row
+
+
 @dataclass(frozen=True)
 class TwistedDOSpace:
     """The space of order <= N global operators O(a) -> O(b) on P^n."""
@@ -128,7 +207,6 @@ class TwistedDOSpace:
     dim: int
     box: int
     candidates: tuple[Candidate, ...] = field(repr=False)
-    matrix: ExactMatrix = field(repr=False)
     rank_history: tuple[tuple[int, int], ...] = field(repr=False)
 
 
@@ -139,25 +217,34 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
     Starts from box = N + |a| + |b| + 2 and grows by 2 until the rank of the
     action matrix is unchanged across two consecutive enlargements; reports
     the first box of the stable triple.
+
+    The action matrix is block-diagonal by shift, and a block's rank depends
+    only on the sorted negative part of its shift (the test set is symmetric
+    under permuting coordinates), so the rank is a weighted sum of one
+    integer block rank per shift orbit.  Block ranks only grow with the box,
+    so the sum is stable across three boxes exactly when every block is.
     """
     cands = candidate_monomials(n, a, b, order)
+    blocks = [(_ShiftBlock(m, order), count)
+              for m, count in shift_orbits(n, a, b, order).items()]
     box0 = initial_box if initial_box is not None else order + abs(a) + abs(b) + 2
     history: list[tuple[int, int]] = []
-    matrices: list[ExactMatrix] = []
+    seen: set[Exponent] = set()
     box = box0
     while True:
-        m = action_matrix(cands, chart_test_monomials(n, a, box))
-        history.append((box, m.rank()))
-        matrices.append(m)
-        if len(matrices) > 3:
-            matrices.pop(0)
+        new = [g for g in chart_test_monomials(n, a, box) if g not in seen]
+        seen.update(new)
+        rank = 0
+        for block, count in blocks:
+            block.feed(new)
+            rank += count * block.rank
+        history.append((box, rank))
         if len(history) >= 3:
             (b0, r0), (_, r1), (_, r2) = history[-3], history[-2], history[-1]
             if r0 == r1 == r2:
                 return TwistedDOSpace(
                     n=n, a=a, b=b, order=order, dim=r0, box=b0,
-                    candidates=tuple(cands), matrix=matrices[-3],
-                    rank_history=tuple(history))
+                    candidates=tuple(cands), rank_history=tuple(history))
         if box - box0 >= BOX_GROWTH_LIMIT:
             raise InconsistencyError(
                 f"action-matrix rank failed to stabilize for "

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -304,13 +305,20 @@ def _rational_root(value: Fraction, p: int) -> Fraction | None:
 
 
 def _integer_root(v: int, p: int) -> int | None:
+    """The integer r >= 0 with r^p = v (v >= 0), if one exists."""
     if v == 0:
         return 0
-    r = round(v ** (1.0 / p))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** p == v:
-            return cand
-    return None
+    if p == 2:
+        r = isqrt(v)
+    else:
+        # Newton's iteration on integers, from above: stops at floor(v^(1/p))
+        r = 1 << -(-v.bit_length() // p)
+        while True:
+            nxt = ((p - 1) * r + v // r ** (p - 1)) // p
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r ** p == v else None
 
 
 def _integer_binomial(c_hi: Fraction, c_lo: Fraction, p: int) -> tuple[int, ...]:

@@ -306,7 +306,10 @@ class WeylElement:
                 seen_nvars = len(alpha)
             elif len(alpha) != seen_nvars:
                 raise ValueError("inconsistent variable count across terms")
-            c = Fraction(m.group("coeff"))
+            try:
+                c = Fraction(m.group("coeff"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in operator term {chunk!r}") from None
             key = (alpha, beta)
             terms[key] = terms.get(key, Fraction(0)) + c
         return cls(seen_nvars, terms)

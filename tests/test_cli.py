@@ -237,6 +237,40 @@ def test_usage_error_jet_needs_exactly_one_action(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("symbol", "--op", "1/0 * x^(1,0) d^(0,0)", "--N", "0"),
+    ("symbol", "--matrix", '[["1/0 * x^(0,0) d^(0,0)"]]', "--N", "0"),
+    ("elliptic-check", "--mode", "real", "--op", "1/0 * x^(0,0) d^(2,0)",
+     "--N", "2"),
+    ("jet", "--cyclic", "1/0,1", "--N", "2"),
+    ("jet", "--cyclic", "1,x", "--N", "2"),
+    ("jet", "--derive", "1/0 * x^(1,1)", "--N", "2"),
+    ("jet", "--derive", "1 * x^()", "--N", "2"),
+    ("jet", "--derive", "1 * x^(1,)", "--N", "2"),
+    ("symbol", "--op", "1 * x^() d^()", "--N", "0"),
+])
+def test_usage_error_bad_coefficient_or_exponents(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+
+
+def test_elliptic_check_huge_binomial_has_rational_witness(capsys):
+    # det = xi0^2 - 10^400 xi1^2 vanishes at (10^200, 1); the root is exact
+    op = f"1 * x^(0,0) d^(2,0) + -{10 ** 400} * x^(0,0) d^(0,2)"
+    payload = run_json(capsys, "elliptic-check", "--mode", "algebraic",
+                       "--op", op, "--N", "2")
+    assert payload["elliptic"] is False
+    assert payload["witness"] == [str(10 ** 200), "1"]
+    assert payload["witness_defining_poly"] is None
+    payload = run_json(capsys, "elliptic-check", "--mode", "real",
+                       "--op", op, "--N", "2")
+    assert payload["verdict"] == "false"
+    assert payload["witness"] == [str(10 ** 200), "1"]
+
+
 def test_precondition_exit(capsys):
     rc, out, err = run(capsys, "cohomology", "--n", "0", "--k", "1")
     assert rc == 2

@@ -8,12 +8,13 @@ from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
 from jetspace.errors import InconsistencyError, PreconditionError
 from jetspace.laurent import LaurentPoly
-from jetspace.projective import (BlockOperator, block_operator,
+from jetspace.projective import (BOX_GROWTH_LIMIT, BOX_GROWTH_STEP,
+                                 BlockOperator, action_matrix, block_operator,
                                  candidate_count, candidate_monomials,
                                  chart_test_monomials, do_dimension,
                                  euler_relation, global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
-                                 negative_twist_existence,
+                                 negative_twist_existence, shift_orbits,
                                  strictness_check)
 from jetspace.weyl import WeylElement, euler_operator
 
@@ -109,7 +110,107 @@ def test_global_do_dimension_reports_stable_box():
     ranks = [r for _, r in space.rank_history]
     assert ranks[-3:] == [space.dim] * 3
     assert all(r1 <= r2 for r1, r2 in zip(ranks, ranks[1:]))
-    assert space.matrix.rows > 0
+    assert len(space.candidates) == candidate_count(1, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# shift-block kernel against the full action matrix and the closed form
+# ---------------------------------------------------------------------------
+
+def reference_rank_history(n, a, b, order, box0=None):
+    """The box loop of global_do_dimension, run on the whole Fraction action
+    matrix at every box.  Returns (dim, box, history); dim and box are None
+    when the rank does not stabilize within the growth limit."""
+    cands = candidate_monomials(n, a, b, order)
+    if box0 is None:
+        box0 = order + abs(a) + abs(b) + 2
+    history = []
+    for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
+        m = action_matrix(cands, chart_test_monomials(n, a, box))
+        history.append((box, m.rank()))
+        if len(history) >= 3 and len({r for _, r in history[-3:]}) == 1:
+            return history[-3][1], history[-3][0], tuple(history)
+    return None, None, tuple(history)
+
+
+@pytest.mark.parametrize("n, span, max_order", [(1, 3, 4), (2, 2, 2)])
+def test_block_kernel_matches_action_matrix(n, span, max_order):
+    for a in range(-span, span + 1):
+        for b in range(-span, span + 1):
+            for order in range(max_order + 1):
+                dim, box, history = reference_rank_history(n, a, b, order)
+                if dim is None:
+                    with pytest.raises(InconsistencyError):
+                        global_do_dimension(n, a, b, order)
+                    continue
+                space = global_do_dimension(n, a, b, order)
+                assert (space.dim, space.box, space.rank_history) == \
+                    (dim, box, history), (n, a, b, order)
+                assert len(space.candidates) == candidate_count(n, a, b, order)
+
+
+def test_block_kernel_matches_action_matrix_from_small_boxes():
+    # below the default start the ranks still grow, so the pivots carried
+    # from box to box are what the later ranks are built on
+    grew = 0
+    for n, a, b, order in [(1, 0, 0, 3), (1, 2, -1, 3), (1, -2, 1, 2),
+                           (2, 0, 0, 2), (2, 1, -1, 2), (2, -1, 1, 1)]:
+        for box0 in (0, 1):
+            dim, box, history = reference_rank_history(n, a, b, order, box0)
+            space = global_do_dimension(n, a, b, order, initial_box=box0)
+            assert (space.dim, space.box, space.rank_history) == \
+                (dim, box, history), (n, a, b, order, box0)
+            grew += history[0][1] < dim
+    assert grew >= 6
+
+
+def test_shift_orbits_cover_every_candidate():
+    # each shift s contributes one row per beta >= max(0, -s), |beta| <= N
+    for n in (1, 2, 3):
+        for a, b in [(0, 0), (0, 2), (1, -1), (0, -n - 2)]:
+            for order in range(4):
+                rows = sum(count * math.comb(order - sum(m) + n + 1, n + 1)
+                           for m, count in shift_orbits(n, a, b, order).items())
+                assert rows == candidate_count(n, a, b, order)
+
+
+def shift_count(n, d, k):
+    """S(k): shifts in Z^(n+1) with coordinate sum d and negative part of
+    size k.  i coordinates are negative; the i = n + 1 term (all negative,
+    only when d + k = 0) matters for d <= -(n + 1)."""
+    def spread(total, parts):
+        if parts == 0:
+            return int(total == 0)
+        return math.comb(total + parts - 1, parts - 1) if total >= 0 else 0
+    if k == 0:
+        return spread(d, n + 1)
+    return sum(math.comb(n + 1, i) * math.comb(k - 1, i - 1) * spread(d + k, n + 1 - i)
+               for i in range(1, n + 2))
+
+
+def closed_form_dim(n, a, b, order):
+    return sum(math.comb(order - k + n, n) * shift_count(n, b - a, k)
+               for k in range(order + 1))
+
+
+@pytest.mark.parametrize("n, a, b, order, dim", [
+    (2, 0, 0, 8, 2025), (3, 0, 0, 5, 3136), (5, 0, 0, 3, 3136),
+    (3, -2, 2, 3, 2400),
+])
+def test_closed_form_anchor_values(n, a, b, order, dim):
+    assert closed_form_dim(n, a, b, order) == dim
+    assert global_do_dimension(n, a, b, order).dim == dim
+
+
+def test_closed_form_below_minus_n_minus_one():
+    # b - a <= -(n + 1): the all-negative shifts count here
+    for n in (1, 2, 3):
+        for d in range(-n - 3, -n):
+            for order in range(-d - n - 1, -d + 2):
+                assert do_dimension(n, 0, d, order) == closed_form_dim(n, 0, d, order)
+    # (-2, 0), (0, -2) and the all-negative (-1, -1)
+    assert shift_count(1, -2, 2) == 3
+    assert do_dimension(1, 0, -2, 2) == closed_form_dim(1, 0, -2, 2) == 3
 
 
 def test_euler_relation_is_structural_kernel():

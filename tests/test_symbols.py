@@ -4,8 +4,8 @@ import pytest
 
 from jetspace.errors import PreconditionError
 from jetspace.laurent import LaurentPoly
-from jetspace.symbols import (classify, elliptic_algebraic, elliptic_real,
-                              format_symbol_poly, symbol_of,
+from jetspace.symbols import (_integer_root, classify, elliptic_algebraic,
+                              elliptic_real, format_symbol_poly, symbol_of,
                               torus_operator_check)
 from jetspace.weyl import WeylElement
 
@@ -219,3 +219,32 @@ def test_classify_laplacian():
     verdict = classify(symbol_of(d(0) * d(0) + d(1) * d(1), 2))
     assert not verdict.algebraic
     assert verdict.real == "true"
+
+
+# ---------------------------------------------------------------------------
+# exact integer roots
+# ---------------------------------------------------------------------------
+
+def test_integer_root_beyond_float_precision():
+    r = 10 ** 17 + 3
+    assert _integer_root(r * r, 2) == r
+    assert _integer_root(r * r + 1, 2) is None
+    assert _integer_root(r ** 3, 3) == r
+    assert _integer_root(r ** 3 - 1, 3) is None
+
+
+def test_integer_root_beyond_float_range():
+    assert _integer_root(10 ** 400, 2) == 10 ** 200
+    assert _integer_root(10 ** 400, 5) == 10 ** 80
+    assert _integer_root(10 ** 400, 3) is None
+    assert _integer_root(10 ** 400 + 1, 2) is None
+
+
+def test_integer_root_small_values():
+    assert _integer_root(12345, 1) == 12345
+    for p in range(2, 7):
+        assert _integer_root(0, p) == 0
+        assert _integer_root(1, p) == 1
+        for r in range(2, 40):
+            assert _integer_root(r ** p, p) == r
+            assert _integer_root(r ** p + 1, p) is None
