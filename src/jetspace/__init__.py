@@ -7,7 +7,8 @@ from .laurent import LaurentPoly, monomials_of_degree
 from .linalg import ExactMatrix
 from .weyl import WeylElement, euler_operator, falling
 from .presented import PresentedModule, UniPoly, smith_normal_form
-from .jets import (JetElement, do_jet_correspondence_check, jet_free_rank,
+from .jets import (JetElement, cyclic_jet_invariants,
+                   do_jet_correspondence_check, jet_free_rank,
                    jet_of_presented, symbol_quotient_check,
                    universal_derivation)
 from .cohomology import (cech_line_oracle, chi_line, chi_sym_tangent,

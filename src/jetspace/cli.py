@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import growth as growth_mod
 from .cohomology import cech_line_oracle, h0_sym_tangent, line_cohomology
 from .errors import InconsistencyError, PreconditionError
-from .jets import JetElement, jet_of_presented, universal_derivation
+from .jets import JetElement, cyclic_jet_invariants, universal_derivation
 from .laurent import LaurentPoly
-from .presented import PresentedModule, UniPoly
+from .presented import UniPoly
 from .projective import (block_operator, global_do_dimension, h0_basis,
                          hn_basis, induced_cohomology_map)
 from .symbols import (DEFAULT_GRID_DEPTH, classify, elliptic_algebraic,
@@ -311,17 +311,14 @@ def _cmd_jet(args) -> int:
     else:
         coeffs = [_coefficient(p, "--cyclic") for p in args.cyclic.split(",")]
         p = UniPoly(coeffs)
-        if p.is_zero():
-            raise PreconditionError("cyclic module Q[t]/(0) is not torsion")
-        module = jet_of_presented(PresentedModule.cyclic(p), args.N)
-        free_rank, torsion = module.invariants()
+        torsion = cyclic_jet_invariants(p, args.N)
         payload = {
             "schema": SCHEMA, "command": "jet", "action": "cyclic",
             "N": args.N, "modulus": repr(p),
             "invariants": [repr(d) for d in torsion],
-            "free_rank": free_rank,
-            "torsion": module.is_torsion(),
-            "length": module.length(),
+            "free_rank": 0,
+            "torsion": True,
+            "length": sum(d.degree() for d in torsion),
         }
     _emit(_json_text(payload), args.output)
     return 0

@@ -96,7 +96,11 @@ def dimension_sweep(n: int, a: int, b: int, n_max: int) -> list[int]:
 def stabilization_threshold(n: int, a: int, b: int, n_max: int,
                             dims: list[int] | None = None) -> int:
     """Least M < n_max such that every later increment matches the symmetric
-    tangent prediction.  The vacuous M = n_max is rejected so a sweep with no
+    tangent prediction and P, pinned at M, reproduces dims[M..n_max].
+
+    The second condition matters for b - a <= -(n + 1): there the h^0
+    increments match from N = 1, but P steps by chi, which differs from h^0
+    at small N.  The vacuous M = n_max is rejected so a sweep with no
     matching increments fails loudly."""
     if n_max < 1:
         raise PreconditionError("threshold search needs n_max >= 1")
@@ -105,8 +109,10 @@ def stabilization_threshold(n: int, a: int, b: int, n_max: int,
     d = b - a
     matches = [dims[order] - dims[order - 1] == expected_delta(n, order, d)
                for order in range(1, n_max + 1)]
+    product = _binomial_factor(n, 0) * _binomial_factor(n, d)
+    constants = [dims[order] - product.evaluate(order) for order in range(n_max + 1)]
     for threshold in range(n_max):
-        if all(matches[threshold:]):
+        if all(matches[threshold:]) and len(set(constants[threshold:])) == 1:
             return threshold
     raise StabilizationError(
         f"no stabilization threshold below {n_max} for (n={n}, a={a}, b={b})")

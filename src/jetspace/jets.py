@@ -9,7 +9,8 @@ Jets of finitely presented modules over Q[t] are computed through the
 prolonged presentation: each relation p(t) becomes the family of columns
 dt^s * p(t + dt), expanded over the dt-power basis and truncated, which is
 exactly what taking jets of a cokernel presentation yields (jets preserve
-cokernels).
+cokernels).  For a cyclic module Q[t]/(p) the invariant factors of the jet
+module also have a closed form in the squarefree parts of p.
 
 The operator/jet dictionary: an order-N operator D = sum c_beta(x) d^beta
 corresponds to the module map determined on the dx-power basis by
@@ -47,13 +48,6 @@ class JetElement:
     @classmethod
     def zero(cls, m: int, order: int) -> "JetElement":
         return cls(m, order, LaurentPoly.zero(2 * m))
-
-    @classmethod
-    def from_polynomial(cls, f: LaurentPoly, order: int) -> "JetElement":
-        """Embed f(x) as a jet with no dx part."""
-        m = f.nvars
-        terms = {tuple(e) + (0,) * m: c for e, c in f.terms.items()}
-        return cls(m, order, LaurentPoly(2 * m, terms))
 
     def dx_part(self, k: Exponent) -> LaurentPoly:
         """Coefficient of dx^k as a polynomial in x."""
@@ -184,6 +178,32 @@ def jet_of_presented(module: PresentedModule, order: int) -> PresentedModule:
                     if q:
                         new_rels[i * layers + s + k][col] = q
     return PresentedModule(g * layers, new_rels)
+
+
+def cyclic_jet_invariants(p: UniPoly, order: int) -> tuple[UniPoly, ...]:
+    """Nonunit invariant factors of the jet module of Q[t]/(p), ascending.
+
+    Closed form, no Smith reduction.  The jet module is Q[u, s]/(p(u), s^(N+1))
+    with t = u - s.  At a root of p of multiplicity e, t minus the root is
+    the difference of commuting nilpotents of Jordan types (e) and (N+1),
+    whose Jordan blocks have sizes N + e - 2r for r < min(e, N+1)
+    (Clebsch-Gordan, characteristic 0).  Collecting the roots by the
+    squarefree parts q_e of p, the r-th invariant factor from the top is
+    prod_{e > r} q_e^(N + e - 2r).  The product of all of them is
+    monic(p)^(N+1), so the length is deg(p) * (N + 1).
+    """
+    if not p:
+        raise PreconditionError("cyclic module Q[t]/(0) is not torsion")
+    if order < 0:
+        raise PreconditionError("jet order must be nonnegative")
+    parts = p.squarefree_parts()
+    factors = []
+    for r in range(min(len(parts), order + 1)):
+        d = UniPoly.one()
+        for e, q in enumerate(parts[r:], start=r + 1):
+            d = d * q ** (order + e - 2 * r)
+        factors.append(d)
+    return tuple(reversed(factors))
 
 
 def operator_to_jet_map(op: WeylElement, order: int) -> dict[Exponent, LaurentPoly]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
 
@@ -103,20 +103,12 @@ class LaurentPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def support(self) -> Iterator[Exponent]:
-        return iter(sorted(self.terms))
-
     def homogeneous_degree(self) -> int | None:
         """Total degree if every term has the same one, else None.  None for 0."""
         degs = {sum(e) for e in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def max_total_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
 
     def has_negative_exponent(self) -> bool:
         return any(min(e) < 0 for e in self.terms)

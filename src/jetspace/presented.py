@@ -178,6 +178,27 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
+    def squarefree_parts(self) -> list["UniPoly"]:
+        """Monic squarefree, pairwise coprime q_1, q_2, ... with
+        monic(self) = prod_e q_e^e (Yun's algorithm).
+
+        parts[e - 1] is q_e; the last part is a nonunit, so a constant
+        gives [].  Exact in characteristic 0.
+        """
+        if not self:
+            raise ValueError("the zero polynomial has no squarefree decomposition")
+        parts: list[UniPoly] = []
+        f = self.monic()
+        df = f.derivative()
+        a = f.gcd(df)
+        b, c = f // a, df // a
+        while b.degree() > 0:
+            d = c - b.derivative()
+            q = b.gcd(d)
+            parts.append(q)
+            b, c = b // q, d // q
+        return parts
+
     def shift_coefficients(self) -> list["UniPoly"]:
         """Polynomials q_k with p(t + s) = sum_k q_k(t) s^k (Taylor layers).
 
@@ -339,7 +360,7 @@ def _fix_divisibility(diag: list[UniPoly]) -> list[UniPoly]:
 class PresentedModule:
     """coker of a g x r matrix over Q[t]: g generators, r relation columns."""
 
-    __slots__ = ("gens", "relations")
+    __slots__ = ("gens", "relations", "_invariants")
 
     def __init__(self, gens: int, relations: Sequence[Sequence[UniPoly]]):
         if gens < 0:
@@ -352,6 +373,7 @@ class PresentedModule:
             raise ValueError("ragged relation matrix")
         self.gens = gens
         self.relations = tuple(rels)
+        self._invariants = None
 
     @classmethod
     def free(cls, gens: int) -> "PresentedModule":
@@ -371,10 +393,15 @@ class PresentedModule:
         return smith_normal_form(self.relations)
 
     def invariants(self) -> tuple[int, tuple[UniPoly, ...]]:
-        """(free rank, nonunit invariant factors); a complete isomorphism invariant."""
-        inv = self.smith_invariants()
-        free_rank = self.gens - len(inv)
-        return free_rank, tuple(d for d in inv if not d.is_unit())
+        """(free rank, nonunit invariant factors); a complete isomorphism invariant.
+
+        Computed once: the module is immutable.
+        """
+        if self._invariants is None:
+            inv = self.smith_invariants()
+            self._invariants = (self.gens - len(inv),
+                                tuple(d for d in inv if not d.is_unit()))
+        return self._invariants
 
     def is_torsion(self) -> bool:
         return self.invariants()[0] == 0

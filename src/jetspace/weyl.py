@@ -195,10 +195,6 @@ class WeylElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """Composition acting as self(other(f)).  Same as self * other."""
-        return self * other
-
     def __pow__(self, k: int) -> "WeylElement":
         if k < 0:
             raise ValueError("negative powers are not defined")

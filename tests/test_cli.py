@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -329,3 +330,19 @@ def test_env_cap_invalid_value(monkeypatch, capsys):
                        "--N", "1")
     assert rc == 1
     assert "JETSPACE_NMAX_OVERRIDE" in err
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: jet --cyclic output recorded from the Smith-form route
+# ---------------------------------------------------------------------------
+
+JET_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "jet_cyclic_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(JET_GOLDEN))
+def test_jet_cyclic_golden_bytes(capsys, case):
+    modulus, order = case.split(" N=")
+    rc, out, err = run(capsys, "jet", "--cyclic=" + modulus, "--N", order)
+    assert rc == 0, err
+    assert out == JET_GOLDEN[case]

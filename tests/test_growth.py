@@ -103,6 +103,19 @@ def test_nonzero_threshold_pair():
     assert all(row.match for row in report.table.rows[2:])
 
 
+@pytest.mark.parametrize("n, a, b, threshold", [
+    (2, 0, -3, 1), (2, 1, -2, 1), (3, 0, -4, 1), (2, 0, -4, 2)])
+def test_threshold_past_chi_gap_for_negative_twists(n, a, b, threshold):
+    # b - a <= -(n + 1): the h^0 increments match from N = 1, but P steps
+    # by chi, so the threshold must also let P reproduce dims[M..n_max]
+    report = verify_growth(n, a, b)
+    assert report.table.threshold == threshold
+    assert report.verdict
+    assert report.first_failure is None
+    for row in report.table.rows[threshold:]:
+        assert report.polynomial.evaluate(row.order) == row.dim
+
+
 def test_insufficient_budget_raises():
     with pytest.raises(StabilizationError):
         stabilization_threshold(1, 0, -2, 1)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_polynomial
 from jetspace.errors import PreconditionError
-from jetspace.jets import (JetElement, do_jet_correspondence_check,
-                           evaluate_jet_map, jet_free_rank, jet_of_presented,
+from jetspace.jets import (JetElement, cyclic_jet_invariants,
+                           do_jet_correspondence_check, evaluate_jet_map,
+                           jet_free_rank, jet_of_presented,
                            operator_to_jet_map, symbol_quotient_check,
                            universal_derivation)
 from jetspace.laurent import LaurentPoly
@@ -163,6 +164,67 @@ def test_jet_presentation_independence():
     for order in (0, 1, 2):
         assert (jet_of_presented(padded, order).invariants()
                 == jet_of_presented(direct, order).invariants())
+
+
+# ---------------------------------------------------------------------------
+# closed-form jets of cyclic modules, against the Smith form
+# ---------------------------------------------------------------------------
+
+def _random_modulus(rng):
+    """c * prod (t - root)^e * prod (t^2 + k)^e: degree <= 7, e in 1..3,
+    distinct roots, so the multiplicities are exactly the e drawn."""
+    p, degree = UniPoly.constant(rng.choice([-3, -1, 1, 2, Fraction(1, 2)])), 0
+    roots = rng.sample(range(-3, 4), 3)
+    shifts = rng.sample(range(1, 5), 2)
+    factors = [t - UniPoly.constant(r) for r in roots]
+    factors += [t * t + UniPoly.constant(k) for k in shifts]
+    rng.shuffle(factors)
+    for f in factors:
+        e = rng.randint(1, 3)
+        if degree + e * f.degree() <= 7 and rng.random() < 0.6:
+            p = p * f ** e
+            degree += e * f.degree()
+    return p
+
+
+def test_cyclic_jet_invariants_match_smith_form():
+    rng = random.Random(20261018)
+    cases = [(_random_modulus(rng), rng.randint(0, 4)) for _ in range(40)]
+    # multiplicity 3 above the jet order: N + 1 < e
+    cases += [((t - UniPoly.one()) ** 3 * (t * t + UniPoly.one()), 0),
+              (t ** 3 * (t + UniPoly.one()) ** 2, 1)]
+    for p, order in cases:
+        free_rank, torsion = jet_of_presented(PresentedModule.cyclic(p),
+                                              order).invariants()
+        assert free_rank == 0
+        assert cyclic_jet_invariants(p, order) == torsion, (p, order)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cyclic_jet_invariants_product_and_length(seed):
+    rng = random.Random(seed)
+    p, order = _random_modulus(rng), rng.randint(0, 6)
+    invariants = cyclic_jet_invariants(p, order)
+    product = UniPoly.one()
+    for d in invariants:
+        product = product * d
+    assert product == p.monic() ** (order + 1)
+    assert sum(d.degree() for d in invariants) == p.degree() * (order + 1)
+    for smaller, larger in zip(invariants, invariants[1:]):
+        assert smaller.divides(larger)
+
+
+def test_cyclic_jet_invariants_fat_point_high_order():
+    assert cyclic_jet_invariants(t * t, 40) == (t ** 40, t ** 42)
+
+
+def test_cyclic_jet_invariants_units_and_errors():
+    assert cyclic_jet_invariants(UniPoly.constant(4), 5) == ()
+    assert cyclic_jet_invariants(t, 0) == (t,)
+    with pytest.raises(PreconditionError):
+        cyclic_jet_invariants(UniPoly.zero(), 2)
+    with pytest.raises(PreconditionError):
+        cyclic_jet_invariants(t, -1)
 
 
 # ---------------------------------------------------------------------------

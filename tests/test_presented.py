@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetspace.presented as presented
 from jetspace.presented import PresentedModule, UniPoly, smith_normal_form
 
 t = UniPoly.t()
@@ -181,6 +182,38 @@ def test_snf_divisibility_chain():
         assert all(f.lead() == 1 for f in facs)
 
 
+def test_squarefree_parts_of_units():
+    assert one.squarefree_parts() == []
+    assert poly(-7).squarefree_parts() == []
+    assert poly(Fraction(5, 3)).squarefree_parts() == []
+
+
+def test_squarefree_parts_mixed_multiplicities():
+    p = (t - one) ** 2 * (t * t + one) ** 3 * 4
+    assert p.squarefree_parts() == [one, t - one, t * t + one]
+
+
+def test_squarefree_parts_rebuild_random_products():
+    rng = random.Random(5)
+    for _ in range(20):
+        p = poly(rng.choice([-2, 1, 3]))
+        for root in rng.sample(range(-4, 5), 3):
+            p = p * (t - poly(root)) ** rng.randint(0, 3)
+        parts = p.squarefree_parts()
+        rebuilt = one
+        for e, q in enumerate(parts, start=1):
+            assert q == q.monic()
+            assert q.gcd(q.derivative()) == one
+            rebuilt = rebuilt * q ** e
+        assert rebuilt == p.monic()
+        assert not parts or not parts[-1].is_unit()
+
+
+def test_squarefree_parts_rejects_zero():
+    with pytest.raises(ValueError):
+        UniPoly.zero().squarefree_parts()
+
+
 # ---------------------------------------------------------------------------
 # presented modules
 # ---------------------------------------------------------------------------
@@ -218,6 +251,22 @@ def test_direct_sum():
     s = a.direct_sum(b)
     assert s.invariants() == (1, (t,))
     assert s.length() is None
+
+
+def test_invariants_computed_once(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(presented, "smith_normal_form", counting)
+    m = PresentedModule(2, [[t * t, t], [t, t * t]])
+    assert m.invariants() == (0, (t, t * (t * t - one)))
+    assert m.is_torsion()
+    assert m.length() == 4
+    assert m.invariants() == (0, (t, t * (t * t - one)))
+    assert len(calls) == 1
 
 
 def test_relation_shape_validated():
