@@ -13,7 +13,8 @@ Run:
 import sys
 
 from jetspace.errors import PreconditionError
-from jetspace.symbols import classify, format_symbol_poly, symbol_of
+from jetspace.laurent import format_terms
+from jetspace.symbols import classify, symbol_of
 from jetspace.weyl import WeylElement
 
 
@@ -42,7 +43,7 @@ def main():
         sym = symbol_of(op, order)
         print(f"== {name} (order {order}, size {sym.size}) ==")
         for row in sym.entries:
-            print("   symbol:", " | ".join(format_symbol_poly(p, sym.m)
+            print("   symbol:", " | ".join(format_terms(p.terms, ("x", "s"), sym.m)
                                            for p in row))
         try:
             verdict = classify(sym)

@@ -20,14 +20,13 @@ from fractions import Fraction
 from . import growth as growth_mod
 from .cohomology import cech_line_oracle, h0_sym_tangent, line_cohomology
 from .errors import InconsistencyError, PreconditionError
-from .jets import JetElement, cyclic_jet_invariants, universal_derivation
-from .laurent import LaurentPoly
+from .jets import cyclic_jet_invariants, universal_derivation
+from .laurent import LaurentPoly, format_terms, parse_terms
 from .presented import UniPoly
 from .projective import (block_operator, global_do_dimension, h0_basis,
                          hn_basis, induced_cohomology_map)
-from .symbols import (DEFAULT_GRID_DEPTH, classify, elliptic_algebraic,
-                      elliptic_real, format_symbol_poly, symbol_of,
-                      torus_operator_check)
+from .symbols import (DEFAULT_GRID_DEPTH, elliptic_algebraic, elliptic_real,
+                      symbol_of, torus_operator_check)
 from .weyl import WeylElement
 
 SCHEMA = "jetspace/1"
@@ -65,8 +64,11 @@ def _enforce_cap(value: int, what: str) -> None:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --output {output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -87,8 +89,9 @@ def _parse_operator(args) -> list[list[WeylElement]]:
         except json.JSONDecodeError as exc:
             raise _UsageError(f"--matrix is not valid JSON: {exc}") from exc
         if (not isinstance(raw, list) or not raw
-                or any(not isinstance(row, list) or len(row) != len(raw) for row in raw)):
-            raise _UsageError("--matrix must be a square JSON array of arrays")
+                or any(not isinstance(row, list) or len(row) != len(raw)
+                       or not all(isinstance(cell, str) for cell in row) for row in raw)):
+            raise _UsageError("--matrix must be a square JSON array of arrays of strings")
         try:
             return [[WeylElement.parse(cell) for cell in row] for row in raw]
         except ValueError as exc:
@@ -196,7 +199,7 @@ def _cmd_symbol(args) -> int:
     payload = {
         "schema": SCHEMA, "command": "symbol",
         "m": sym.m, "N": args.N, "size": sym.size,
-        "entries": [[format_symbol_poly(p, sym.m) for p in row]
+        "entries": [[format_terms(p.terms, ("x", "s"), sym.m) for p in row]
                     for row in sym.entries],
         "constant_coefficient": sym.constant_coefficient,
         "torus_operator": torus_operator_check(
@@ -248,42 +251,10 @@ def _coefficient(text: str, where: str) -> Fraction:
 
 def _parse_poly(text: str) -> LaurentPoly:
     """Polynomial text "c * x^(e0,..,em)" terms joined by '+'."""
-    import re
-
-    term_re = re.compile(
-        r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*x\^\((?P<exps>-?[\d,\s-]*)\)\s*$")
-    terms = {}
-    for chunk in text.split("+"):
-        if not chunk.strip():
-            continue
-        m = term_re.match(chunk)
-        if not m:
-            raise _UsageError(f"cannot parse polynomial term {chunk!r}")
-        try:
-            exps = tuple(int(p) for p in m.group("exps").split(","))
-        except ValueError:
-            raise _UsageError(f"bad exponent tuple in polynomial term {chunk!r}") from None
-        terms[exps] = terms.get(exps, Fraction(0)) + _coefficient(m.group("coeff"), chunk)
-    if not terms:
-        raise _UsageError("empty polynomial")
-    nvars = len(next(iter(terms)))
-    if any(len(e) != nvars for e in terms):
-        raise _UsageError("inconsistent variable count across polynomial terms")
-    return LaurentPoly(nvars, terms)
-
-
-def _format_jet(jet: JetElement) -> str:
-    m = jet.m
-    if jet.poly.is_zero():
-        z = ",".join("0" for _ in range(m))
-        return f"0 * x^({z}) dx^({z})"
-    parts = []
-    for exps in sorted(jet.poly.terms):
-        c = jet.poly.terms[exps]
-        sx = ",".join(str(v) for v in exps[:m])
-        sd = ",".join(str(v) for v in exps[m:])
-        parts.append(f"{c} * x^({sx}) dx^({sd})")
-    return " + ".join(parts)
+    try:
+        return LaurentPoly(*parse_terms(text, ("x",)))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_jet(args) -> int:
@@ -306,7 +277,8 @@ def _cmd_jet(args) -> int:
         jet = universal_derivation(poly, args.N)
         payload = {
             "schema": SCHEMA, "command": "jet", "action": "derive",
-            "m": jet.m, "N": args.N, "jet": _format_jet(jet),
+            "m": jet.m, "N": args.N,
+            "jet": format_terms(jet.poly.terms, ("x", "dx"), jet.m),
         }
     else:
         coeffs = [_coefficient(p, "--cyclic") for p in args.cyclic.split(",")]

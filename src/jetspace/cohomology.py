@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-from .laurent import monomials_of_degree
+from .laurent import add_terms, monomials_of_degree
 from .linalg import ExactMatrix
 
 CECH_MAX_N = 4
@@ -137,20 +137,17 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
         for a, nu in enumerate(target_mus):
             for b, delta in enumerate(target_sections):
                 tgt_index[(nu, delta)] = a * len(target_sections) + b
-        entries: dict[tuple[int, int], Fraction] = {}
-        col = 0
-        for mu in source_mus:
-            for gamma in source_sections:
-                for i in range(n + 1):
-                    nu = tuple(v + (1 if t == i else 0) for t, v in enumerate(mu))
-                    delta = tuple(v + (1 if t == i else 0) for t, v in enumerate(gamma))
-                    row = tgt_index[(nu, delta)]
-                    key = (row, col)
-                    entries[key] = entries.get(key, Fraction(0)) + 1
-                col += 1
-        rank = ExactMatrix(len(tgt_index), col, entries).rank()
+        sources = [(mu, gamma) for mu in source_mus for gamma in source_sections]
+        entries = add_terms({}, (
+            ((tgt_index[(_bump(mu, i), _bump(gamma, i))], col), 1)
+            for col, (mu, gamma) in enumerate(sources) for i in range(n + 1)))
+        rank = ExactMatrix(len(tgt_index), len(sources), entries).rank()
     h0 = target_dim - rank
     return SymTangentH0(n, k, j, h0, chi_sym_tangent(n, k, j))
+
+
+def _bump(e: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return e[:i] + (e[i] + 1,) + e[i + 1:]
 
 
 __all__ = [

@@ -9,16 +9,18 @@ increments against the Euler characteristic gives a closed polynomial
 of degree exactly 2n in N with leading coefficient 1/(n!)^2, whose constant
 C is pinned by matching the computed dimension at N = M.  This module finds
 the threshold empirically, builds P with exact rational coefficients, and
-re-verifies the computed dimensions against it.
+cross-checks every computed dimension against an independent closed form
+that counts candidate shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
-from .cohomology import chi_line, chi_sym_tangent, h0_line, h0_sym_tangent
+from .cohomology import h0_line, h0_sym_tangent
 from .errors import PreconditionError, StabilizationError
 from .presented import UniPoly
 from .projective import do_dimension
@@ -29,6 +31,7 @@ def default_n_max(n: int) -> int:
     return {1: 4, 2: 4}.get(n, 2)
 
 
+@lru_cache(maxsize=None)
 def expected_delta(n: int, order: int, d: int) -> int:
     """h^0 of the order-th symmetric tangent twist by d, the predicted
     dimension increment.  On the projective line Sym^N T = O(2N)."""
@@ -93,6 +96,26 @@ def dimension_sweep(n: int, a: int, b: int, n_max: int) -> list[int]:
     return [do_dimension(n, a, b, order) for order in range(n_max + 1)]
 
 
+def closed_form_dimension(n: int, d: int, order: int) -> int:
+    """dim DO^N(O(a), O(a + d)) on P^n without an action matrix:
+    sum_{k=0..N} C(N - k + n, n) S(k), where S(k) counts the shifts in
+    Z^(n+1) of coordinate sum d whose negative part has size k.  Of those,
+    i coordinates are negative, in C(n+1, i) C(k-1, i-1) ways, and the rest
+    spread d + k; the all-negative i = n + 1 term needs d + k = 0."""
+    def spread(total: int, parts: int) -> int:
+        if parts == 0:
+            return int(total == 0)
+        return comb(total + parts - 1, parts - 1) if total >= 0 else 0
+
+    def shifts(k: int) -> int:
+        if k == 0:
+            return spread(d, n + 1)
+        return sum(comb(n + 1, i) * comb(k - 1, i - 1) * spread(d + k, n + 1 - i)
+                   for i in range(1, n + 2))
+
+    return sum(comb(order - k + n, n) * shifts(k) for k in range(order + 1))
+
+
 def stabilization_threshold(n: int, a: int, b: int, n_max: int,
                             dims: list[int] | None = None) -> int:
     """Least M < n_max such that every later increment matches the symmetric
@@ -142,11 +165,12 @@ class GrowthReport:
 
 
 def verify_growth(n: int, a: int, b: int, n_max: int | None = None) -> GrowthReport:
-    """Sweep dimensions, locate the threshold, and check them against P(N).
+    """Sweep dimensions, locate the threshold, fit P(N), and cross-check.
 
-    The verdict also folds in the polynomial degree (exactly 2n), the leading
-    coefficient 1/(n!)^2, and the increment identity P(N) - P(N-1) =
-    chi(Sym^N T(b-a)) past the threshold.
+    P reproduces dims[M..n_max] by the choice of M, and has degree 2n and
+    leading coefficient 1/(n!)^2 by construction.  The independent check is
+    closed_form_dimension: first_failure is the least N whose computed
+    dimension differs from it, and the verdict is that there is none.
     """
     if n_max is None:
         n_max = default_n_max(n)
@@ -160,23 +184,8 @@ def verify_growth(n: int, a: int, b: int, n_max: int | None = None) -> GrowthRep
         expected = expected_delta(n, order, d)
         rows.append(GrowthRow(order=order, dim=dims[order], delta=delta,
                               expected_delta=expected, match=delta == expected))
-    first_failure = None
-    for order in range(threshold + 1, n_max + 1):
-        if poly.evaluate(order) != dims[order]:
-            first_failure = order
-            break
-    lead_ok = poly.coeffs[-1] == Fraction(1, factorial(n) ** 2)
-    degree_ok = poly.degree == 2 * n
-    increments_ok = all(
-        poly.evaluate(order) - poly.evaluate(order - 1) == chi_sym_tangent(n, order, d)
-        for order in range(max(threshold, 1) + 1, n_max + 1)) if n >= 1 else True
-    closed_form_ok = all(
-        dims[order] == dims[threshold]
-        + comb(n + order, order) * chi_line(n, d + order)
-        - comb(n + threshold, threshold) * chi_line(n, d + threshold)
-        for order in range(threshold + 1, n_max + 1))
-    verdict = (first_failure is None and lead_ok and degree_ok
-               and increments_ok and closed_form_ok)
+    first_failure = next((order for order in range(n_max + 1)
+                          if dims[order] != closed_form_dimension(n, d, order)), None)
     table = GrowthTable(n=n, a=a, b=b, rows=tuple(rows), threshold=threshold)
-    return GrowthReport(table=table, polynomial=poly, verdict=verdict,
+    return GrowthReport(table=table, polynomial=poly, verdict=first_failure is None,
                         first_failure=first_failure)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import PreconditionError
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
@@ -100,34 +100,18 @@ class JetElement:
 
 def _truncate(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
     out = {e: c for e, c in poly.terms.items() if sum(e[m:]) <= order}
-    if len(out) == len(poly.terms):
-        return poly
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.nvars = poly.nvars
-    res.terms = out
-    return res
+    return poly if len(out) == len(poly.terms) else LaurentPoly._raw(poly.nvars, out)
 
 
 def universal_derivation(f: LaurentPoly, order: int) -> JetElement:
     """f |-> f(x + dx) truncated past dx-order N; multiplicative by design."""
     if f.has_negative_exponent():
         raise PreconditionError("universal derivation is defined for polynomials only")
-    m = f.nvars
-    out: dict[Exponent, Fraction] = {}
-    for gamma, c in f.terms.items():
-        for k in _sub_multiindices(gamma, order):
-            w = 1
-            for g, kj in zip(gamma, k):
-                if kj:
-                    w *= comb(g, kj)
-            target = tuple(g - kj for g, kj in zip(gamma, k)) + k
-            coeff = c * w
-            acc = out.get(target)
-            if acc is None:
-                out[target] = coeff
-            else:
-                out[target] = acc + coeff
-    return JetElement(m, order, LaurentPoly(2 * m, out))
+    if order < 0:
+        raise PreconditionError("jet order must be nonnegative")
+    return JetElement(f.nvars, order, LaurentPoly(2 * f.nvars, (
+        (tuple(g - kj for g, kj in zip(gamma, k)) + k, c * prod(map(comb, gamma, k)))
+        for gamma, c in f.terms.items() for k in _sub_multiindices(gamma, order))))
 
 
 def _sub_multiindices(gamma: Exponent, cap: int):

@@ -4,13 +4,19 @@ Monomials are exponent tuples (negative entries allowed), coefficients are
 ``fractions.Fraction``.  Zero coefficients are never stored, so two equal
 polynomials always have identical term dictionaries.  Instances are treated
 as immutable: no method mutates ``self`` after construction.
+
+Operators, polynomials, symbols and jets are all finitely supported maps from
+exponent blocks to Q.  ``add_terms`` is the one accumulator that sums such
+maps, and ``format_terms``/``parse_terms`` the one text codec: terms
+"c * x^(..) d^(..)" joined by " + ", one labelled block per exponent block.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
 
@@ -38,33 +44,104 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def add_terms(out: dict, pairs: Iterable) -> dict:
+    """Fold (key, coefficient) pairs into out, in place; a key whose sum is 0
+    is dropped.  Every coefficient must be nonzero (callers that may hold
+    zeros filter them first), so out never stores a zero.  Returns out."""
+    get = out.get
+    for key, c in pairs:
+        acc = get(key)
+        if acc is None:
+            out[key] = c
+        else:
+            c += acc
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def format_terms(terms: Mapping[Exponent, Fraction], labels: Sequence[str],
+                 width: int, key: Callable | None = None) -> str:
+    """Text form of a term map: "c * x^(..) d^(..)" terms joined by " + ".
+
+    Each flat exponent is cut into one block of ``width`` entries per label,
+    e.g. labels ("x", "d") for operators, ("x", "dx") for jets, ("x", "s")
+    for symbols.  Terms are sorted by ``key`` (default: the exponent).  The
+    zero map prints as a single zero term."""
+    def term(exps, c):
+        blocks = (exps[i * width:(i + 1) * width] for i in range(len(labels)))
+        return f"{c} * " + " ".join(f"{label}^({','.join(map(str, b))})"
+                                    for label, b in zip(labels, blocks))
+
+    if not terms:
+        return term((0,) * (width * len(labels)), 0)
+    return " + ".join(term(e, terms[e]) for e in sorted(terms, key=key))
+
+
+def parse_terms(text: str, labels: Sequence[str]) -> tuple[int, list[tuple[Exponent, Fraction]]]:
+    """Inverse of format_terms: (width, [(flat exponent, coefficient), ...]).
+
+    Accepts any term order and repeated exponents; the pairs come back in
+    text order, unsummed, so the caller's constructor sees (and can reject)
+    every exponent.  Exponents may be negative in every position.  Raises
+    ValueError on malformed text, a zero denominator, an empty exponent block,
+    or blocks of unequal width."""
+    pattern = r"\s*(-?\d+(?:/\d+)?)\s*\*" + "".join(
+        rf"\s*{re.escape(label)}\^\(([-\d,\s]*)\)" for label in labels) + r"\s*"
+    chunks = [chunk for chunk in text.split("+") if chunk.strip()]
+    if not chunks:
+        raise ValueError("empty term text")
+    width = None
+    pairs = []
+    for chunk in chunks:
+        m = re.fullmatch(pattern, chunk)
+        if not m:
+            raise ValueError(f"cannot parse term {chunk!r}")
+        try:
+            c = Fraction(m.group(1))
+            blocks = [tuple(int(v) for v in body.split(",")) for body in m.groups()[1:]]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
+        except ValueError:
+            raise ValueError(f"bad exponent tuple in term {chunk!r}") from None
+        if width is None:
+            width = len(blocks[0])
+        if any(len(b) != width for b in blocks):
+            raise ValueError(f"inconsistent exponent tuple lengths in {chunk!r}")
+        pairs.append((sum(blocks, ()), c))
+    return width, pairs
+
+
 class LaurentPoly:
     """A Laurent polynomial in ``nvars`` variables over the rationals."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | Iterable | None = None):
+        """``terms`` is a map or an iterable of (exponent, coefficient)
+        pairs; repeated exponents are summed."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _coerce(c)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent tuple {exps} has wrong length for nvars={nvars}")
-                if c:
-                    key = tuple(exps)
-                    acc = clean.get(key)
-                    if acc is None:
-                        clean[key] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            clean[key] = acc
-                        else:
-                            del clean[key]
-        self.terms = clean
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self.terms = add_terms({}, [t for t in map(self._checked, pairs) if t[1]])
+
+    def _checked(self, pair) -> tuple[Exponent, Fraction]:
+        exps, c = pair
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError(f"exponent tuple {exps} has wrong length for nvars={self.nvars}")
+        return exps, _coerce(c)
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "LaurentPoly":
+        """Wrap an already clean term dict (no zeros, right lengths)."""
+        res = cls.__new__(cls)
+        res.nvars = nvars
+        res.terms = terms
+        return res
 
     # ---- constructors -------------------------------------------------
 
@@ -119,61 +196,25 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return LaurentPoly._raw(self.nvars, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            if not c:
-                return LaurentPoly.zero(self.nvars)
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.nvars = self.nvars
-            res.terms = {e: k * c for e, k in self.terms.items()}
-            return res
+            return LaurentPoly._raw(
+                self.nvars, {e: k * c for e, k in self.terms.items()} if c else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return LaurentPoly._raw(self.nvars, add_terms({}, (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 

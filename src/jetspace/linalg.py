@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .laurent import _coerce
+from .laurent import _coerce, add_terms
 
 
 class ExactMatrix:
@@ -44,17 +44,11 @@ class ExactMatrix:
     @classmethod
     def from_rows(cls, data: Iterable[Iterable]) -> "ExactMatrix":
         data = [list(r) for r in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, r in enumerate(data):
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            for j, c in enumerate(r):
-                c = _coerce(c)
-                if c:
-                    entries[(i, j)] = c
-        return cls(rows, cols, entries)
+        cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        return cls(len(data), cols,
+                   {(i, j): c for i, r in enumerate(data) for j, c in enumerate(r)})
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -96,20 +90,9 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         other_rows = other.row_dicts()
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, k), c in self.entries.items():
-            for j, d in other_rows[k].items():
-                key = (i, j)
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c * d
-                else:
-                    acc = acc + c * d
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix(self.rows, other.cols, add_terms({}, (
+            ((i, j), c * d) for (i, k), c in self.entries.items()
+            for j, d in other_rows[k].items())))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows, {(j, i): c for (i, j), c in self.entries.items()})
@@ -124,11 +107,8 @@ class ExactMatrix:
         return len(pivots)
 
     def _integer_rows(self) -> list[dict[int, int]]:
-        raw: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (i, j), c in self.entries.items():
-            raw[i][j] = c
         out = []
-        for r in raw:
+        for r in self.row_dicts():
             lcm = 1
             for c in r.values():
                 d = c.denominator
@@ -151,12 +131,7 @@ class ExactMatrix:
                     pivots[c] = {j: v / lead for j, v in row.items()}
                     break
                 factor = row[c]
-                for j, v in piv.items():
-                    acc = row.get(j, Fraction(0)) - factor * v
-                    if acc:
-                        row[j] = acc
-                    else:
-                        row.pop(j, None)
+                add_terms(row, ((j, -factor * v) for j, v in piv.items()))
         cols_sorted = sorted(pivots)
         # back-substitute so each pivot column appears in exactly one row
         for c in reversed(cols_sorted):
@@ -167,12 +142,7 @@ class ExactMatrix:
                 upper = pivots[c2]
                 factor = upper.get(c)
                 if factor:
-                    for j, v in piv.items():
-                        acc = upper.get(j, Fraction(0)) - factor * v
-                        if acc:
-                            upper[j] = acc
-                        else:
-                            upper.pop(j, None)
+                    add_terms(upper, ((j, -factor * v) for j, v in piv.items()))
         return [pivots[c] for c in cols_sorted], cols_sorted
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:

@@ -327,6 +327,8 @@ def induced_cohomology_map(n: int, a: int, b: int, op: WeylElement,
     basis; monomials with a nonnegative exponent are coboundaries and are
     discarded.
     """
+    if n < 1:
+        raise PreconditionError("projective dimension must be >= 1")
     if op.nvars != n + 1:
         raise PreconditionError("operator has the wrong number of variables")
     if not op.is_graded_of_degree(b - a):
@@ -386,6 +388,8 @@ class BlockOperator:
     d12: WeylElement
 
     def __post_init__(self):
+        if self.n < 1:
+            raise PreconditionError("projective dimension must be >= 1")
         if self.d12.nvars != self.n + 1:
             raise PreconditionError("D12 has the wrong number of variables")
         if not self.d12.is_graded_of_degree(self.d - self.m):

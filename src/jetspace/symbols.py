@@ -29,7 +29,7 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import PreconditionError
-from .laurent import Exponent, LaurentPoly
+from .laurent import LaurentPoly
 from .weyl import WeylElement
 
 DEFAULT_GRID_DEPTH = 12
@@ -526,20 +526,3 @@ def classify(S: SymbolMatrix, depth: int = DEFAULT_GRID_DEPTH) -> EllipticityVer
     witness = real.witness if real.witness is not None else alg.witness
     return EllipticityVerdict(algebraic=alg.elliptic, real=real.verdict,
                               witness=witness)
-
-
-# ---- text form ---------------------------------------------------------
-
-
-def format_symbol_poly(poly: LaurentPoly, m: int) -> str:
-    """Terms "c * x^(..) s^(..)" joined by " + ", with s the cotangent block."""
-    if poly.is_zero():
-        z = ",".join("0" for _ in range(m))
-        return f"0 * x^({z}) s^({z})"
-    parts = []
-    for exps in sorted(poly.terms):
-        c = poly.terms[exps]
-        sx = ",".join(str(v) for v in exps[:m])
-        ss = ",".join(str(v) for v in exps[m:])
-        parts.append(f"{c} * x^({sx}) s^({ss})")
-    return " + ".join(parts)

@@ -20,24 +20,22 @@ product, e.g. (x d) . x^-1 = -x^-1), which is what Cech-style computations
 on punctured charts need.
 
 Order is the maximal |beta|; x-degree of a term is |alpha| - |beta|.  An
-element all of whose terms share one x-degree is called graded.  Text form:
-terms "c * x^(a0,..,an) d^(b0,..,bn)" joined by " + ".
+element all of whose terms share one x-degree is called graded.  Text form
+(laurent's term codec with labels x and d): terms
+"c * x^(a0,..,an) d^(b0,..,bn)" joined by " + ".
 """
 
 from __future__ import annotations
 
-import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import product
 from math import comb
-from typing import Iterable, Mapping
 
-from .laurent import Exponent, LaurentPoly, _coerce
+from .laurent import (Exponent, LaurentPoly, _coerce, add_terms, format_terms,
+                      parse_terms)
 
 TermKey = tuple[Exponent, Exponent]
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*x\^\((?P<alpha>-?[\d,\s]*)\)\s*d\^\((?P<beta>-?[\d,\s]*)\)\s*$"
-)
 
 
 def falling(m: int, k: int) -> int:
@@ -55,31 +53,31 @@ class WeylElement:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[TermKey, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[TermKey, Fraction] | Iterable | None = None):
+        """``terms`` is a map or an iterable of ((alpha, beta), coefficient)
+        pairs; repeated keys are summed."""
         if nvars <= 0:
             raise ValueError("nvars must be positive")
         self.nvars = nvars
-        clean: dict[TermKey, Fraction] = {}
-        if terms:
-            for (alpha, beta), c in terms.items():
-                alpha, beta = tuple(alpha), tuple(beta)
-                if len(alpha) != nvars or len(beta) != nvars:
-                    raise ValueError("exponent tuple length mismatch")
-                if min(alpha, default=0) < 0 or min(beta, default=0) < 0:
-                    raise ValueError("operator exponents must be nonnegative")
-                c = _coerce(c)
-                if c:
-                    key = (alpha, beta)
-                    acc = clean.get(key)
-                    if acc is None:
-                        clean[key] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            clean[key] = acc
-                        else:
-                            del clean[key]
-        self.terms = clean
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self.terms = add_terms({}, [t for t in map(self._checked, pairs) if t[1]])
+
+    def _checked(self, pair) -> tuple[TermKey, Fraction]:
+        (alpha, beta), c = pair
+        alpha, beta = tuple(alpha), tuple(beta)
+        if len(alpha) != self.nvars or len(beta) != self.nvars:
+            raise ValueError("exponent tuple length mismatch")
+        if min(alpha, default=0) < 0 or min(beta, default=0) < 0:
+            raise ValueError("operator exponents must be nonnegative")
+        return (alpha, beta), _coerce(c)
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict[TermKey, Fraction]) -> "WeylElement":
+        """Wrap an already clean term dict (no zeros, valid keys)."""
+        res = cls.__new__(cls)
+        res.nvars = nvars
+        res.terms = terms
+        return res
 
     # ---- constructors -------------------------------------------------
 
@@ -131,10 +129,8 @@ class WeylElement:
 
     def order_part(self, k: int) -> "WeylElement":
         """The sub-sum of terms with derivative order exactly k."""
-        res = WeylElement.__new__(WeylElement)
-        res.nvars = self.nvars
-        res.terms = {key: c for key, c in self.terms.items() if sum(key[1]) == k}
-        return res
+        return WeylElement._raw(
+            self.nvars, {key: c for key, c in self.terms.items() if sum(key[1]) == k})
 
     def coefficient(self, alpha: Iterable[int], beta: Iterable[int]) -> Fraction:
         return self.terms.get((tuple(alpha), tuple(beta)), Fraction(0))
@@ -145,50 +141,27 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        res = WeylElement.__new__(WeylElement)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return WeylElement._raw(self.nvars, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
 
     def __neg__(self) -> "WeylElement":
-        res = WeylElement.__new__(WeylElement)
-        res.nvars = self.nvars
-        res.terms = {key: -c for key, c in self.terms.items()}
-        return res
+        return WeylElement._raw(self.nvars, {key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         """Scalar multiple, or operator composition (self after other)."""
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            res = WeylElement.__new__(WeylElement)
-            res.nvars = self.nvars
-            res.terms = {key: k * c for key, k in self.terms.items()} if c else {}
-            return res
+            return WeylElement._raw(
+                self.nvars, {key: k * c for key, k in self.terms.items()} if c else {})
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check(other)
-        out: dict[TermKey, Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                _accumulate_product(out, a1, b1, a2, b2, c1 * c2, self.nvars)
-        res = WeylElement.__new__(WeylElement)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return WeylElement._raw(self.nvars, add_terms({}, (
+            term for (a1, b1), c1 in self.terms.items()
+            for (a2, b2), c2 in other.terms.items()
+            for term in _product_terms(a1, b1, a2, b2, c1 * c2))))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -221,138 +194,63 @@ class WeylElement:
 
     # ---- action on Laurent polynomials ---------------------------------
 
-    def apply_monomial(self, gamma: Exponent) -> dict[Exponent, Fraction]:
-        """Image of x^gamma as a sparse exponent -> coefficient map."""
-        out: dict[Exponent, Fraction] = {}
+    def _image_terms(self, gamma: Exponent):
+        """Terms of self . x^gamma, unsummed."""
         for (alpha, beta), c in self.terms.items():
             ff = 1
             for g, b in zip(gamma, beta):
                 if b:
                     ff *= falling(g, b)
-                    if ff == 0:
+                    if not ff:
                         break
-            if ff == 0:
-                continue
-            target = tuple(g + a - b for g, a, b in zip(gamma, alpha, beta))
-            coeff = c * ff
-            acc = out.get(target)
-            if acc is None:
-                out[target] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[target] = acc
-                else:
-                    del out[target]
-        return out
+            if ff:
+                yield tuple(g + a - b for g, a, b in zip(gamma, alpha, beta)), c * ff
+
+    def apply_monomial(self, gamma: Exponent) -> dict[Exponent, Fraction]:
+        """Image of x^gamma as a sparse exponent -> coefficient map."""
+        return add_terms({}, self._image_terms(gamma))
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if f.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        out: dict[Exponent, Fraction] = {}
-        for gamma, cg in f.terms.items():
-            for target, cv in self.apply_monomial(gamma).items():
-                coeff = cg * cv
-                acc = out.get(target)
-                if acc is None:
-                    out[target] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc:
-                        out[target] = acc
-                    else:
-                        del out[target]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return LaurentPoly._raw(self.nvars, add_terms({}, (
+            (target, cg * c) for gamma, cg in f.terms.items()
+            for target, c in self.apply_monomial(gamma).items())))
 
     # ---- text form -----------------------------------------------------
 
     def serialize(self) -> str:
         """Canonical text form, terms sorted by (|beta|, beta, alpha)."""
-        if not self.terms:
-            z = ",".join("0" for _ in range(self.nvars))
-            return f"0 * x^({z}) d^({z})"
-        parts = []
-        for alpha, beta in sorted(self.terms, key=lambda k: (sum(k[1]), k[1], k[0])):
-            c = self.terms[(alpha, beta)]
-            sa = ",".join(str(v) for v in alpha)
-            sb = ",".join(str(v) for v in beta)
-            parts.append(f"{c} * x^({sa}) d^({sb})")
-        return " + ".join(parts)
+        n = self.nvars
+        return format_terms({a + b: c for (a, b), c in self.terms.items()}, ("x", "d"), n,
+                            key=lambda e: (sum(e[n:]), e[n:], e[:n]))
 
     @classmethod
     def parse(cls, text: str, nvars: int | None = None) -> "WeylElement":
-        """Inverse of serialize; accepts any term order and repeated keys."""
-        chunks = [p for p in text.split("+") if p.strip()]
-        if not chunks:
-            raise ValueError("empty operator text")
-        terms: dict[TermKey, Fraction] = {}
-        seen_nvars = nvars
-        for chunk in chunks:
-            m = _TERM_RE.match(chunk)
-            if not m:
-                raise ValueError(f"cannot parse operator term {chunk!r}")
-            alpha = _parse_tuple(m.group("alpha"))
-            beta = _parse_tuple(m.group("beta"))
-            if len(alpha) != len(beta):
-                raise ValueError(f"mismatched tuple lengths in {chunk!r}")
-            if seen_nvars is None:
-                seen_nvars = len(alpha)
-            elif len(alpha) != seen_nvars:
-                raise ValueError("inconsistent variable count across terms")
-            try:
-                c = Fraction(m.group("coeff"))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in operator term {chunk!r}") from None
-            key = (alpha, beta)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return cls(seen_nvars, terms)
+        """Inverse of serialize; accepts any term order and repeated keys.
+        Negative exponents parse and are then rejected like any other."""
+        width, pairs = parse_terms(text, ("x", "d"))
+        if nvars is not None and width != nvars:
+            raise ValueError("inconsistent variable count across terms")
+        return cls(width, (((e[:width], e[width:]), c) for e, c in pairs))
 
     def __repr__(self) -> str:
         return f"WeylElement({self.serialize()})"
 
 
-def _parse_tuple(body: str) -> Exponent:
-    body = body.strip()
-    if not body:
-        return ()
-    return tuple(int(p) for p in body.split(","))
-
-
-def _accumulate_product(out, a1, b1, a2, b2, coeff, nvars) -> None:
-    """Add the normal-ordered expansion of (x^a1 d^b1)(x^a2 d^b2) into out."""
-    caps = [min(p, q) for p, q in zip(b1, a2)]
-    # iterate over all k with 0 <= k <= caps, odometer style
-    k = [0] * nvars
-    while True:
+def _product_terms(a1, b1, a2, b2, coeff):
+    """Terms of the normal-ordered expansion of coeff (x^a1 d^b1)(x^a2 d^b2),
+    one per 0 <= k <= min(b1, a2), the first index running fastest."""
+    caps = [range(min(p, q) + 1) for p, q in zip(b1, a2)]
+    for k in product(*caps[::-1]):
+        k = k[::-1]
         w = 1
-        for j in range(nvars):
-            kj = k[j]
+        for p, q, kj in zip(b1, a2, k):
             if kj:
-                w *= comb(b1[j], kj) * falling(a2[j], kj)
+                w *= comb(p, kj) * falling(q, kj)
         if w:
-            alpha = tuple(p + q - r for p, q, r in zip(a1, a2, k))
-            beta = tuple(p + q - r for p, q, r in zip(b1, b2, k))
-            key = (alpha, beta)
-            c = coeff * w
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        j = 0
-        while j < nvars and k[j] == caps[j]:
-            k[j] = 0
-            j += 1
-        if j == nvars:
-            return
-        k[j] += 1
+            yield ((tuple(p + q - r for p, q, r in zip(a1, a2, k)),
+                    tuple(p + q - r for p, q, r in zip(b1, b2, k))), coeff * w)
 
 
 def euler_operator(nvars: int) -> WeylElement:

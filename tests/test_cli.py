@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,13 @@ def test_usage_error_nonsquare_matrix(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("matrix", ['[[1]]', '[["1 * x^(0) d^(1)", null], [[], "0 * x^(0) d^(0)"]]'])
+def test_usage_error_matrix_cell_not_a_string(capsys, matrix):
+    rc, out, err = run(capsys, "symbol", "--matrix", matrix, "--N", "1")
+    assert rc == 1
+    assert err.startswith("usage error: --matrix must be a square JSON array")
+
+
 def test_usage_error_jet_needs_exactly_one_action(capsys):
     rc, out, err = run(capsys, "jet", "--N", "1")
     assert rc == 1
@@ -276,6 +285,32 @@ def test_precondition_exit(capsys):
     rc, out, err = run(capsys, "cohomology", "--n", "0", "--k", "1")
     assert rc == 2
     assert "precondition failed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("jet", "--derive", "1 * x^(1)", "--N=-1"),
+    ("jet", "--cyclic=1", "--N=-1"),
+    ("induced-map", "--n", "0", "--a", "0", "--b", "0", "--i", "0",
+     "--op", "1 * x^(0) d^(0)"),
+    ("block-op", "--n", "0", "--m", "0", "--d", "0", "--op", "1 * x^(0) d^(0)"),
+])
+def test_precondition_exit_without_traceback(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("precondition failed: ")
+    assert err.count("\n") == 1
+
+
+def test_output_to_missing_directory_or_directory_is_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "report.json", tmp_path):
+        rc, out, err = run(capsys, "cohomology", "--n", "1", "--k", "3",
+                           "--output", str(target))
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines()[0].startswith("usage error: cannot write --output")
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_precondition_cech_out_of_range(capsys):
@@ -346,3 +381,71 @@ def test_jet_cyclic_golden_bytes(capsys, case):
     rc, out, err = run(capsys, "jet", "--cyclic=" + modulus, "--N", order)
     assert rc == 0, err
     assert out == JET_GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: every README example plus codec edge cases
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).parents[1] / "README.md"
+README_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "readme_cli_golden.json").read_text())
+
+
+def _invocation(words):
+    """Split shell words into (env, argv) around the leading `jetspace`."""
+    env = {}
+    while "=" in words[0]:
+        name, value = words.pop(0).split("=", 1)
+        env[name] = value
+    assert words.pop(0) == "jetspace"
+    return env, words
+
+
+def readme_invocations():
+    """(env, argv) of every `$ jetspace ...` line of README.md, with
+    continuation lines and multi-line quotes joined and trailing comments
+    dropped, then of every inline `jetspace ...` code span."""
+    lines = README.read_text().splitlines()
+    found = []
+    i = 0
+    while i < len(lines):
+        text = lines[i]
+        i += 1
+        if not text.startswith("$ "):
+            continue
+        text = text[2:]
+        while True:
+            if text.rstrip().endswith("\\"):
+                text = text.rstrip()[:-1] + " " + lines[i]
+                i += 1
+                continue
+            try:
+                words = shlex.split(text, comments=True)
+            except ValueError:  # a quote is still open
+                text += "\n" + lines[i]
+                i += 1
+                continue
+            break
+        found.append(_invocation(words))
+    for span in re.findall(r"`(jetspace [^`]+)`", README.read_text()):
+        found.append(_invocation(shlex.split(span)))
+    return found
+
+
+def test_readme_examples_have_golden_entries():
+    recorded = [(case["env"], case["argv"]) for case in README_GOLDEN]
+    examples = readme_invocations()
+    assert len(examples) >= 14
+    for env, argv in examples:
+        assert (env, argv) in recorded, shlex.join(argv)
+
+
+@pytest.mark.parametrize("case", README_GOLDEN,
+                         ids=[shlex.join(c["argv"]) for c in README_GOLDEN])
+def test_readme_cli_golden_bytes(monkeypatch, capsys, case):
+    monkeypatch.delenv("JETSPACE_NMAX_OVERRIDE", raising=False)
+    for name, value in case["env"].items():
+        monkeypatch.setenv(name, value)
+    rc, out, err = run(capsys, *case["argv"])
+    assert (rc, out) == (case["exit"], case["stdout"]), err

@@ -5,9 +5,10 @@ import pytest
 
 from jetspace.cohomology import chi_sym_tangent, h0_line
 from jetspace.errors import StabilizationError
-from jetspace.growth import (GrowthPolynomial, dimension_sweep,
-                             expected_delta, stabilization_threshold,
-                             verify_growth)
+from jetspace import growth
+from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
+                             dimension_sweep, expected_delta,
+                             stabilization_threshold, verify_growth)
 from jetspace.projective import do_dimension
 
 
@@ -138,3 +139,31 @@ def test_growth_polynomial_container():
     assert p.degree == 2
     assert p.evaluate(3) == 16
     assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_dimension_matches_computed(n):
+    for d in range(-n - 3, 3):
+        for order in range(3 if n < 3 else 2):
+            assert closed_form_dimension(n, d, order) == do_dimension(n, 0, d, order)
+    assert closed_form_dimension(2, 0, 8) == 2025
+    assert closed_form_dimension(5, 0, 3) == 3136
+
+
+def test_verify_growth_reports_first_closed_form_mismatch(monkeypatch):
+    true_form = closed_form_dimension
+    monkeypatch.setattr(growth, "closed_form_dimension",
+                        lambda n, d, order: true_form(n, d, order) + (order >= 3))
+    report = verify_growth(2, 0, 1, 4)
+    assert report.verdict is False
+    assert report.first_failure == 3
+
+
+def test_verify_growth_ranks_each_increment_once(monkeypatch):
+    calls = []
+    real = growth.h0_sym_tangent
+    monkeypatch.setattr(growth, "h0_sym_tangent",
+                        lambda *args: calls.append(args) or real(*args))
+    expected_delta.cache_clear()
+    verify_growth(2, 0, 1, 4)
+    assert sorted(calls) == [(2, k, 1) for k in range(1, 5)]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetspace.laurent import LaurentPoly, monomials_of_degree
+from jetspace.laurent import (LaurentPoly, add_terms, format_terms,
+                             monomials_of_degree, parse_terms)
 
 exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -100,3 +101,58 @@ def test_monomials_of_degree_edges():
     assert monomials_of_degree(2, -1) == []
     assert monomials_of_degree(0, 0) == [()]
     assert monomials_of_degree(0, 2) == []
+
+
+# ---------------------------------------------------------------------------
+# the accumulator and the term codec
+# ---------------------------------------------------------------------------
+
+def test_add_terms_folds_and_drops_zero_sums():
+    out = {"a": Fraction(1)}
+    assert add_terms(out, [("b", 2), ("a", -1), ("b", 1)]) is out
+    assert out == {"b": 3}
+    assert add_terms({}, [("a", 1), ("a", -1), ("a", 5)]) == {"a": 5}
+
+
+def test_constructor_drops_zero_coefficients_after_checking_them():
+    assert LaurentPoly(2, [((1, 0), 0), ((0, 1), 2), ((0, 1), -2)]).is_zero()
+    with pytest.raises(ValueError):
+        LaurentPoly(2, {(1,): 0})
+
+
+def test_format_terms_blocks_sort_and_zero():
+    terms = {(1, 0, 0, 2): Fraction(-3, 2), (0, 0, 1, 0): Fraction(1)}
+    assert format_terms(terms, ("x", "dx"), 2) == (
+        "1 * x^(0,0) dx^(1,0) + -3/2 * x^(1,0) dx^(0,2)")
+    assert format_terms(terms, ("x", "dx"), 2, key=lambda e: e[2:]) == (
+        "-3/2 * x^(1,0) dx^(0,2) + 1 * x^(0,0) dx^(1,0)")
+    assert format_terms({}, ("x", "s"), 3) == "0 * x^(0,0,0) s^(0,0,0)"
+    assert format_terms({}, ("x",), 1) == "0 * x^(0)"
+
+
+def test_parse_terms_inverts_format_terms():
+    terms = {(2, -1, 0, 3): Fraction(5, 7), (0, 0, 1, 1): Fraction(-2)}
+    for labels in [("x", "d"), ("x", "dx"), ("x", "s")]:
+        width, pairs = parse_terms(format_terms(terms, labels, 2), labels)
+        assert width == 2 and dict(pairs) == terms
+
+
+def test_parse_terms_keeps_text_order_and_repeats():
+    width, pairs = parse_terms(" 1*x^( 2 , -1 ) + -1/2 * x^(0,3) + 1 * x^(2,-1) +", ("x",))
+    assert width == 2
+    assert pairs == [((2, -1), 1), ((0, 3), Fraction(-1, 2)), ((2, -1), 1)]
+    assert LaurentPoly(width, pairs) == LaurentPoly(2, {(2, -1): 2, (0, 3): Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize("text", [
+    "", " + ", "x^(1)", "1 * y^(1)", "1 * x^(1) d^(0)", "1/0 * x^(1)",
+    "1 * x^()", "1 * x^(1,)", "1 * x^(--1)", "1 * x^(1) + 1 * x^(1,2)",
+])
+def test_parse_terms_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_terms(text, ("x",))
+
+
+def test_parse_terms_rejects_unequal_blocks():
+    with pytest.raises(ValueError):
+        parse_terms("1 * x^(1,0) d^(1)", ("x", "d"))

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from jetspace.errors import PreconditionError
-from jetspace.laurent import LaurentPoly
+from jetspace.laurent import LaurentPoly, format_terms
 from jetspace.symbols import (_integer_root, classify, elliptic_algebraic,
-                              elliptic_real, format_symbol_poly, symbol_of,
-                              torus_operator_check)
+                              elliptic_real, symbol_of, torus_operator_check)
 from jetspace.weyl import WeylElement
 
 
@@ -77,7 +76,8 @@ def test_torus_operator_check():
 
 def test_format_symbol_poly():
     p = xi_poly(2, {(2, 0): 1, (0, 2): 1})
-    assert format_symbol_poly(p, 2) == "1 * x^(0,0) s^(0,2) + 1 * x^(0,0) s^(2,0)"
+    assert format_terms(p.terms, ("x", "s"), 2) == (
+        "1 * x^(0,0) s^(0,2) + 1 * x^(0,0) s^(2,0)")
 
 
 # ---------------------------------------------------------------------------

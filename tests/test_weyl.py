@@ -146,6 +146,15 @@ def test_parse_rejects_malformed():
         WeylElement.parse("1 * x^(1,0) d^(1)")   # mismatched arity
 
 
+@pytest.mark.parametrize("text", [
+    "1 * x^(-1,0) d^(0,0)", "1 * x^(0,-1) d^(0,0)", "1 * x^(0,0) d^(0,-1)",
+    "0 * x^(0,-1) d^(0,0)", "1 * x^(0,-1) d^(0,0) + -1 * x^(0,-1) d^(0,0)",
+])
+def test_parse_rejects_negative_exponents_in_every_position(text):
+    with pytest.raises(ValueError, match="nonnegative"):
+        WeylElement.parse(text)
+
+
 def test_negative_exponent_rejected_in_constructor():
     with pytest.raises(ValueError):
         WeylElement(1, {((-1,), (0,)): Fraction(1)})
