@@ -107,19 +107,16 @@ def _parse_operator(args) -> list[list[WeylElement]]:
 # ---- subcommand handlers ----------------------------------------------
 
 
-def _cmd_dim_do(args) -> int:
+def _cmd_dim_do(args) -> dict:
     _enforce_cap(args.N, "--N")
     space = global_do_dimension(args.n, args.a, args.b, args.N)
-    payload = {
-        "schema": SCHEMA, "command": "dim-do",
+    return {
         "n": args.n, "a": args.a, "b": args.b, "N": args.N,
         "dim": space.dim, "candidates": len(space.candidates), "box": space.box,
     }
-    _emit(_json_text(payload), args.output)
-    return 0
 
 
-def _cmd_growth_table(args) -> int:
+def _cmd_growth_table(args) -> dict | str:
     cap = _nmax_cap()
     if args.nmax is not None:
         nmax = args.nmax
@@ -135,8 +132,7 @@ def _cmd_growth_table(args) -> int:
         "verdict": report.verdict,
     }
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA, "command": "growth-table",
+        return {
             "n": args.n, "a": args.a, "b": args.b, "nmax": nmax,
             "rows": [
                 {"N": r.order, "dim": r.dim, "delta": r.delta,
@@ -147,8 +143,6 @@ def _cmd_growth_table(args) -> int:
             "first_failure": report.first_failure,
             **footer,
         }
-        _emit(_json_text(payload), args.output)
-        return 0
     buf = io.StringIO()
     buf.write("N,dim,delta,expected_delta,match\n")
     for r in report.table.rows:
@@ -157,15 +151,13 @@ def _cmd_growth_table(args) -> int:
         match = "" if r.match is None else ("true" if r.match else "false")
         buf.write(f"{r.order},{r.dim},{delta},{expected},{match}\n")
     buf.write(json.dumps(footer, sort_keys=True) + "\n")
-    _emit(buf.getvalue(), args.output)
-    return 0
+    return buf.getvalue()
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args) -> dict:
     if args.j is not None:
         result = h0_sym_tangent(args.n, args.k, args.j)
-        payload = {
-            "schema": SCHEMA, "command": "cohomology",
+        return {
             "n": args.n, "k": args.k, "j": args.j,
             "h0": result.h0, "chi": result.chi,
         }
@@ -177,43 +169,33 @@ def _cmd_cohomology(args) -> int:
             if not (0 <= args.i <= args.n):
                 raise PreconditionError(f"i must lie in [0, {args.n}]")
             h = full.dims[args.i]
-        payload = {
-            "schema": SCHEMA, "command": "cohomology",
+        return {
             "n": args.n, "k": args.k, "i": args.i,
             "h": h, "method": args.method,
         }
     else:
         full = line_cohomology(args.n, args.k)
-        payload = {
-            "schema": SCHEMA, "command": "cohomology",
+        return {
             "n": args.n, "k": args.k,
             "h": list(full.dims), "chi": full.chi,
         }
-    _emit(_json_text(payload), args.output)
-    return 0
 
 
-def _cmd_symbol(args) -> int:
+def _cmd_symbol(args) -> dict:
     ops = _parse_operator(args)
-    sym = symbol_of(ops if len(ops) > 1 else ops[0][0], args.N)
-    payload = {
-        "schema": SCHEMA, "command": "symbol",
+    sym = symbol_of(ops, args.N)
+    return {
         "m": sym.m, "N": args.N, "size": sym.size,
         "entries": [[format_terms(p.terms, ("x", "s"), sym.m) for p in row]
                     for row in sym.entries],
         "constant_coefficient": sym.constant_coefficient,
-        "torus_operator": torus_operator_check(
-            ops if len(ops) > 1 else ops[0][0]),
+        "torus_operator": torus_operator_check(ops),
     }
-    _emit(_json_text(payload), args.output)
-    return 0
 
 
-def _cmd_elliptic_check(args) -> int:
-    ops = _parse_operator(args)
-    sym = symbol_of(ops if len(ops) > 1 else ops[0][0], args.N)
+def _cmd_elliptic_check(args) -> dict:
+    sym = symbol_of(_parse_operator(args), args.N)
     payload = {
-        "schema": SCHEMA, "command": "elliptic-check",
         "mode": args.mode, "m": sym.m, "N": args.N,
     }
     if args.mode == "algebraic":
@@ -236,8 +218,7 @@ def _cmd_elliptic_check(args) -> int:
                             if res.sign_points else None),
             "reason": res.reason,
         })
-    _emit(_json_text(payload), args.output)
-    return 0
+    return payload
 
 
 def _coefficient(text: str, where: str) -> Fraction:
@@ -257,7 +238,7 @@ def _parse_poly(text: str) -> LaurentPoly:
         raise _UsageError(str(exc)) from None
 
 
-def _cmd_jet(args) -> int:
+def _cmd_jet(args) -> dict:
     actions = [args.derive is not None, args.free_rank, args.cyclic is not None]
     if sum(actions) != 1:
         raise _UsageError("choose exactly one of --derive, --free-rank, --cyclic")
@@ -267,16 +248,16 @@ def _cmd_jet(args) -> int:
             raise _UsageError("--free-rank needs --m and --r")
         from .jets import jet_free_rank
 
-        payload = {
-            "schema": SCHEMA, "command": "jet", "action": "free-rank",
+        return {
+            "action": "free-rank",
             "m": args.m, "N": args.N, "r": args.r,
             "rank": jet_free_rank(args.m, args.N, args.r),
         }
     elif args.derive is not None:
         poly = _parse_poly(args.derive)
         jet = universal_derivation(poly, args.N)
-        payload = {
-            "schema": SCHEMA, "command": "jet", "action": "derive",
+        return {
+            "action": "derive",
             "m": jet.m, "N": args.N,
             "jet": format_terms(jet.poly.terms, ("x", "dx"), jet.m),
         }
@@ -284,19 +265,17 @@ def _cmd_jet(args) -> int:
         coeffs = [_coefficient(p, "--cyclic") for p in args.cyclic.split(",")]
         p = UniPoly(coeffs)
         torsion = cyclic_jet_invariants(p, args.N)
-        payload = {
-            "schema": SCHEMA, "command": "jet", "action": "cyclic",
+        return {
+            "action": "cyclic",
             "N": args.N, "modulus": repr(p),
             "invariants": [repr(d) for d in torsion],
             "free_rank": 0,
             "torsion": True,
             "length": sum(d.degree() for d in torsion),
         }
-    _emit(_json_text(payload), args.output)
-    return 0
 
 
-def _cmd_induced_map(args) -> int:
+def _cmd_induced_map(args) -> dict:
     ops = _parse_operator(args)
     if len(ops) != 1:
         raise _UsageError("induced-map works on a single operator")
@@ -308,8 +287,7 @@ def _cmd_induced_map(args) -> int:
     else:
         source = hn_basis(args.n, args.a)
         target = hn_basis(args.n, args.b)
-    payload = {
-        "schema": SCHEMA, "command": "induced-map",
+    return {
         "n": args.n, "a": args.a, "b": args.b, "i": args.i,
         "source_dim": matrix.cols, "target_dim": matrix.rows,
         "source_basis": [list(e) for e in source],
@@ -317,18 +295,15 @@ def _cmd_induced_map(args) -> int:
         "matrix": [[_frac_str(c) for c in row] for row in matrix.to_rows()],
         "rank": matrix.rank(),
     }
-    _emit(_json_text(payload), args.output)
-    return 0
 
 
-def _cmd_block_op(args) -> int:
+def _cmd_block_op(args) -> dict:
     ops = _parse_operator(args)
     if len(ops) != 1:
         raise _UsageError("block-op takes the off-diagonal operator only")
     block = block_operator(args.n, args.m, args.d, ops[0][0])
     report = block.verify()
-    payload = {
-        "schema": SCHEMA, "command": "block-op",
+    return {
         "n": args.n, "m": args.m, "d": args.d,
         "order": report.order,
         "report": {
@@ -340,8 +315,6 @@ def _cmd_block_op(args) -> int:
             "ok": report.ok,
         },
     }
-    _emit(_json_text(payload), args.output)
-    return 0
 
 
 # ---- parser wiring -----------------------------------------------------
@@ -433,7 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        report = args.func(args)
+        if not isinstance(report, str):
+            report = _json_text({"schema": SCHEMA, "command": args.command, **report})
+        _emit(report, args.output)
+        return 0
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -10,8 +10,9 @@ enumeration used as an independent cross-check at desk scale.
 Twists of symmetric tangent powers are handled through the two-step
 resolution  Sym^(k-1)V (j+k-1) -> Sym^k V (j+k) -> Sym^k T (j)  coming from
 the Euler presentation of the tangent bundle: on P^n with n >= 2 the middle
-cohomology of line bundles vanishes, so h^0 of the quotient is the corank
-of the explicit multiplication matrix on global sections.
+cohomology of line bundles vanishes, so h^0 of the quotient is the cokernel
+dimension of the multiplication map on global sections.  That map is
+injective, so h^0 is a difference of binomial counts.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-from .laurent import add_terms, monomials_of_degree
-from .linalg import ExactMatrix
+from .laurent import monomials_of_degree
 
 CECH_MAX_N = 4
 CECH_MAX_TWIST = 12
@@ -113,11 +113,13 @@ def chi_sym_tangent(n: int, k: int, j: int) -> int:
 
 
 def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
-    """h^0 of Sym^k T(j) on P^n, n >= 2, as corank of the Euler multiplication map.
+    """h^0 of Sym^k T(j) on P^n, n >= 2, as the cokernel dimension of the
+    Euler multiplication map on global sections.
 
-    Source basis: (mu, gamma) with |mu| = k-1 over n+1 symbols and gamma a
-    degree-(j+k-1) monomial; target basis likewise with |nu| = k and degree
-    j+k.  The map sends (mu, gamma) to the sum over i of (mu+e_i, gamma+e_i).
+    The map Sym^(k-1)V (j+k-1) -> Sym^k V (j+k) multiplies by sum_i x_i e_i,
+    a nonzero element of the domain Q[x, e], so it is injective and h^0 is
+    C(n+k, k) h^0(O(j+k)) - C(n+k-1, k-1) h^0(O(j+k-1)), the second term
+    only for k >= 1.
     """
     if n < 2:
         raise PreconditionError(
@@ -125,29 +127,10 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
             "bundle is O(2), so use h^0(O(2k + j)) instead")
     if k < 0:
         raise PreconditionError("symmetric power must be nonnegative")
-    target_mus = monomials_of_degree(n + 1, k)
-    target_sections = monomials_of_degree(n + 1, j + k) if j + k >= 0 else []
-    target_dim = len(target_mus) * len(target_sections)
-    if k == 0 or j + k - 1 < 0:
-        rank = 0
-    else:
-        source_mus = monomials_of_degree(n + 1, k - 1)
-        source_sections = monomials_of_degree(n + 1, j + k - 1)
-        tgt_index = {}
-        for a, nu in enumerate(target_mus):
-            for b, delta in enumerate(target_sections):
-                tgt_index[(nu, delta)] = a * len(target_sections) + b
-        sources = [(mu, gamma) for mu in source_mus for gamma in source_sections]
-        entries = add_terms({}, (
-            ((tgt_index[(_bump(mu, i), _bump(gamma, i))], col), 1)
-            for col, (mu, gamma) in enumerate(sources) for i in range(n + 1)))
-        rank = ExactMatrix(len(tgt_index), len(sources), entries).rank()
-    h0 = target_dim - rank
+    h0 = comb(n + k, k) * h0_line(n, j + k)
+    if k >= 1:
+        h0 -= comb(n + k - 1, k - 1) * h0_line(n, j + k - 1)
     return SymTangentH0(n, k, j, h0, chi_sym_tangent(n, k, j))
-
-
-def _bump(e: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return e[:i] + (e[i] + 1,) + e[i + 1:]
 
 
 __all__ = [

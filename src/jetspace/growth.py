@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .cohomology import h0_line, h0_sym_tangent
@@ -31,7 +30,6 @@ def default_n_max(n: int) -> int:
     return {1: 4, 2: 4}.get(n, 2)
 
 
-@lru_cache(maxsize=None)
 def expected_delta(n: int, order: int, d: int) -> int:
     """h^0 of the order-th symmetric tangent twist by d, the predicted
     dimension increment.  On the projective line Sym^N T = O(2N)."""

@@ -9,6 +9,8 @@ Operators, polynomials, symbols and jets are all finitely supported maps from
 exponent blocks to Q.  ``add_terms`` is the one accumulator that sums such
 maps, and ``format_terms``/``parse_terms`` the one text codec: terms
 "c * x^(..) d^(..)" joined by " + ", one labelled block per exponent block.
+``TermMap`` holds the arithmetic that polynomials and operators share;
+``LaurentPoly`` and ``weyl.WeylElement`` state only their keys and products.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 Exponent = tuple[int, ...]
 
@@ -114,19 +117,107 @@ def parse_terms(text: str, labels: Sequence[str]) -> tuple[int, list[tuple[Expon
     return width, pairs
 
 
-class LaurentPoly:
-    """A Laurent polynomial in ``nvars`` variables over the rationals."""
+class TermMap:
+    """A finitely supported map from monomial keys to nonzero rationals, with
+    the ring structure its subclass names.
+
+    Polynomials and differential operators share the monomial basis and the
+    vector-space structure; they differ in what a key is (``_checked`` and
+    the least ``nvars``), what 1 is (``one``) and how two basis monomials
+    multiply (``_product``, an iterable of the unsummed terms of
+    c * key1 * key2).  Everything else lives here.  Elements of different
+    subclasses never compare equal, add or multiply.
+    """
 
     __slots__ = ("nvars", "terms")
+    _MIN_NVARS, _NVARS_ERROR = 0, "nvars must be nonnegative"
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | Iterable | None = None):
-        """``terms`` is a map or an iterable of (exponent, coefficient)
-        pairs; repeated exponents are summed."""
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+    def __init__(self, nvars: int, terms: Mapping | Iterable | None = None):
+        """``terms`` is a map or an iterable of (key, coefficient) pairs;
+        repeated keys are summed."""
+        if nvars < self._MIN_NVARS:
+            raise ValueError(self._NVARS_ERROR)
         self.nvars = nvars
         pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
         self.terms = add_terms({}, [t for t in map(self._checked, pairs) if t[1]])
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict):
+        """Wrap an already clean term dict (no zeros, valid keys)."""
+        res = cls.__new__(cls)
+        res.nvars = nvars
+        res.terms = terms
+        return res
+
+    @classmethod
+    def zero(cls, nvars: int):
+        return cls(nvars, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other: "TermMap") -> None:
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._raw(self.nvars, add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.nvars, {key: -c for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """Scalar multiple, or the product self * other (for operators:
+        self after other)."""
+        if isinstance(other, (int, Fraction)):
+            c = _coerce(other)
+            return self._raw(
+                self.nvars, {key: k * c for key, k in self.terms.items()} if c else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        product = self._product
+        return self._raw(self.nvars, add_terms({}, (
+            term for k1, c1 in self.terms.items() for k2, c2 in other.terms.items()
+            for term in product(k1, k2, c1 * c2))))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative powers are not defined")
+        result = self.one(self.nvars)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+
+class LaurentPoly(TermMap):
+    """A Laurent polynomial in ``nvars`` variables over the rationals; keys
+    are exponent tuples."""
+
+    __slots__ = ()
 
     def _checked(self, pair) -> tuple[Exponent, Fraction]:
         exps, c = pair
@@ -135,19 +226,11 @@ class LaurentPoly:
             raise ValueError(f"exponent tuple {exps} has wrong length for nvars={self.nvars}")
         return exps, _coerce(c)
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "LaurentPoly":
-        """Wrap an already clean term dict (no zeros, right lengths)."""
-        res = cls.__new__(cls)
-        res.nvars = nvars
-        res.terms = terms
-        return res
+    @staticmethod
+    def _product(e1: Exponent, e2: Exponent, c: Fraction):
+        return ((tuple(map(add, e1, e2)), c),)
 
     # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
@@ -171,9 +254,6 @@ class LaurentPoly:
 
     # ---- queries ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
@@ -189,58 +269,6 @@ class LaurentPoly:
 
     def has_negative_exponent(self) -> bool:
         return any(min(e) < 0 for e in self.terms)
-
-    # ---- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        return LaurentPoly._raw(self.nvars, add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return LaurentPoly._raw(
-                self.nvars, {e: k * c for e, k in self.terms.items()} if c else {})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        return LaurentPoly._raw(self.nvars, add_terms({}, (
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers of polynomials are not supported")
-        result = LaurentPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
 
     # ---- evaluation ---------------------------------------------------
 

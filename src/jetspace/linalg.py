@@ -15,7 +15,7 @@ step on integer rows; projective's shift blocks call it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .laurent import _coerce, add_terms
@@ -107,15 +107,7 @@ class ExactMatrix:
         return len(pivots)
 
     def _integer_rows(self) -> list[dict[int, int]]:
-        out = []
-        for r in self.row_dicts():
-            lcm = 1
-            for c in r.values():
-                d = c.denominator
-                if d != 1:
-                    lcm = lcm // gcd(lcm, d) * d
-            out.append({j: int(c * lcm) for j, c in r.items()})
-        return out
+        return [dict(zip(r, primitive_integers(r.values()))) for r in self.row_dicts()]
 
     # ---- reduced row echelon / kernel ---------------------------------
 
@@ -174,6 +166,16 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def primitive_integers(values: Iterable[Fraction]) -> list[int]:
+    """Coprime integers proportional to the given rationals, same signs:
+    scaled by the lcm of the denominators, then divided by the gcd."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def add_pivot_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:

@@ -30,6 +30,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .laurent import LaurentPoly
+from .linalg import primitive_integers
 from .weyl import WeylElement
 
 DEFAULT_GRID_DEPTH = 12
@@ -210,24 +211,9 @@ def _unit(m: int, i: int) -> tuple[Fraction, ...]:
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to coprime integers with the first nonzero entry positive."""
-    from math import gcd
-
-    lcm = 1
-    for v in vec:
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    ints = primitive_integers(vec)
+    sign = -1 if next((v for v in ints if v), 0) < 0 else 1
+    return tuple(Fraction(sign * v) for v in ints)
 
 
 def elliptic_algebraic(S: SymbolMatrix) -> AlgebraicEllipticity:
@@ -323,14 +309,7 @@ def _integer_root(v: int, p: int) -> int | None:
 
 def _integer_binomial(c_hi: Fraction, c_lo: Fraction, p: int) -> tuple[int, ...]:
     """Integer coefficients of c_hi t^p + c_lo, cleared and reduced."""
-    from math import gcd
-
-    lcm = c_hi.denominator // gcd(c_hi.denominator, c_lo.denominator) * c_lo.denominator
-    a = int(c_lo * lcm)
-    b = int(c_hi * lcm)
-    g = gcd(a, b)
-    if g:
-        a, b = a // g, b // g
+    a, b = primitive_integers((c_lo, c_hi))
     if b < 0:
         a, b = -a, -b
     return (a,) + (0,) * (p - 1) + (b,)
@@ -340,6 +319,8 @@ def _integer_binomial(c_hi: Fraction, c_lo: Fraction, p: int) -> tuple[int, ...]
 
 
 def elliptic_real(S: SymbolMatrix, depth: int = DEFAULT_GRID_DEPTH) -> RealEllipticity:
+    if depth < 0:
+        raise PreconditionError(f"grid depth must be nonnegative, got {depth}")
     det = _require_constant(S)
     m = S.m
     if det.is_zero():

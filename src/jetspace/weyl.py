@@ -27,13 +27,13 @@ element all of whose terms share one x-degree is called graded.  Text form
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .laurent import (Exponent, LaurentPoly, _coerce, add_terms, format_terms,
-                      parse_terms)
+from .laurent import (Exponent, LaurentPoly, TermMap, _coerce, add_terms,
+                      format_terms, parse_terms)
 
 TermKey = tuple[Exponent, Exponent]
 
@@ -48,19 +48,29 @@ def falling(m: int, k: int) -> int:
     return out
 
 
-class WeylElement:
-    """A normal-ordered differential operator with polynomial coefficients."""
+def _product_terms(k1: TermKey, k2: TermKey, coeff: Fraction):
+    """Terms of the normal-ordered expansion of coeff (x^a1 d^b1)(x^a2 d^b2),
+    one per 0 <= k <= min(b1, a2), the first index running fastest."""
+    (a1, b1), (a2, b2) = k1, k2
+    caps = [range(min(p, q) + 1) for p, q in zip(b1, a2)]
+    for k in product(*caps[::-1]):
+        k = k[::-1]
+        w = 1
+        for p, q, kj in zip(b1, a2, k):
+            if kj:
+                w *= comb(p, kj) * falling(q, kj)
+        if w:
+            yield ((tuple(p + q - r for p, q, r in zip(a1, a2, k)),
+                    tuple(p + q - r for p, q, r in zip(b1, b2, k))), coeff * w)
 
-    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[TermKey, Fraction] | Iterable | None = None):
-        """``terms`` is a map or an iterable of ((alpha, beta), coefficient)
-        pairs; repeated keys are summed."""
-        if nvars <= 0:
-            raise ValueError("nvars must be positive")
-        self.nvars = nvars
-        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
-        self.terms = add_terms({}, [t for t in map(self._checked, pairs) if t[1]])
+class WeylElement(TermMap):
+    """A normal-ordered differential operator with polynomial coefficients;
+    keys are (alpha, beta) pairs, and the product is composition."""
+
+    __slots__ = ()
+    _MIN_NVARS, _NVARS_ERROR = 1, "nvars must be positive"
+    _product = staticmethod(_product_terms)
 
     def _checked(self, pair) -> tuple[TermKey, Fraction]:
         (alpha, beta), c = pair
@@ -71,19 +81,7 @@ class WeylElement:
             raise ValueError("operator exponents must be nonnegative")
         return (alpha, beta), _coerce(c)
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict[TermKey, Fraction]) -> "WeylElement":
-        """Wrap an already clean term dict (no zeros, valid keys)."""
-        res = cls.__new__(cls)
-        res.nvars = nvars
-        res.terms = terms
-        return res
-
     # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "WeylElement":
-        return cls(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "WeylElement":
@@ -106,9 +104,6 @@ class WeylElement:
         return cls(nvars, {((0,) * nvars, beta): Fraction(1)})
 
     # ---- basic structure ----------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def order(self) -> int | None:
         """Maximal derivative order; None stands in for minus infinity on 0."""
@@ -134,63 +129,6 @@ class WeylElement:
 
     def coefficient(self, alpha: Iterable[int], beta: Iterable[int]) -> Fraction:
         return self.terms.get((tuple(alpha), tuple(beta)), Fraction(0))
-
-    # ---- ring operations ----------------------------------------------
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        self._check(other)
-        return WeylElement._raw(self.nvars, add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylElement":
-        return WeylElement._raw(self.nvars, {key: -c for key, c in self.terms.items()})
-
-    def __mul__(self, other):
-        """Scalar multiple, or operator composition (self after other)."""
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return WeylElement._raw(
-                self.nvars, {key: k * c for key, k in self.terms.items()} if c else {})
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        self._check(other)
-        return WeylElement._raw(self.nvars, add_terms({}, (
-            term for (a1, b1), c1 in self.terms.items()
-            for (a2, b2), c2 in other.terms.items()
-            for term in _product_terms(a1, b1, a2, b2, c1 * c2))))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "WeylElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = WeylElement.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _check(self, other: "WeylElement") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
 
     # ---- action on Laurent polynomials ---------------------------------
 
@@ -236,21 +174,6 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"WeylElement({self.serialize()})"
-
-
-def _product_terms(a1, b1, a2, b2, coeff):
-    """Terms of the normal-ordered expansion of coeff (x^a1 d^b1)(x^a2 d^b2),
-    one per 0 <= k <= min(b1, a2), the first index running fastest."""
-    caps = [range(min(p, q) + 1) for p, q in zip(b1, a2)]
-    for k in product(*caps[::-1]):
-        k = k[::-1]
-        w = 1
-        for p, q, kj in zip(b1, a2, k):
-            if kj:
-                w *= comb(p, kj) * falling(q, kj)
-        if w:
-            yield ((tuple(p + q - r for p, q, r in zip(a1, a2, k)),
-                    tuple(p + q - r for p, q, r in zip(b1, b2, k))), coeff * w)
 
 
 def euler_operator(nvars: int) -> WeylElement:

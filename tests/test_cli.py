@@ -125,6 +125,18 @@ def test_elliptic_check_real_laplacian(capsys):
     assert payload["witness"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ("symbol", "--N", "2"),
+    ("elliptic-check", "--mode", "real", "--N", "2"),
+    ("elliptic-check", "--mode", "algebraic", "--N", "2"),
+])
+def test_one_by_one_matrix_matches_bare_operator(capsys, argv):
+    op = "1 * x^(0,0) d^(2,0) + -1 * x^(1,0) d^(0,1) + -4 * x^(0,0) d^(0,2)"
+    bare = run(capsys, *argv, "--op", op)
+    assert bare[0] == 0, bare[2]
+    assert run(capsys, *argv, "--matrix", json.dumps([[op]])) == bare
+
+
 def test_elliptic_check_algebraic(capsys):
     payload = run_json(capsys, "elliptic-check", "--mode", "algebraic",
                        "--op", "1 * x^(0,0) d^(2,0) + 1 * x^(0,0) d^(0,2)",
@@ -293,6 +305,10 @@ def test_precondition_exit(capsys):
     ("induced-map", "--n", "0", "--a", "0", "--b", "0", "--i", "0",
      "--op", "1 * x^(0) d^(0)"),
     ("block-op", "--n", "0", "--m", "0", "--d", "0", "--op", "1 * x^(0) d^(0)"),
+    ("elliptic-check", "--mode", "real", "--op",
+     "1 * x^(0,0) d^(4,0) + 1 * x^(0,0) d^(0,4)", "--N", "4", "--depth", "-5"),
+    ("elliptic-check", "--mode", "real", "--op",
+     "1 * x^(0,0) d^(2,0) + 1 * x^(0,0) d^(0,2)", "--N", "2", "--depth", "-5"),
 ])
 def test_precondition_exit_without_traceback(capsys, argv):
     rc, out, err = run(capsys, *argv)

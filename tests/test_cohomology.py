@@ -8,6 +8,8 @@ from jetspace.cohomology import (cech_line_oracle, chi_line, chi_sym_tangent,
                                  h0_line, h0_sym_tangent, hn_line,
                                  line_cohomology)
 from jetspace.errors import PreconditionError
+from jetspace.laurent import monomials_of_degree
+from jetspace.linalg import ExactMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,31 @@ def test_sym_tangent_chi_equals_h0_in_positive_range():
         for k in (0, 1, 2):
             for j in (0, 1, 2):
                 assert chi_sym_tangent(n, k, j) == h0_sym_tangent(n, k, j).h0
+
+
+def _euler_map_corank(n, k, j):
+    """Corank of the Euler multiplication matrix, built entry by entry:
+    (mu, gamma) -> sum_i (mu + e_i, gamma + e_i), |mu| = k - 1 and gamma of
+    degree j + k - 1 over n + 1 symbols, into |nu| = k and degree j + k."""
+    def bump(e, i):
+        return e[:i] + (e[i] + 1,) + e[i + 1:]
+
+    targets = [(nu, delta) for nu in monomials_of_degree(n + 1, k)
+               for delta in monomials_of_degree(n + 1, j + k)]
+    sources = [(mu, gamma) for mu in monomials_of_degree(n + 1, k - 1)
+               for gamma in monomials_of_degree(n + 1, j + k - 1)]
+    row = {t: r for r, t in enumerate(targets)}
+    entries = {(row[(bump(mu, i), bump(gamma, i))], col): 1
+               for col, (mu, gamma) in enumerate(sources) for i in range(n + 1)}
+    return len(targets) - ExactMatrix(len(targets), len(sources), entries).rank()
+
+
+@pytest.mark.parametrize("n,k_max", [(2, 5), (3, 5), (4, 3)])
+def test_sym_tangent_closed_form_matches_matrix_corank(n, k_max):
+    # the closed form assumes the Euler map is injective on sections
+    for k in range(k_max + 1):
+        for j in range(-9, 5):
+            assert h0_sym_tangent(n, k, j).h0 == _euler_map_corank(n, k, j), (n, k, j)
 
 
 def test_sym_tangent_rejects_projective_line():

@@ -158,12 +158,3 @@ def test_verify_growth_reports_first_closed_form_mismatch(monkeypatch):
     assert report.verdict is False
     assert report.first_failure == 3
 
-
-def test_verify_growth_ranks_each_increment_once(monkeypatch):
-    calls = []
-    real = growth.h0_sym_tangent
-    monkeypatch.setattr(growth, "h0_sym_tangent",
-                        lambda *args: calls.append(args) or real(*args))
-    expected_delta.cache_clear()
-    verify_growth(2, 0, 1, 4)
-    assert sorted(calls) == [(2, k, 1) for k in range(1, 5)]

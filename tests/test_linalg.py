@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetspace.linalg import ExactMatrix
+from jetspace.linalg import ExactMatrix, primitive_integers
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -42,6 +42,15 @@ def test_rank_with_fractions():
         [Fraction(2), Fraction(5, 3)],
     ])
     assert m.rank() == 2
+
+
+def test_primitive_integers():
+    F = Fraction
+    assert primitive_integers([F(1, 2), F(-3, 4), F(0)]) == [2, -3, 0]
+    assert primitive_integers([F(6), F(4)]) == [3, 2]
+    assert primitive_integers([F(-2, 3)]) == [-1]
+    assert primitive_integers([F(0), F(0)]) == [0, 0]
+    assert primitive_integers([]) == []
 
 
 def test_rref_normalized():

@@ -188,6 +188,14 @@ def test_real_quartic_irrational_zero_reports_sign_change():
         assert vlo * vhi < 0
 
 
+@pytest.mark.parametrize("power", [2, 4])
+def test_real_negative_depth_rejected(power):
+    # the quadratic route ignores depth, the grid route would search nothing
+    op = d(0) ** power + d(1) ** power
+    with pytest.raises(PreconditionError):
+        elliptic_real(symbol_of(op, power), depth=-1)
+
+
 def test_real_single_variable_true():
     res = elliptic_real(symbol_of(WeylElement.d(0, 1), 1))
     assert res.verdict == "true"

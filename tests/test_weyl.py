@@ -116,6 +116,18 @@ def test_power():
     assert d ** 0 == WeylElement.one(1)
 
 
+def test_operators_and_polynomials_do_not_mix():
+    # same term dict, different rings: never equal, never added or multiplied
+    terms = {((1,), (0,)): Fraction(1)}
+    op, poly = WeylElement._raw(1, dict(terms)), LaurentPoly._raw(1, dict(terms))
+    assert op != poly and poly != op
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            combine(op, poly)
+        with pytest.raises(TypeError):
+            combine(poly, op)
+
+
 def test_serialize_parse_roundtrip():
     rng = random.Random(5)
     for _ in range(25):
