@@ -23,8 +23,8 @@ from .errors import InconsistencyError, PreconditionError
 from .jets import cyclic_jet_invariants, universal_derivation
 from .laurent import LaurentPoly, format_terms, parse_terms
 from .presented import UniPoly
-from .projective import (block_operator, global_do_dimension, h0_basis,
-                         hn_basis, induced_cohomology_map)
+from .projective import (block_operator, candidate_count, global_do_dimension,
+                         h0_basis, hn_basis, induced_cohomology_map)
 from .symbols import (DEFAULT_GRID_DEPTH, elliptic_algebraic, elliptic_real,
                       symbol_of, torus_operator_check)
 from .weyl import WeylElement
@@ -112,7 +112,8 @@ def _cmd_dim_do(args) -> dict:
     space = global_do_dimension(args.n, args.a, args.b, args.N)
     return {
         "n": args.n, "a": args.a, "b": args.b, "N": args.N,
-        "dim": space.dim, "candidates": len(space.candidates), "box": space.box,
+        "dim": space.dim, "box": space.box,
+        "candidates": candidate_count(args.n, args.a, args.b, args.N),
     }
 
 
@@ -349,9 +350,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cohomology", help="line bundle / symmetric tangent cohomology")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None,
-                   help="twist: report h0 of Sym^k T(j) instead")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--i", type=int, default=None)
+    group.add_argument("--j", type=int, default=None,
+                       help="twist: report h0 of Sym^k T(j) instead")
     p.add_argument("--method", choices=("closed", "cech"), default="closed")
     common(p)
     p.set_defaults(func=_cmd_cohomology)

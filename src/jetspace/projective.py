@@ -7,15 +7,14 @@ are again chart sections, so it induces maps O(a) -> O(b) on every chart
 simultaneously; the space of global operators of order <= N is realized as
 the span of these induced maps.  Concretely: rows of the action matrix are
 the candidate monomials x^alpha d^beta with |beta| <= N and
-|alpha| - |beta| = b - a, columns are (test monomial, image monomial)
-coefficient slots over a finite test set of chart monomials, and the
-dimension is the rank once enlarging the test box twice in a row no longer
-changes it.
+|alpha| - |beta| = b - a, and columns are (test monomial, image monomial)
+coefficient slots over a finite test set of chart monomials.
 
 The structural rank deficiency comes from the Euler operator E = sum x_i d_i:
 E - a annihilates every degree-a monomial, so phi (E - a) acts as zero for
-every graded phi, and growing the box certifies that nothing else does at
-the reported size.
+every graded phi.  The dimension is therefore at most the candidate count
+minus these relations, and at least the rank on any finite test set; the
+box grows until the two meet, which certifies the dimension.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
 the minimal order at which operators into a negative twist appear, and the
@@ -40,13 +39,17 @@ BOX_GROWTH_STEP = 2
 BOX_GROWTH_LIMIT = 40
 
 
-def candidate_monomials(n: int, a: int, b: int, order: int) -> list[Candidate]:
-    """All (alpha, beta) with |beta| <= N and |alpha| = |beta| + b - a,
-    sorted by derivative order, then lexicographically on (beta, alpha)."""
+def _check_space(n: int, order: int) -> None:
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
     if order < 0:
         raise PreconditionError("operator order must be >= 0")
+
+
+def candidate_monomials(n: int, a: int, b: int, order: int) -> list[Candidate]:
+    """All (alpha, beta) with |beta| <= N and |alpha| = |beta| + b - a,
+    sorted by derivative order, then lexicographically on (beta, alpha)."""
+    _check_space(n, order)
     nvars = n + 1
     out: list[Candidate] = []
     for k in range(max(0, a - b), order + 1):
@@ -206,50 +209,41 @@ class TwistedDOSpace:
     order: int
     dim: int
     box: int
-    candidates: tuple[Candidate, ...] = field(repr=False)
     rank_history: tuple[tuple[int, int], ...] = field(repr=False)
 
 
 def global_do_dimension(n: int, a: int, b: int, order: int,
                         initial_box: int | None = None) -> TwistedDOSpace:
-    """Dimension of the global operator space, with the certified test box.
-
-    Starts from box = N + |a| + |b| + 2 and grows by 2 until the rank of the
-    action matrix is unchanged across two consecutive enlargements; reports
-    the first box of the stable triple.
+    """Dimension of the global operator space, with the certifying test box.
 
     The action matrix is block-diagonal by shift, and a block's rank depends
     only on the sorted negative part of its shift (the test set is symmetric
     under permuting coordinates), so the rank is a weighted sum of one
-    integer block rank per shift orbit.  Block ranks only grow with the box,
-    so the sum is stable across three boxes exactly when every block is.
+    integer block rank per shift orbit.  The same sum over the Euler-relation
+    caps bounds the dimension from above, and the rank on a finite test set
+    bounds it from below.  Starting from box = N + |a| + |b| + 2, the box
+    grows by 2 until the rank reaches the bound; that box is reported.
     """
-    cands = candidate_monomials(n, a, b, order)
+    _check_space(n, order)
     blocks = [(_ShiftBlock(m, order), count)
               for m, count in shift_orbits(n, a, b, order).items()]
+    bound = sum(count * block.cap for block, count in blocks)
     box0 = initial_box if initial_box is not None else order + abs(a) + abs(b) + 2
     history: list[tuple[int, int]] = []
     seen: set[Exponent] = set()
-    box = box0
-    while True:
+    for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
         new = [g for g in chart_test_monomials(n, a, box) if g not in seen]
         seen.update(new)
-        rank = 0
-        for block, count in blocks:
+        for block, _ in blocks:
             block.feed(new)
-            rank += count * block.rank
+        rank = sum(count * block.rank for block, count in blocks)
         history.append((box, rank))
-        if len(history) >= 3:
-            (b0, r0), (_, r1), (_, r2) = history[-3], history[-2], history[-1]
-            if r0 == r1 == r2:
-                return TwistedDOSpace(
-                    n=n, a=a, b=b, order=order, dim=r0, box=b0,
-                    candidates=tuple(cands), rank_history=tuple(history))
-        if box - box0 >= BOX_GROWTH_LIMIT:
-            raise InconsistencyError(
-                f"action-matrix rank failed to stabilize for "
-                f"(n={n}, a={a}, b={b}, N={order}) within box {box}")
-        box += BOX_GROWTH_STEP
+        if rank == bound:
+            return TwistedDOSpace(n=n, a=a, b=b, order=order, dim=rank, box=box,
+                                  rank_history=tuple(history))
+    raise InconsistencyError(
+        f"action-matrix rank {rank} stayed below the Euler-relation bound "
+        f"{bound} for (n={n}, a={a}, b={b}, N={order}) within box {box}")
 
 
 @lru_cache(maxsize=None)

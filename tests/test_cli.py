@@ -251,6 +251,14 @@ def test_usage_error_matrix_cell_not_a_string(capsys, matrix):
     assert err.startswith("usage error: --matrix must be a square JSON array")
 
 
+def test_usage_error_cohomology_i_with_j(capsys):
+    rc, out, err = run(capsys, "cohomology", "--n", "2", "--k", "1",
+                       "--j", "0", "--i", "0")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("usage error: argument --i: not allowed with argument --j")
+
+
 def test_usage_error_jet_needs_exactly_one_action(capsys):
     rc, out, err = run(capsys, "jet", "--N", "1")
     assert rc == 1
@@ -397,6 +405,21 @@ def test_jet_cyclic_golden_bytes(capsys, case):
     rc, out, err = run(capsys, "jet", "--cyclic=" + modulus, "--N", order)
     assert rc == 0, err
     assert out == JET_GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: dim-do on the benchmark's inputs, zero-bound twists and a grid
+# ---------------------------------------------------------------------------
+
+DIM_DO_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "dim_do_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", DIM_DO_GOLDEN,
+                         ids=[" ".join(c["argv"][1:]) for c in DIM_DO_GOLDEN])
+def test_dim_do_golden_bytes(capsys, case):
+    rc, out, err = run(capsys, *case["argv"])
+    assert (rc, out) == (case["exit"], case["stdout"]), err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
 from jetspace.errors import InconsistencyError, PreconditionError
+from jetspace.growth import closed_form_dimension
+from jetspace import projective
 from jetspace.laurent import LaurentPoly
 from jetspace.projective import (BOX_GROWTH_LIMIT, BOX_GROWTH_STEP,
                                  BlockOperator, action_matrix, block_operator,
@@ -108,19 +110,26 @@ def test_global_do_dimension_reports_stable_box():
     space = global_do_dimension(1, 0, 0, 1)
     assert space.dim == 4
     ranks = [r for _, r in space.rank_history]
-    assert ranks[-3:] == [space.dim] * 3
+    assert ranks[-1] == space.dim == euler_bound(1, 0, 0, 1)
     assert all(r1 <= r2 for r1, r2 in zip(ranks, ranks[1:]))
-    assert len(space.candidates) == candidate_count(1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
 # shift-block kernel against the full action matrix and the closed form
 # ---------------------------------------------------------------------------
 
+def euler_bound(n, a, b, order):
+    """Sum over shift orbits of count * C(N - |m| + n, n): the candidate
+    count minus the independent Euler relations, an upper bound on dim."""
+    return sum(count * math.comb(order - sum(m) + n, n)
+               for m, count in shift_orbits(n, a, b, order).items())
+
+
 def reference_rank_history(n, a, b, order, box0=None):
-    """The box loop of global_do_dimension, run on the whole Fraction action
-    matrix at every box.  Returns (dim, box, history); dim and box are None
-    when the rank does not stabilize within the growth limit."""
+    """An independent box loop on the whole Fraction action matrix: accept a
+    rank once it is unchanged across three boxes.  Returns (dim, box,
+    history); dim and box are None when the rank does not stabilize within
+    the growth limit."""
     cands = candidate_monomials(n, a, b, order)
     if box0 is None:
         box0 = order + abs(a) + abs(b) + 2
@@ -139,14 +148,9 @@ def test_block_kernel_matches_action_matrix(n, span, max_order):
         for b in range(-span, span + 1):
             for order in range(max_order + 1):
                 dim, box, history = reference_rank_history(n, a, b, order)
-                if dim is None:
-                    with pytest.raises(InconsistencyError):
-                        global_do_dimension(n, a, b, order)
-                    continue
                 space = global_do_dimension(n, a, b, order)
-                assert (space.dim, space.box, space.rank_history) == \
-                    (dim, box, history), (n, a, b, order)
-                assert len(space.candidates) == candidate_count(n, a, b, order)
+                assert (space.dim, space.box) == (dim, box), (n, a, b, order)
+                assert history[:len(space.rank_history)] == space.rank_history
 
 
 def test_block_kernel_matches_action_matrix_from_small_boxes():
@@ -156,12 +160,34 @@ def test_block_kernel_matches_action_matrix_from_small_boxes():
     for n, a, b, order in [(1, 0, 0, 3), (1, 2, -1, 3), (1, -2, 1, 2),
                            (2, 0, 0, 2), (2, 1, -1, 2), (2, -1, 1, 1)]:
         for box0 in (0, 1):
-            dim, box, history = reference_rank_history(n, a, b, order, box0)
+            _, _, history = reference_rank_history(n, a, b, order, box0)
             space = global_do_dimension(n, a, b, order, initial_box=box0)
-            assert (space.dim, space.box, space.rank_history) == \
-                (dim, box, history), (n, a, b, order, box0)
-            grew += history[0][1] < dim
+            assert history[:len(space.rank_history)] == space.rank_history
+            assert space.dim == closed_form_dimension(n, b - a, order), \
+                (n, a, b, order, box0)
+            grew += space.rank_history[0][1] < space.dim
     assert grew >= 6
+
+
+def test_small_start_boxes_reach_the_true_dimension():
+    # no degree -5 chart monomial fits in a box below 5, so from box 0 the
+    # rank of (1, -5, -5, 0) reads 0 at boxes 0, 2 and 4 although the
+    # identity is a global operator; only the bound tells the box is too small
+    assert global_do_dimension(1, -5, -5, 0, initial_box=0).dim == 1
+    for n, span, max_order in [(1, 5, 3), (2, 3, 2)]:
+        for a in range(-span, span + 1):
+            for b in range(-span, span + 1):
+                for order in range(max_order + 1):
+                    expected = closed_form_dimension(n, b - a, order)
+                    for box0 in range(4):
+                        space = global_do_dimension(n, a, b, order, initial_box=box0)
+                        assert space.dim == expected, (n, a, b, order, box0)
+
+
+def test_bound_not_reached_within_limit_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(projective, "BOX_GROWTH_LIMIT", 2)
+    with pytest.raises(InconsistencyError, match="Euler-relation bound 1 "):
+        global_do_dimension(1, -5, -5, 0, initial_box=0)
 
 
 def test_shift_orbits_cover_every_candidate():
