@@ -156,6 +156,8 @@ def _cmd_growth_table(args) -> dict | str:
 
 
 def _cmd_cohomology(args) -> dict:
+    if args.method is not None and args.i is None:
+        raise _UsageError("--method needs --i")
     if args.j is not None:
         result = h0_sym_tangent(args.n, args.k, args.j)
         return {
@@ -163,7 +165,8 @@ def _cmd_cohomology(args) -> dict:
             "h0": result.h0, "chi": result.chi,
         }
     elif args.i is not None:
-        if args.method == "cech":
+        method = args.method or "closed"
+        if method == "cech":
             h = cech_line_oracle(args.n, args.k, args.i)
         else:
             full = line_cohomology(args.n, args.k)
@@ -172,7 +175,7 @@ def _cmd_cohomology(args) -> dict:
             h = full.dims[args.i]
         return {
             "n": args.n, "k": args.k, "i": args.i,
-            "h": h, "method": args.method,
+            "h": h, "method": method,
         }
     else:
         full = line_cohomology(args.n, args.k)
@@ -354,7 +357,8 @@ def build_parser() -> _Parser:
     group.add_argument("--i", type=int, default=None)
     group.add_argument("--j", type=int, default=None,
                        help="twist: report h0 of Sym^k T(j) instead")
-    p.add_argument("--method", choices=("closed", "cech"), default="closed")
+    p.add_argument("--method", choices=("closed", "cech"), default=None,
+                   help="route for --i (default: closed)")
     common(p)
     p.set_defaults(func=_cmd_cohomology)
 

@@ -17,9 +17,9 @@ injective, so h^0 is a difference of binomial counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .laurent import monomials_of_degree
@@ -51,8 +51,7 @@ def hn_line(n: int, k: int) -> int:
     return comb(-k - 1, n) if k <= -n - 1 else 0
 
 
-@dataclass(frozen=True)
-class LineBundleCohomology:
+class LineBundleCohomology(NamedTuple):
     n: int
     k: int
     dims: tuple[int, ...]
@@ -91,8 +90,7 @@ def cech_line_oracle(n: int, k: int, i: int) -> int:
     raise PreconditionError("cech oracle only covers i = 0 and i = n")
 
 
-@dataclass(frozen=True)
-class SymTangentH0:
+class SymTangentH0(NamedTuple):
     n: int
     k: int
     j: int

@@ -15,9 +15,9 @@ that counts candidate shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .cohomology import h0_line, h0_sym_tangent
 from .errors import PreconditionError, StabilizationError
@@ -40,8 +40,7 @@ def expected_delta(n: int, order: int, d: int) -> int:
     return h0_sym_tangent(n, order, d).h0
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     order: int
     dim: int
     delta: int | None
@@ -49,8 +48,7 @@ class GrowthRow:
     match: bool | None
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(NamedTuple):
     n: int
     a: int
     b: int
@@ -58,8 +56,7 @@ class GrowthTable:
     threshold: int
 
 
-@dataclass(frozen=True)
-class GrowthPolynomial:
+class GrowthPolynomial(NamedTuple):
     """P(N) = binom(n+N, N) chi(O(b-a+N)) + C, with C pinned at N = threshold."""
 
     n: int
@@ -154,8 +151,7 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
     return poly
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     table: GrowthTable
     polynomial: GrowthPolynomial
     verdict: bool

@@ -20,9 +20,9 @@ recovers the action of D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
@@ -244,8 +244,7 @@ def do_jet_correspondence_check(op: WeylElement, order: int,
     return True
 
 
-@dataclass(frozen=True)
-class SymbolQuotientResult:
+class SymbolQuotientResult(NamedTuple):
     ok: bool
     dimension: int
 

@@ -23,10 +23,10 @@ unipotent block construction pairing a twist with a shifted twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import InconsistencyError, PreconditionError
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
@@ -199,8 +199,7 @@ class _ShiftBlock:
         return row
 
 
-@dataclass(frozen=True)
-class TwistedDOSpace:
+class TwistedDOSpace(NamedTuple):
     """The space of order <= N global operators O(a) -> O(b) on P^n."""
 
     n: int
@@ -209,7 +208,7 @@ class TwistedDOSpace:
     order: int
     dim: int
     box: int
-    rank_history: tuple[tuple[int, int], ...] = field(repr=False)
+    rank_history: tuple[tuple[int, int], ...]
 
 
 def global_do_dimension(n: int, a: int, b: int, order: int,
@@ -229,6 +228,10 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
               for m, count in shift_orbits(n, a, b, order).items()]
     bound = sum(count * block.cap for block, count in blocks)
     box0 = initial_box if initial_box is not None else order + abs(a) + abs(b) + 2
+    # b - a < -N: no candidate, so the start box certifies dim 0 without a
+    # test set (a negative box is still rejected by chart_test_monomials)
+    if bound == 0 and box0 >= 0:
+        return TwistedDOSpace(n, a, b, order, 0, box0, ((box0, 0),))
     history: list[tuple[int, int]] = []
     seen: set[Exponent] = set()
     for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
@@ -265,8 +268,7 @@ def strictness_check(n: int, a: int, b: int, order: int) -> bool:
     return do_dimension(n, a, b, order) > do_dimension(n, a, b, order - 1)
 
 
-@dataclass(frozen=True)
-class NegativeTwistResult:
+class NegativeTwistResult(NamedTuple):
     """Outcome of searching for operators O -> O(-d) by increasing order."""
 
     n: int
@@ -352,8 +354,7 @@ def induced_cohomology_map(n: int, a: int, b: int, op: WeylElement,
 # ---- unipotent block operators ----------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockOperatorReport:
+class BlockOperatorReport(NamedTuple):
     preserves_second_summand: bool
     identity_on_sub: bool
     identity_on_quotient: bool
@@ -367,7 +368,6 @@ class BlockOperatorReport:
                 and (self.order == 0 or self.order_witness is not None))
 
 
-@dataclass(frozen=True)
 class BlockOperator:
     """(s, t) |-> (s, D12 s + t) on pairs of sections of O(m) and O(d).
 
@@ -376,19 +376,14 @@ class BlockOperator:
     operator order equals the order of D12 (0 when D12 = 0).
     """
 
-    n: int
-    m: int
-    d: int
-    d12: WeylElement
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, m: int, d: int, d12: WeylElement):
+        if n < 1:
             raise PreconditionError("projective dimension must be >= 1")
-        if self.d12.nvars != self.n + 1:
+        if d12.nvars != n + 1:
             raise PreconditionError("D12 has the wrong number of variables")
-        if not self.d12.is_graded_of_degree(self.d - self.m):
-            raise PreconditionError(
-                f"D12 must be homogeneous of x-degree {self.d - self.m}")
+        if not d12.is_graded_of_degree(d - m):
+            raise PreconditionError(f"D12 must be homogeneous of x-degree {d - m}")
+        self.n, self.m, self.d, self.d12 = n, m, d, d12
 
     def apply_pair(self, s: LaurentPoly, t: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
         return s, self.d12.apply(s) + t

@@ -23,10 +23,9 @@ Two ellipticity notions are implemented for constant-coefficient symbols:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .laurent import LaurentPoly
@@ -40,8 +39,7 @@ _GRID_BASE_STEP = Fraction(1, 4)
 # ---- symbol extraction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
+class SymbolMatrix(NamedTuple):
     """r x r matrix of xi-homogeneous polynomials of common degree N."""
 
     m: int
@@ -156,8 +154,7 @@ def torus_operator_check(op) -> bool:
 # ---- witnesses and verdicts -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A nonzero cotangent vector annihilating the symbol determinant.
 
     Components are Fractions, except possibly one symbolic entry "t" whose
@@ -176,23 +173,20 @@ class Witness:
         return [str(c) for c in self.components]
 
 
-@dataclass(frozen=True)
-class AlgebraicEllipticity:
+class AlgebraicEllipticity(NamedTuple):
     elliptic: bool
     witness: Witness | None
     reason: str
 
 
-@dataclass(frozen=True)
-class RealEllipticity:
+class RealEllipticity(NamedTuple):
     verdict: str  # "true" | "false" | "unknown"
     witness: Witness | None
     sign_points: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None
     reason: str
 
 
-@dataclass(frozen=True)
-class EllipticityVerdict:
+class EllipticityVerdict(NamedTuple):
     algebraic: bool
     real: str
     witness: Witness | None

@@ -259,6 +259,20 @@ def test_usage_error_cohomology_i_with_j(capsys):
     assert err.startswith("usage error: argument --i: not allowed with argument --j")
 
 
+@pytest.mark.parametrize("extra", [("--j", "0"), ()])
+def test_usage_error_cohomology_method_without_i(capsys, extra):
+    rc, out, err = run(capsys, "cohomology", "--n", "2", "--k", "1", *extra,
+                       "--method", "cech")
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines()[0] == "usage error: --method needs --i"
+
+
+def test_cohomology_method_defaults_to_closed_with_i(capsys):
+    payload = run_json(capsys, "cohomology", "--n", "2", "--k", "-4", "--i", "2")
+    assert payload["method"] == "closed"
+
+
 def test_usage_error_jet_needs_exactly_one_action(capsys):
     rc, out, err = run(capsys, "jet", "--N", "1")
     assert rc == 1

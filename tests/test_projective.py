@@ -190,6 +190,25 @@ def test_bound_not_reached_within_limit_is_inconsistent(monkeypatch):
         global_do_dimension(1, -5, -5, 0, initial_box=0)
 
 
+@pytest.mark.parametrize("n, a, b, order", [(3, 0, -30, 1), (1, 0, -40, 1),
+                                             (2, 3, 0, 2)])
+def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
+    # b - a < -N leaves no candidate, so the bound is 0 at the start box
+    def refuse(*args):
+        raise AssertionError("test set built for a zero bound")
+
+    monkeypatch.setattr(projective, "chart_test_monomials", refuse)
+    space = global_do_dimension(n, a, b, order)
+    box0 = order + abs(a) + abs(b) + 2
+    assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))
+    assert candidate_count(n, a, b, order) == 0
+
+
+def test_zero_bound_still_rejects_negative_box():
+    with pytest.raises(PreconditionError, match="box must be nonnegative"):
+        global_do_dimension(1, 0, -40, 1, initial_box=-1)
+
+
 def test_shift_orbits_cover_every_candidate():
     # each shift s contributes one row per beta >= max(0, -s), |beta| <= N
     for n in (1, 2, 3):
@@ -395,3 +414,15 @@ def test_block_operator_apply_pair():
 def test_block_operator_grading_validated():
     with pytest.raises(PreconditionError):
         block_operator(1, 0, 2, WeylElement.d(0, 2))   # degree -1, need 2
+
+
+@pytest.mark.parametrize("n, m, d, d12, message", [
+    (0, 0, 2, WeylElement.monomial((2,), (0,)), "projective dimension"),
+    (1, 0, 2, WeylElement.monomial((2, 0, 0), (0, 0, 0)), "wrong number of variables"),
+    (1, 0, 2, WeylElement.d(0, 2), "x-degree 2"),
+])
+def test_block_operator_constructor_validates(n, m, d, d12, message):
+    with pytest.raises(PreconditionError, match=message):
+        BlockOperator(n, m, d, d12)
+    with pytest.raises(PreconditionError, match=message):
+        BlockOperator(n=n, m=m, d=d, d12=d12)
