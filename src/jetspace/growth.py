@@ -16,7 +16,7 @@ that counts candidate shifts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .cohomology import h0_line, h0_sym_tangent
@@ -85,6 +85,12 @@ def _binomial_factor(n: int, shift: int) -> UniPoly:
     return poly * Fraction(1, factorial(n))
 
 
+def _binomial_value(n: int, shift: int, order: int) -> int:
+    """_binomial_factor(n, shift) at N = order, in integers: a product of n
+    consecutive integers is divisible by n!, whatever their sign."""
+    return prod(range(order + shift + 1, order + shift + n + 1)) // factorial(n)
+
+
 def dimension_sweep(n: int, a: int, b: int, n_max: int) -> list[int]:
     if n_max < 0:
         raise PreconditionError("sweep budget must be nonnegative")
@@ -127,8 +133,8 @@ def stabilization_threshold(n: int, a: int, b: int, n_max: int,
     d = b - a
     matches = [dims[order] - dims[order - 1] == expected_delta(n, order, d)
                for order in range(1, n_max + 1)]
-    product = _binomial_factor(n, 0) * _binomial_factor(n, d)
-    constants = [dims[order] - product.evaluate(order) for order in range(n_max + 1)]
+    constants = [dims[order] - _binomial_value(n, 0, order) * _binomial_value(n, d, order)
+                 for order in range(n_max + 1)]
     for threshold in range(n_max):
         if all(matches[threshold:]) and len(set(constants[threshold:])) == 1:
             return threshold
@@ -140,9 +146,9 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
                       dim_at_threshold: int | None = None) -> GrowthPolynomial:
     if dim_at_threshold is None:
         dim_at_threshold = do_dimension(n, a, b, threshold)
-    product = _binomial_factor(n, 0) * _binomial_factor(n, b - a)
-    constant = Fraction(dim_at_threshold) - product.evaluate(threshold)
-    coeffs = list(product.coeffs)
+    constant = Fraction(dim_at_threshold - _binomial_value(n, 0, threshold)
+                        * _binomial_value(n, b - a, threshold))
+    coeffs = list((_binomial_factor(n, 0) * _binomial_factor(n, b - a)).coeffs)
     coeffs[0] += constant
     poly = GrowthPolynomial(n=n, a=a, b=b, threshold=threshold,
                             constant=constant, coeffs=tuple(coeffs))

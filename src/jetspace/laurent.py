@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
 
@@ -26,17 +27,22 @@ Exponent = tuple[int, ...]
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     """Nonnegative exponent tuples of the given total degree, sorted."""
+    return list(_monomial_table(nvars, degree))
+
+
+@lru_cache(maxsize=256)
+def _monomial_table(nvars: int, degree: int) -> tuple[Exponent, ...]:
     if degree < 0 or nvars < 0:
-        return []
+        return ()
     if nvars == 0:
-        return [()] if degree == 0 else []
+        return ((),) if degree == 0 else ()
     out = []
     for combo in combinations_with_replacement(range(nvars), degree):
         e = [0] * nvars
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _coerce(c) -> Fraction:

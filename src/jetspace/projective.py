@@ -23,6 +23,7 @@ unipotent block construction pairing a twist with a shifted twist.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -72,22 +73,32 @@ def candidate_count(n: int, a: int, b: int, order: int) -> int:
 def chart_test_monomials(n: int, a: int, box: int) -> list[Exponent]:
     """Degree-a Laurent monomials with at most one negative exponent and all
     exponents in [-box, box], sorted."""
+    return list(iter_chart_test_monomials(n, a, box))
+
+
+def iter_chart_test_monomials(n: int, a: int, box: int) -> Iterator[Exponent]:
+    """The monomials of chart_test_monomials(n, a, box), in the same sorted
+    order, generated lazily: entries are chosen left to right in increasing
+    order, and a value is tried only if the entries after it can still
+    complete the degree within the box."""
     if box < 0:
         raise PreconditionError("box must be nonnegative")
-    nvars = n + 1
-    out: list[Exponent] = []
-    if a >= 0:
-        out.extend(e for e in monomials_of_degree(nvars, a) if max(e) <= box)
-    for j in range(nvars):
-        for t in range(1, box + 1):
-            rest_deg = a + t
-            if rest_deg < 0:
-                continue
-            for rest in monomials_of_degree(n, rest_deg):
-                if rest and max(rest) > box:
-                    continue
-                out.append(rest[:j] + (-t,) + rest[j:])
-    return sorted(out)
+
+    def rec(prefix: Exponent, left: int, k: int, signed: bool) -> Iterator[Exponent]:
+        # k entries follow this one; signed: a negative entry was chosen
+        if k == 0:
+            if -box <= left <= box and (left >= 0 or not signed):
+                yield prefix + (left,)
+            return
+        top = k * box  # the most the later entries can add up to
+        if not signed:
+            for v in range(max(-box, left - top), min(-1, left) + 1):
+                yield from rec(prefix + (v,), left - v, k - 1, True)
+        low = 0 if signed else -box  # the least they can add up to
+        for v in range(max(0, left - top), min(box, left - low) + 1):
+            yield from rec(prefix + (v,), left - v, k - 1, signed)
+
+    return rec((), a, n, False)
 
 
 def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> ExactMatrix:
@@ -149,8 +160,8 @@ class _ShiftBlock:
     Rows are test monomials gamma, columns the beta >= m with |beta| <= N,
     entries the integers prod_j ff(gamma_j, beta_j) (the coefficient of
     x^(gamma + s) in x^(beta + s) d^beta x^gamma, for any s with negative
-    part m).  Pivot rows persist across feed() calls, so a larger test box
-    only has to feed the monomials it adds.
+    part m).  feed() adds one row; pivot rows persist across calls, so a
+    larger test box only has to feed the monomials it adds.
 
     The rank never exceeds cap = C(N - |m| + n, n): each phi (E - a) with
     phi of shift s and order <= N - 1 is a relation among the columns, and
@@ -174,11 +185,9 @@ class _ShiftBlock:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def feed(self, gammas: list[Exponent]) -> None:
-        for gamma in gammas:
-            if len(self.pivots) == self.cap:
-                return
-            add_pivot_row(self.pivots, self._row(gamma))
+    def feed(self, gamma: Exponent) -> None:
+        """Add the row of one test monomial."""
+        add_pivot_row(self.pivots, self._row(gamma))
 
     def _row(self, gamma: Exponent) -> dict[int, int]:
         tables = []
@@ -221,7 +230,9 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
     integer block rank per shift orbit.  The same sum over the Euler-relation
     caps bounds the dimension from above, and the rank on a finite test set
     bounds it from below.  Starting from box = N + |a| + |b| + 2, the box
-    grows by 2 until the rank reaches the bound; that box is reported.
+    grows by 2 until the rank reaches the bound; that box is reported.  Each
+    test monomial goes to the blocks still below their cap, and the box is
+    left as soon as none is, so most of the test set is never generated.
     """
     _check_space(n, order)
     blocks = [(_ShiftBlock(m, order), count)
@@ -229,16 +240,22 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
     bound = sum(count * block.cap for block, count in blocks)
     box0 = initial_box if initial_box is not None else order + abs(a) + abs(b) + 2
     # b - a < -N: no candidate, so the start box certifies dim 0 without a
-    # test set (a negative box is still rejected by chart_test_monomials)
+    # test set (a negative box is still rejected by the test stream)
     if bound == 0 and box0 >= 0:
         return TwistedDOSpace(n, a, b, order, 0, box0, ((box0, 0),))
     history: list[tuple[int, int]] = []
-    seen: set[Exponent] = set()
+    live = [block for block, _ in blocks]
+    fed_box = -1  # every monomial of this box has been fed
     for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
-        new = [g for g in chart_test_monomials(n, a, box) if g not in seen]
-        seen.update(new)
-        for block, _ in blocks:
-            block.feed(new)
+        for gamma in iter_chart_test_monomials(n, a, box):
+            if fed_box >= 0 and max(map(abs, gamma)) <= fed_box:
+                continue
+            for block in live:
+                block.feed(gamma)
+            live = [block for block in live if block.rank < block.cap]
+            if not live:
+                break
+        fed_box = box
         rank = sum(count * block.rank for block, count in blocks)
         history.append((box, rank))
         if rank == bound:

@@ -24,16 +24,17 @@ Two ellipticity notions are implemented for constant-coefficient symbols:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import isqrt, lcm
 from typing import NamedTuple, Sequence
 
-from .errors import PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .laurent import LaurentPoly
 from .linalg import primitive_integers
 from .weyl import WeylElement
 
 DEFAULT_GRID_DEPTH = 12
-_GRID_BASE_STEP = Fraction(1, 4)
+_GRID_TICKS = 4  # the search grid has step 1 / _GRID_TICKS
 
 
 # ---- symbol extraction -------------------------------------------------
@@ -424,36 +425,57 @@ def _quadratic_form_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
 
 
 def _grid_search_verdict(det: LaurentPoly, m: int, depth: int) -> RealEllipticity:
-    """Deterministic dyadic search on the max-norm unit sphere."""
-    step = _GRID_BASE_STEP
-    ticks = []
-    t = Fraction(-1)
-    while t <= 1:
-        ticks.append(t)
-        t += step
-    previous: dict[tuple, Fraction] = {}
-    sign_pair = None
+    """Deterministic dyadic search on the max-norm unit sphere.
+
+    The grid points are q / 4 with q in {-4..4}^m and some |q_i| = 4.  det
+    is homogeneous, so det(q / 4) = det(q) / 4^deg has the sign and the zeros
+    of det(q), which is evaluated in integers once the coefficients are
+    scaled by the lcm of their denominators.  Witnesses and sign points are
+    the Fraction grid points q / 4.
+    """
+    deg = det.homogeneous_degree()
+    if deg is None:
+        raise InconsistencyError("the symbol determinant is not homogeneous")
+    if det.has_negative_exponent():
+        raise PreconditionError("the real grid search needs a polynomial determinant")
+    scale = lcm(*(c.denominator for c in det.terms.values()))
+    terms = [(exps, int(c * scale)) for exps, c in det.terms.items()]
+    ticks = range(-_GRID_TICKS, _GRID_TICKS + 1)
+    powers = {t: [t ** k for k in range(deg + 1)] for t in ticks}
+
+    def scaled_det(q: tuple[int, ...]) -> int:
+        total = 0
+        for exps, c in terms:
+            for t, k in zip(q, exps):
+                c *= powers[t][k]
+            total += c
+        return total
+
+    def point(q: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, _GRID_TICKS) for t in q)
+
+    values: dict[tuple[int, ...], int] = {}
     for axis in range(m):
-        for face_sign in (Fraction(1), Fraction(-1)):
-            for point in _face_points(m, axis, face_sign, ticks):
-                value = det.evaluate(point)
+        for face in (_GRID_TICKS, -_GRID_TICKS):
+            for q in product(*(ticks if i != axis else (face,) for i in range(m))):
+                if q in values:  # an edge point, met on an earlier face
+                    continue
+                value = scaled_det(q)
                 if value == 0:
                     return RealEllipticity(
-                        verdict="false", witness=Witness(components=point),
+                        verdict="false", witness=Witness(components=point(q)),
                         sign_points=None, reason="grid zero of the determinant")
-                previous[point] = value
+                values[q] = value
     # look for sign changes between grid neighbours on shared faces
-    for point, value in previous.items():
+    for q, value in values.items():
         for axis in range(m):
-            if abs(point[axis]) == 1:
+            if abs(q[axis]) == _GRID_TICKS:
                 continue
-            shifted = list(point)
-            shifted[axis] += step
-            neighbour = tuple(shifted)
-            other = previous.get(neighbour)
+            neighbour = q[:axis] + (q[axis] + 1,) + q[axis + 1:]
+            other = values.get(neighbour)
             if other is not None and (value < 0) != (other < 0):
-                sign_pair = (point, neighbour) if value < 0 else (neighbour, point)
-                refined = _bisect_zero(det, sign_pair, depth)
+                lo, hi = (q, neighbour) if value < 0 else (neighbour, q)
+                refined = _bisect_zero(det, (point(lo), point(hi)), depth)
                 if isinstance(refined, Witness):
                     return RealEllipticity(verdict="false", witness=refined,
                                            sign_points=None,
@@ -463,21 +485,8 @@ def _grid_search_verdict(det: LaurentPoly, m: int, depth: int) -> RealEllipticit
                                        reason="sign change across adjacent grid points")
     return RealEllipticity(
         verdict="unknown", witness=None, sign_points=None,
-        reason=f"no sign variation at dyadic resolution {step} on the unit sphere")
-
-
-def _face_points(m: int, axis: int, face_sign: Fraction, ticks: list[Fraction]):
-    def rec(i: int, prefix: tuple):
-        if i == m:
-            yield prefix
-            return
-        if i == axis:
-            yield from rec(i + 1, prefix + (face_sign,))
-            return
-        for t in ticks:
-            yield from rec(i + 1, prefix + (t,))
-
-    yield from rec(0, ())
+        reason=f"no sign variation at dyadic resolution {Fraction(1, _GRID_TICKS)} "
+               "on the unit sphere")
 
 
 def _bisect_zero(det: LaurentPoly, pair, depth: int):

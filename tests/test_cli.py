@@ -437,6 +437,23 @@ def test_dim_do_golden_bytes(capsys, case):
 
 
 # ---------------------------------------------------------------------------
+# golden bytes: growth-table at the default budget, n 1..3, a -2..2,
+# b - a -6..3, csv and json (the b - a <= -(n + 1) cases exit 3)
+# ---------------------------------------------------------------------------
+
+GROWTH_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "growth_table_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GROWTH_GOLDEN,
+                         ids=[" ".join(c["argv"][1:]) for c in GROWTH_GOLDEN])
+def test_growth_table_golden_bytes(monkeypatch, capsys, case):
+    monkeypatch.delenv("JETSPACE_NMAX_OVERRIDE", raising=False)
+    rc, out, err = run(capsys, *case["argv"])
+    assert (rc, out) == (case["exit"], case["stdout"]), err
+
+
+# ---------------------------------------------------------------------------
 # golden bytes: every README example plus codec edge cases
 # ---------------------------------------------------------------------------
 

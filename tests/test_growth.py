@@ -158,3 +158,12 @@ def test_verify_growth_reports_first_closed_form_mismatch(monkeypatch):
     assert report.verdict is False
     assert report.first_failure == 3
 
+
+def test_binomial_value_is_the_factor_at_integers():
+    for n in range(1, 6):
+        for shift in range(-8, 9):
+            factor = growth._binomial_factor(n, shift)
+            for order in range(13):
+                value = growth._binomial_value(n, shift, order)
+                assert type(value) is int
+                assert value == factor.evaluate(order), (n, shift, order)

@@ -103,6 +103,16 @@ def test_monomials_of_degree_edges():
     assert monomials_of_degree(0, 2) == []
 
 
+def test_monomials_of_degree_returns_a_fresh_list():
+    # the tables are cached; a caller's edits must not reach the next caller
+    first = monomials_of_degree(3, 2)
+    want = list(first)
+    first.append((9, 9, 9))
+    first.sort(reverse=True)
+    assert monomials_of_degree(3, 2) == want
+    assert monomials_of_degree(3, 2) is not monomials_of_degree(3, 2)
+
+
 # ---------------------------------------------------------------------------
 # the accumulator and the term codec
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from jetspace.projective import (BOX_GROWTH_LIMIT, BOX_GROWTH_STEP,
                                  chart_test_monomials, do_dimension,
                                  euler_relation, global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
+                                 iter_chart_test_monomials,
                                  negative_twist_existence, shift_orbits,
                                  strictness_check)
 from jetspace.weyl import WeylElement, euler_operator
@@ -61,6 +63,32 @@ def test_chart_test_monomials():
     assert all(sum(1 for v in g if v < 0) <= 1 for g in mons)
     assert (1, 0) in mons and (-1, 2) in mons
     assert mons == sorted(mons)
+
+
+def reference_test_monomials(n, a, box):
+    """Every exponent in [-box, box]^(n+1) of degree a with at most one
+    negative entry, sorted: the chart test set by brute force."""
+    return sorted(g for g in itertools.product(range(-box, box + 1), repeat=n + 1)
+                  if sum(g) == a and sum(1 for v in g if v < 0) <= 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_test_stream_matches_reference_enumeration(n):
+    for a in range(-4, 5):
+        for box in range(6 if n < 3 else 4):
+            want = reference_test_monomials(n, a, box)
+            assert list(iter_chart_test_monomials(n, a, box)) == want, (n, a, box)
+            assert chart_test_monomials(n, a, box) == want
+
+
+def test_negative_box_rejected_by_every_entry_point():
+    # the stream checks its box when called, before anything is iterated
+    with pytest.raises(PreconditionError, match="box must be nonnegative"):
+        iter_chart_test_monomials(2, 0, -1)
+    with pytest.raises(PreconditionError, match="box must be nonnegative"):
+        chart_test_monomials(2, 0, -1)
+    with pytest.raises(PreconditionError, match="box must be nonnegative"):
+        global_do_dimension(2, 0, 1, 2, initial_box=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +225,7 @@ def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
     def refuse(*args):
         raise AssertionError("test set built for a zero bound")
 
-    monkeypatch.setattr(projective, "chart_test_monomials", refuse)
+    monkeypatch.setattr(projective, "iter_chart_test_monomials", refuse)
     space = global_do_dimension(n, a, b, order)
     box0 = order + abs(a) + abs(b) + 2
     assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))

@@ -1,10 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from jetspace.errors import PreconditionError
-from jetspace.laurent import LaurentPoly, format_terms
-from jetspace.symbols import (_integer_root, classify, elliptic_algebraic,
+from jetspace.errors import InconsistencyError, PreconditionError
+from jetspace.laurent import LaurentPoly, format_terms, monomials_of_degree
+from jetspace.symbols import (DEFAULT_GRID_DEPTH, SymbolMatrix, _bisect_zero,
+                              _integer_root, classify, elliptic_algebraic,
                               elliptic_real, symbol_of, torus_operator_check)
 from jetspace.weyl import WeylElement
 
@@ -186,6 +189,66 @@ def test_real_quartic_irrational_zero_reports_sign_change():
         vlo = f.evaluate((Fraction(0), Fraction(0), *map(Fraction, lo)))
         vhi = f.evaluate((Fraction(0), Fraction(0), *map(Fraction, hi)))
         assert vlo * vhi < 0
+
+
+def reference_grid_search(f, m):
+    """The dyadic face grid in Fractions: the first grid zero, else the first
+    sign-changing neighbour pair (negative end first), else None."""
+    ticks = [Fraction(k, 4) for k in range(-4, 5)]
+    values = {}
+    for axis in range(m):
+        for face in (Fraction(1), Fraction(-1)):
+            for point in itertools.product(
+                    *([face] if i == axis else ticks for i in range(m))):
+                value = f.evaluate(point)
+                if value == 0:
+                    return "zero", point
+                values.setdefault(point, value)
+    for point, value in values.items():
+        for axis in range(m):
+            if abs(point[axis]) == 1:
+                continue
+            nb = point[:axis] + (point[axis] + Fraction(1, 4),) + point[axis + 1:]
+            if nb in values and (value < 0) != (values[nb] < 0):
+                return "pair", (point, nb) if value < 0 else (nb, point)
+    return None, None
+
+
+def test_integer_grid_matches_fraction_grid():
+    rng = random.Random(9)
+    for trial in range(30):
+        m = 2 + trial % 2
+        deg = (3, 4, 6)[trial % 3]
+        mons = monomials_of_degree(m, deg)
+        terms = {e: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                 for e in rng.sample(mons, min(len(mons), 4))}
+        if trial % 4 == 0:  # even pure powers dominate: often no sign change
+            terms.update({e: Fraction(rng.randint(8, 12), rng.randint(1, 3))
+                          for e in mons if deg in e})
+        terms = {e: c for e, c in terms.items() if c} or {mons[0]: Fraction(1)}
+        f = LaurentPoly(m, terms)
+        res = elliptic_real(SymbolMatrix(m=m, order=deg, entries=((xi_poly(m, terms),),)))
+        kind, found = reference_grid_search(f, m)
+        if kind == "zero":
+            assert (res.verdict, res.witness.components) == ("false", found)
+        elif kind == "pair":
+            refined = _bisect_zero(f, found, DEFAULT_GRID_DEPTH)
+            got = res.witness if res.witness is not None else res.sign_points
+            assert (res.verdict, got) == ("false", refined)
+        else:
+            assert res.verdict == "unknown"
+            assert res.reason.endswith("resolution 1/4 on the unit sphere")
+
+
+def test_grid_search_needs_a_homogeneous_polynomial_determinant():
+    mixed = SymbolMatrix(m=2, order=3,
+                         entries=((xi_poly(2, {(3, 0): 1, (0, 1): 1}),),))
+    with pytest.raises(InconsistencyError, match="not homogeneous"):
+        elliptic_real(mixed)
+    laurent = SymbolMatrix(m=2, order=3,
+                           entries=((xi_poly(2, {(4, -1): 1, (0, 3): 1}),),))
+    with pytest.raises(PreconditionError, match="polynomial determinant"):
+        elliptic_real(laurent)
 
 
 @pytest.mark.parametrize("power", [2, 4])
