@@ -13,7 +13,7 @@ Example:
 import argparse
 import sys
 
-from jetspace.projective import do_dimension, negative_twist_existence
+from jetspace.projective import do_dimensions, negative_twist_existence
 
 
 def main(argv=None):
@@ -29,7 +29,7 @@ def main(argv=None):
     print(f"{'d':>3} {'first order':>12} {'dim there':>10}   profile")
     for d in range(1, args.max_drop + 1):
         res = negative_twist_existence(args.n, d, n_max=args.budget)
-        profile = [do_dimension(args.n, 0, -d, k) for k in range(args.budget + 1)]
+        profile = list(do_dimensions(args.n, 0, -d, args.budget))
         first = "-" if res.order is None else res.order
         print(f"{d:>3} {first:>12} {res.dim:>10}   {profile}")
     return 0

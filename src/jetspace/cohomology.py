@@ -125,10 +125,15 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
             "bundle is O(2), so use h^0(O(2k + j)) instead")
     if k < 0:
         raise PreconditionError("symmetric power must be nonnegative")
+    return SymTangentH0(n, k, j, _h0_sym_tangent(n, k, j), chi_sym_tangent(n, k, j))
+
+
+def _h0_sym_tangent(n: int, k: int, j: int) -> int:
+    """The h^0 of h0_sym_tangent, for n >= 2 and k >= 0 (not checked)."""
     h0 = comb(n + k, k) * h0_line(n, j + k)
     if k >= 1:
         h0 -= comb(n + k - 1, k - 1) * h0_line(n, j + k - 1)
-    return SymTangentH0(n, k, j, h0, chi_sym_tangent(n, k, j))
+    return h0
 
 
 __all__ = [

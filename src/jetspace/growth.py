@@ -19,10 +19,9 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from .cohomology import h0_line, h0_sym_tangent
+from .cohomology import _h0_sym_tangent, h0_line
 from .errors import PreconditionError, StabilizationError
-from .presented import UniPoly
-from .projective import do_dimension
+from .projective import do_dimension, do_dimensions
 
 
 def default_n_max(n: int) -> int:
@@ -37,7 +36,7 @@ def expected_delta(n: int, order: int, d: int) -> int:
         raise PreconditionError("increments are defined for N >= 1")
     if n == 1:
         return h0_line(1, 2 * order + d)
-    return h0_sym_tangent(n, order, d).h0
+    return _h0_sym_tangent(n, order, d)
 
 
 class GrowthRow(NamedTuple):
@@ -77,24 +76,17 @@ class GrowthPolynomial(NamedTuple):
         return acc
 
 
-def _binomial_factor(n: int, shift: int) -> UniPoly:
-    """binom(n + N + shift, n) as a polynomial in N, over Q."""
-    poly = UniPoly.one()
-    for i in range(1, n + 1):
-        poly = poly * UniPoly((shift + i, 1))
-    return poly * Fraction(1, factorial(n))
-
-
 def _binomial_value(n: int, shift: int, order: int) -> int:
-    """_binomial_factor(n, shift) at N = order, in integers: a product of n
+    """binom(N + shift + n, n) at N = order, in integers: a product of n
     consecutive integers is divisible by n!, whatever their sign."""
     return prod(range(order + shift + 1, order + shift + n + 1)) // factorial(n)
 
 
 def dimension_sweep(n: int, a: int, b: int, n_max: int) -> list[int]:
+    """dim DO^N(O(a), O(b)) for N = 0..n_max, from one pass at order n_max."""
     if n_max < 0:
         raise PreconditionError("sweep budget must be nonnegative")
-    return [do_dimension(n, a, b, order) for order in range(n_max + 1)]
+    return list(do_dimensions(n, a, b, n_max))
 
 
 def closed_form_dimension(n: int, d: int, order: int) -> int:
@@ -148,13 +140,15 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
         dim_at_threshold = do_dimension(n, a, b, threshold)
     constant = Fraction(dim_at_threshold - _binomial_value(n, 0, threshold)
                         * _binomial_value(n, b - a, threshold))
-    coeffs = list((_binomial_factor(n, 0) * _binomial_factor(n, b - a)).coeffs)
+    # (n!)^2 binom(N + n, n) binom(N + b - a + n, n) is the product of the
+    # N + r below: ascending integer coefficients, divided once by (n!)^2
+    product = [1]
+    for r in [*range(1, n + 1), *range(b - a + 1, b - a + n + 1)]:
+        product = [r * c + prev for c, prev in zip(product + [0], [0] + product)]
+    coeffs = [Fraction(c, factorial(n) ** 2) for c in product]
     coeffs[0] += constant
-    poly = GrowthPolynomial(n=n, a=a, b=b, threshold=threshold,
+    return GrowthPolynomial(n=n, a=a, b=b, threshold=threshold,
                             constant=constant, coeffs=tuple(coeffs))
-    if poly.degree != 2 * n:
-        raise StabilizationError("growth polynomial degenerated below degree 2n")
-    return poly
 
 
 class GrowthReport(NamedTuple):

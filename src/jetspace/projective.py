@@ -26,7 +26,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InconsistencyError, PreconditionError
@@ -158,44 +160,43 @@ class _ShiftBlock:
     """Incremental rank of one shift block of the action matrix.
 
     Rows are test monomials gamma, columns the beta >= m with |beta| <= N,
-    entries the integers prod_j ff(gamma_j, beta_j) (the coefficient of
-    x^(gamma + s) in x^(beta + s) d^beta x^gamma, for any s with negative
-    part m).  feed() adds one row; pivot rows persist across calls, so a
-    larger test box only has to feed the monomials it adds.
+    sorted by |beta|, entries the integers prod_j ff(gamma_j, beta_j) (the
+    coefficient of x^(gamma + s) in x^(beta + s) d^beta x^gamma, for any s
+    with negative part m).  feed() adds one row; pivot rows persist across
+    calls, so a larger test box only has to feed the monomials it adds.
 
     The rank never exceeds cap = C(N - |m| + n, n): each phi (E - a) with
     phi of shift s and order <= N - 1 is a relation among the columns, and
     these relations are independent (right multiplication by E - a is
     injective), so there are |B_(N-1)(m)| of them.  Once the rank reaches
     cap, no test monomial can raise it and feeding stops.
+
+    The block of a lower order K >= |m| is the column prefix |beta| <= K,
+    with the same entries.  Each pivot row sits on its leftmost column, so
+    the rank of that prefix is the number of pivots inside it: rank_at(K).
     """
 
-    __slots__ = ("betas", "cap", "order", "pivots")
+    __slots__ = ("m", "betas", "cap", "pivots")
 
     def __init__(self, m: Exponent, order: int):
         n = len(m) - 1
+        self.m = m
         self.betas = [tuple(x + y for x, y in zip(m, delta))
                       for k in range(order - sum(m) + 1)
                       for delta in monomials_of_degree(n + 1, k)]
         self.cap = comb(order - sum(m) + n, n)
-        self.order = order
         self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def feed(self, gamma: Exponent) -> None:
-        """Add the row of one test monomial."""
-        add_pivot_row(self.pivots, self._row(gamma))
+    def rank_at(self, order: int) -> int:
+        return sum(1 for c in self.pivots if sum(self.betas[c]) <= order)
 
-    def _row(self, gamma: Exponent) -> dict[int, int]:
-        tables = []
-        for g in gamma:
-            ff = [1]
-            for t in range(self.order):
-                ff.append(ff[-1] * (g - t))
-            tables.append(ff)
+    def feed(self, tables: list[list[int]]) -> None:
+        """Add the row of one test monomial gamma, given as its falling
+        factorial tables: tables[j][t] = ff(gamma_j, t)."""
         row = {}
         for i, beta in enumerate(self.betas):
             c = 1
@@ -205,7 +206,7 @@ class _ShiftBlock:
                     break
             if c:
                 row[i] = c
-        return row
+        add_pivot_row(self.pivots, row)
 
 
 class TwistedDOSpace(NamedTuple):
@@ -234,6 +235,12 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
     test monomial goes to the blocks still below their cap, and the box is
     left as soon as none is, so most of the test set is never generated.
     """
+    return _fed_blocks(n, a, b, order, initial_box)[0]
+
+
+def _fed_blocks(n: int, a: int, b: int, order: int, initial_box: int | None
+                ) -> tuple[TwistedDOSpace, list[tuple[_ShiftBlock, int]]]:
+    """global_do_dimension's loop; also returns its blocks with their counts."""
     _check_space(n, order)
     blocks = [(_ShiftBlock(m, order), count)
               for m, count in shift_orbits(n, a, b, order).items()]
@@ -242,16 +249,19 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
     # b - a < -N: no candidate, so the start box certifies dim 0 without a
     # test set (a negative box is still rejected by the test stream)
     if bound == 0 and box0 >= 0:
-        return TwistedDOSpace(n, a, b, order, 0, box0, ((box0, 0),))
+        return TwistedDOSpace(n, a, b, order, 0, box0, ((box0, 0),)), blocks
     history: list[tuple[int, int]] = []
     live = [block for block, _ in blocks]
     fed_box = -1  # every monomial of this box has been fed
     for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
+        tables = {g: list(accumulate(range(g, g - order, -1), mul, initial=1))
+                  for g in range(-box, box + 1)}
         for gamma in iter_chart_test_monomials(n, a, box):
             if fed_box >= 0 and max(map(abs, gamma)) <= fed_box:
                 continue
+            row = [tables[g] for g in gamma]
             for block in live:
-                block.feed(gamma)
+                block.feed(row)
             live = [block for block in live if block.rank < block.cap]
             if not live:
                 break
@@ -259,17 +269,40 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
         rank = sum(count * block.rank for block, count in blocks)
         history.append((box, rank))
         if rank == bound:
-            return TwistedDOSpace(n=n, a=a, b=b, order=order, dim=rank, box=box,
-                                  rank_history=tuple(history))
+            return TwistedDOSpace(n, a, b, order, rank, box, tuple(history)), blocks
     raise InconsistencyError(
         f"action-matrix rank {rank} stayed below the Euler-relation bound "
         f"{bound} for (n={n}, a={a}, b={b}, N={order}) within box {box}")
 
 
 @lru_cache(maxsize=None)
+def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
+    """dim DO^N(O(a), O(b)) for N = 0..top, from one pass at order top.
+
+    The shift orbits of a lower order K are those of order top with
+    |m| <= K, with the same counts, and their blocks are column prefixes of
+    the top blocks (see _ShiftBlock).  Each order's rank is certified
+    against its own Euler-relation bound, sum count C(K - |m| + n, n).
+    """
+    space, blocks = _fed_blocks(n, a, b, top, None)
+    dims = []
+    for order in range(top + 1):
+        rank = sum(count * block.rank_at(order) for block, count in blocks)
+        bound = sum(count * comb(order - sum(block.m) + n, n)
+                    for block, count in blocks if sum(block.m) <= order)
+        if rank != bound:
+            raise InconsistencyError(
+                f"action-matrix rank {rank} at order {order} misses the "
+                f"Euler-relation bound {bound} for (n={n}, a={a}, b={b}, "
+                f"N={top}) within box {space.box}")
+        dims.append(rank)
+    return tuple(dims)
+
+
+@lru_cache(maxsize=None)
 def do_dimension(n: int, a: int, b: int, order: int) -> int:
-    """Cached dimension-only variant of global_do_dimension."""
-    return global_do_dimension(n, a, b, order).dim
+    """Cached dimension of one order: the last entry of do_dimensions."""
+    return do_dimensions(n, a, b, order)[order]
 
 
 def euler_relation(n: int, a: int, phi: WeylElement) -> WeylElement:
@@ -282,7 +315,8 @@ def strictness_check(n: int, a: int, b: int, order: int) -> bool:
     """True iff raising the order bound from N-1 to N enlarges the space."""
     if order < 1:
         raise PreconditionError("strictness compares N with N - 1, so N >= 1")
-    return do_dimension(n, a, b, order) > do_dimension(n, a, b, order - 1)
+    dims = do_dimensions(n, a, b, order)
+    return dims[order] > dims[order - 1]
 
 
 class NegativeTwistResult(NamedTuple):

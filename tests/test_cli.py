@@ -54,6 +54,15 @@ def test_growth_table_csv(capsys):
     assert footer["P_coeffs"] == ["1", "3", "13/4", "3/2", "1/4"]
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_growth_table_negative_budget_is_refused_first(capsys, n):
+    # the budget is checked before the projective dimension
+    rc, out, err = run(capsys, "growth-table", "--n", n, "--a", "0", "--b", "0",
+                       "--nmax", "-1")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[0] == "precondition failed: sweep budget must be nonnegative"
+
+
 def test_growth_table_json(capsys):
     payload = run_json(capsys, "growth-table", "--n", "1", "--a", "0",
                        "--b", "0", "--nmax", "3", "--format", "json")

@@ -3,13 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from jetspace.cohomology import chi_sym_tangent, h0_line
+from jetspace.cohomology import chi_sym_tangent, h0_line, h0_sym_tangent
 from jetspace.errors import StabilizationError
 from jetspace import growth
 from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
                              dimension_sweep, expected_delta,
-                             stabilization_threshold, verify_growth)
+                             growth_polynomial, stabilization_threshold,
+                             verify_growth)
+from jetspace.presented import UniPoly
 from jetspace.projective import do_dimension
+
+
+def _binomial_factor(n, shift):
+    """binom(n + N + shift, n) as a polynomial in N, over Q: the reference
+    for the integer constants and coefficients of the growth polynomial."""
+    poly = UniPoly.one()
+    for i in range(1, n + 1):
+        poly = poly * UniPoly((shift + i, 1))
+    return poly * Fraction(1, math.factorial(n))
 
 
 def test_expected_delta_line_vs_plane():
@@ -17,6 +28,15 @@ def test_expected_delta_line_vs_plane():
     assert expected_delta(1, 3, 0) == h0_line(1, 6)
     assert expected_delta(2, 1, 0) == 8
     assert expected_delta(2, 1, 1) == chi_sym_tangent(2, 1, 1)
+
+
+def test_expected_delta_is_the_integer_h0():
+    for n in range(2, 6):
+        for order in range(1, 8):
+            for d in range(-12, 6):
+                value = expected_delta(n, order, d)
+                assert type(value) is int
+                assert value == h0_sym_tangent(n, order, d).h0, (n, order, d)
 
 
 def test_dimension_sweep_values():
@@ -162,8 +182,21 @@ def test_verify_growth_reports_first_closed_form_mismatch(monkeypatch):
 def test_binomial_value_is_the_factor_at_integers():
     for n in range(1, 6):
         for shift in range(-8, 9):
-            factor = growth._binomial_factor(n, shift)
+            factor = _binomial_factor(n, shift)
             for order in range(13):
                 value = growth._binomial_value(n, shift, order)
                 assert type(value) is int
                 assert value == factor.evaluate(order), (n, shift, order)
+
+
+def test_integer_coefficients_are_the_binomial_product():
+    for n in range(1, 6):
+        for d in range(-8, 6):
+            product = (_binomial_factor(n, 0) * _binomial_factor(n, d)).coeffs
+            for threshold, dim in [(0, 0), (2, 17), (3, -5)]:
+                poly = growth_polynomial(n, 1, 1 + d, threshold, dim)
+                expected = list(product)
+                expected[0] += poly.constant
+                assert poly.coeffs == tuple(expected), (n, d, threshold)
+                assert all(type(c) is Fraction for c in poly.coeffs)
+                assert poly.evaluate(threshold) == dim

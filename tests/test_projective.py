@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,8 @@ from jetspace.projective import (BOX_GROWTH_LIMIT, BOX_GROWTH_STEP,
                                  BlockOperator, action_matrix, block_operator,
                                  candidate_count, candidate_monomials,
                                  chart_test_monomials, do_dimension,
-                                 euler_relation, global_do_dimension,
+                                 do_dimensions, euler_relation,
+                                 global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
                                  iter_chart_test_monomials,
                                  negative_twist_existence, shift_orbits,
@@ -230,6 +233,52 @@ def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
     box0 = order + abs(a) + abs(b) + 2
     assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))
     assert candidate_count(n, a, b, order) == 0
+
+
+@pytest.mark.parametrize("n, top", [(1, 7), (2, 4), (3, 3), (4, 2), (5, 1)])
+def test_sweep_matches_every_order(n, top):
+    # one pass at the top order gives what one pass per order gives
+    span = 2 if n < 4 else 1
+    for a in range(-span, span + 1):
+        for b in range(-n - 3, 4):
+            dims = do_dimensions(n, a, b, top)
+            assert dims == tuple(global_do_dimension(n, a, b, order).dim
+                                 for order in range(top + 1)), (n, a, b)
+            assert dims == tuple(closed_form_dimension(n, b - a, order)
+                                 for order in range(top + 1)), (n, a, b)
+
+
+def test_sweep_entries_are_the_cached_orders():
+    assert do_dimensions(2, 0, -1, 3) == (0, 3, 18, 60)
+    assert do_dimension(2, 0, -1, 2) == do_dimensions(2, 0, -1, 3)[2]
+    assert do_dimensions(2, 0, -30, 2) == (0, 0, 0)
+    info = do_dimension.cache_info()
+    assert info.hits + info.misses > 0
+
+
+def test_sweep_certifies_each_order_against_its_bound(monkeypatch):
+    true_rank = projective._ShiftBlock.rank_at
+    monkeypatch.setattr(projective._ShiftBlock, "rank_at",
+                        lambda block, order: 0 if order == 1 else true_rank(block, order))
+    # the top order alone still certifies: global_do_dimension is unaffected
+    assert global_do_dimension(2, 0, 0, 3).dim == 100
+    with pytest.raises(InconsistencyError, match=(
+            r"rank 0 at order 1 misses the Euler-relation bound 9 "
+            r"for \(n=2, a=0, b=0, N=3\)")):
+        do_dimensions.__wrapped__(2, 0, 0, 3)
+
+
+def test_sweep_rejects_a_negative_top():
+    with pytest.raises(PreconditionError, match="operator order must be >= 0"):
+        do_dimensions(2, 0, 0, -1)
+
+
+def test_negative_twist_script_replays_its_recording(capsys):
+    root = Path(__file__).resolve().parent.parent
+    script = runpy.run_path(str(root / "scripts" / "negative_twist_search.py"))
+    assert script["main"](["--n", "2", "--max-drop", "3", "--budget", "4"]) == 0
+    recorded = (root / "tests" / "data" / "negative_twist_search.txt").read_text()
+    assert capsys.readouterr().out == recorded
 
 
 def test_zero_bound_still_rejects_negative_box():
