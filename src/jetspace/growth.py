@@ -95,6 +95,11 @@ def closed_form_dimension(n: int, d: int, order: int) -> int:
     Z^(n+1) of coordinate sum d whose negative part has size k.  Of those,
     i coordinates are negative, in C(n+1, i) C(k-1, i-1) ways, and the rest
     spread d + k; the all-negative i = n + 1 term needs d + k = 0."""
+    return closed_form_dimensions(n, d, order)[order]
+
+
+def closed_form_dimensions(n: int, d: int, top: int) -> list[int]:
+    """closed_form_dimension for N = 0..top, each S(k) computed once."""
     def spread(total: int, parts: int) -> int:
         if parts == 0:
             return int(total == 0)
@@ -106,24 +111,30 @@ def closed_form_dimension(n: int, d: int, order: int) -> int:
         return sum(comb(n + 1, i) * comb(k - 1, i - 1) * spread(d + k, n + 1 - i)
                    for i in range(1, n + 2))
 
-    return sum(comb(order - k + n, n) * shifts(k) for k in range(order + 1))
+    counts = [shifts(k) for k in range(top + 1)]
+    return [sum(comb(order - k + n, n) * counts[k] for k in range(order + 1))
+            for order in range(top + 1)]
 
 
 def stabilization_threshold(n: int, a: int, b: int, n_max: int,
-                            dims: list[int] | None = None) -> int:
+                            dims: list[int] | None = None,
+                            expected: list[int] | None = None) -> int:
     """Least M < n_max such that every later increment matches the symmetric
     tangent prediction and P, pinned at M, reproduces dims[M..n_max].
 
     The second condition matters for b - a <= -(n + 1): there the h^0
     increments match from N = 1, but P steps by chi, which differs from h^0
     at small N.  The vacuous M = n_max is rejected so a sweep with no
-    matching increments fails loudly."""
+    matching increments fails loudly.  expected, if given, holds
+    expected_delta(n, N, b - a) for N = 1..n_max."""
     if n_max < 1:
         raise PreconditionError("threshold search needs n_max >= 1")
     if dims is None:
         dims = dimension_sweep(n, a, b, n_max)
     d = b - a
-    matches = [dims[order] - dims[order - 1] == expected_delta(n, order, d)
+    if expected is None:
+        expected = [expected_delta(n, order, d) for order in range(1, n_max + 1)]
+    matches = [dims[order] - dims[order - 1] == expected[order - 1]
                for order in range(1, n_max + 1)]
     constants = [dims[order] - _binomial_value(n, 0, order) * _binomial_value(n, d, order)
                  for order in range(n_max + 1)]
@@ -163,23 +174,25 @@ def verify_growth(n: int, a: int, b: int, n_max: int | None = None) -> GrowthRep
 
     P reproduces dims[M..n_max] by the choice of M, and has degree 2n and
     leading coefficient 1/(n!)^2 by construction.  The independent check is
-    closed_form_dimension: first_failure is the least N whose computed
+    closed_form_dimensions: first_failure is the least N whose computed
     dimension differs from it, and the verdict is that there is none.
     """
     if n_max is None:
         n_max = default_n_max(n)
     dims = dimension_sweep(n, a, b, n_max)
-    threshold = stabilization_threshold(n, a, b, n_max, dims)
-    poly = growth_polynomial(n, a, b, threshold, dims[threshold])
     d = b - a
+    expected = [expected_delta(n, order, d) for order in range(1, n_max + 1)]
+    threshold = stabilization_threshold(n, a, b, n_max, dims, expected)
+    poly = growth_polynomial(n, a, b, threshold, dims[threshold])
     rows = [GrowthRow(order=0, dim=dims[0], delta=None, expected_delta=None, match=None)]
     for order in range(1, n_max + 1):
         delta = dims[order] - dims[order - 1]
-        expected = expected_delta(n, order, d)
         rows.append(GrowthRow(order=order, dim=dims[order], delta=delta,
-                              expected_delta=expected, match=delta == expected))
+                              expected_delta=expected[order - 1],
+                              match=delta == expected[order - 1]))
+    closed = closed_form_dimensions(n, d, n_max)
     first_failure = next((order for order in range(n_max + 1)
-                          if dims[order] != closed_form_dimension(n, d, order)), None)
+                          if dims[order] != closed[order]), None)
     table = GrowthTable(n=n, a=a, b=b, rows=tuple(rows), threshold=threshold)
     return GrowthReport(table=table, polynomial=poly, verdict=first_failure is None,
                         first_failure=first_failure)

@@ -26,9 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
-from operator import mul
 from typing import NamedTuple
 
 from .errors import InconsistencyError, PreconditionError
@@ -40,6 +38,9 @@ Candidate = tuple[Exponent, Exponent]
 
 BOX_GROWTH_STEP = 2
 BOX_GROWTH_LIMIT = 40
+# kernel_cost above this is refused up front; one unit is at most about a
+# microsecond on the inputs timed (2-core Xeon, Python 3.11)
+KERNEL_COST_LIMIT = 10 ** 7
 
 
 def _check_space(n: int, order: int) -> None:
@@ -75,32 +76,47 @@ def candidate_count(n: int, a: int, b: int, order: int) -> int:
 def chart_test_monomials(n: int, a: int, box: int) -> list[Exponent]:
     """Degree-a Laurent monomials with at most one negative exponent and all
     exponents in [-box, box], sorted."""
-    return list(iter_chart_test_monomials(n, a, box))
+    return sorted(iter_chart_test_monomials(n, a, box))
 
 
 def iter_chart_test_monomials(n: int, a: int, box: int) -> Iterator[Exponent]:
-    """The monomials of chart_test_monomials(n, a, box), in the same sorted
-    order, generated lazily: entries are chosen left to right in increasing
-    order, and a value is tried only if the entries after it can still
-    complete the degree within the box."""
+    """The monomials of chart_test_monomials(n, a, box), generated lazily in
+    shells of tail size |gamma_1| + ... + |gamma_n|, each shell sorted.
+
+    The tail fixes gamma_0 = a - (gamma_1 + ... + gamma_n).  A shell holds
+    the nonnegative tails of sum t, and the tails with one entry -v < 0 and
+    the rest summing to t - v, whose gamma_0 = a - t + 2v must then lie in
+    [0, box].  Small shells come first for the kernel: by the Euler column
+    identity sum_i col(beta + e_i) + (|beta| - a) col(beta) = 0, a shift
+    block of negative part m is ranked on its columns with beta_0 = m_0,
+    whose entries depend on the tail alone up to a row scalar, and on the
+    lattice gamma_i = m_i + q_i (i >= 1, q >= 0, |q| <= N - |m|) those
+    columns are triangular (see _ShiftBlock).  The box is checked when the
+    stream is created, before anything is iterated.
+    """
     if box < 0:
         raise PreconditionError("box must be nonnegative")
 
-    def rec(prefix: Exponent, left: int, k: int, signed: bool) -> Iterator[Exponent]:
-        # k entries follow this one; signed: a negative entry was chosen
-        if k == 0:
-            if -box <= left <= box and (left >= 0 or not signed):
-                yield prefix + (left,)
-            return
-        top = k * box  # the most the later entries can add up to
-        if not signed:
-            for v in range(max(-box, left - top), min(-1, left) + 1):
-                yield from rec(prefix + (v,), left - v, k - 1, True)
-        low = 0 if signed else -box  # the least they can add up to
-        for v in range(max(0, left - top), min(box, left - low) + 1):
-            yield from rec(prefix + (v,), left - v, k - 1, signed)
+    def shells() -> Iterator[Exponent]:
+        for t in range(n * box + 1):
+            shell = []
+            if -box <= a - t <= box:
+                shell += [(a - t, *tail) for tail in _bounded_monomials(n, t, box)]
+            for v in range(max(1, -((a - t) // 2)), min(box, t, (t - a + box) // 2) + 1):
+                for rest in _bounded_monomials(n - 1, t - v, box):
+                    shell += [(a - t + 2 * v, *rest[:j], -v, *rest[j:])
+                              for j in range(n)]
+            shell.sort()
+            yield from shell
 
-    return rec((), a, n, False)
+    return shells()
+
+
+def _bounded_monomials(nvars: int, degree: int, box: int) -> list[Exponent]:
+    """Nonnegative exponent tuples of the given total degree with every
+    entry at most box, sorted."""
+    tails = monomials_of_degree(nvars, degree)
+    return tails if degree <= box else [e for e in tails if max(e) <= box]
 
 
 def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> ExactMatrix:
@@ -133,6 +149,23 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
     return ExactMatrix(len(candidates), len(col_index), entries)
 
 
+def kernel_cost(n: int, a: int, b: int, order: int) -> int:
+    """Closed-form size of the shift-block work at order N,
+
+        sum_{k = max(0, a - b)..N} C(k + n, n) (n + 1 + C(N - k + n, n)^2),
+
+    one term per negative part m of size k that shift_orbits walks: its
+    n + 1 entries plus the cells of its square block (see _ShiftBlock).
+    The sum stops as soon as it passes KERNEL_COST_LIMIT, so a huge N
+    costs nothing."""
+    total = 0
+    for k in range(max(0, a - b), order + 1):
+        total += comb(k + n, n) * (n + 1 + comb(order - k + n, n) ** 2)
+        if total > KERNEL_COST_LIMIT:
+            break
+    return total
+
+
 def shift_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
     """Shift orbits of the candidates: sorted negative part m -> shift count.
 
@@ -157,34 +190,51 @@ def shift_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
 
 
 class _ShiftBlock:
-    """Incremental rank of one shift block of the action matrix.
+    """Incremental rank of one square shift block of the action matrix.
 
-    Rows are test monomials gamma, columns the beta >= m with |beta| <= N,
-    sorted by |beta|, entries the integers prod_j ff(gamma_j, beta_j) (the
-    coefficient of x^(gamma + s) in x^(beta + s) d^beta x^gamma, for any s
-    with negative part m).  feed() adds one row; pivot rows persist across
-    calls, so a larger test box only has to feed the monomials it adds.
+    The full block of a shift s with negative part m has rows the test
+    monomials gamma, columns the beta >= m with |beta| <= N, and entries the
+    integers prod_j ff(gamma_j, beta_j) (the coefficient of x^(gamma + s) in
+    x^(beta + s) d^beta x^gamma).  Since ff(g, t + 1) = ff(g, t) (g - t) and
+    sum_i gamma_i = a, every test row satisfies the Euler column identity
 
-    The rank never exceeds cap = C(N - |m| + n, n): each phi (E - a) with
-    phi of shift s and order <= N - 1 is a relation among the columns, and
-    these relations are independent (right multiplication by E - a is
-    injective), so there are |B_(N-1)(m)| of them.  Once the rank reaches
-    cap, no test monomial can raise it and feeding stops.
+        sum_i col(beta + e_i) + (|beta| - a) col(beta) = 0,
 
-    The block of a lower order K >= |m| is the column prefix |beta| <= K,
-    with the same entries.  Each pivot row sits on its leftmost column, so
-    the rank of that prefix is the number of pivots inside it: rank_at(K).
+    which writes col(beta + e_0) through columns of smaller beta_0 and no
+    larger |beta|.  So the columns with beta_0 = m_0 span every column
+    prefix |beta| <= K, on any set of rows, and the block keeps only them:
+    beta = (m_0, m_1 + delta_1, ..., m_n + delta_n) with |delta| <= N - |m|,
+    sorted by |delta|.  There are cap = C(N - |m| + n, n) of them, as many
+    as the Euler relations phi (E - a) (phi of shift s and order <= N - 1)
+    among the full block's columns, which are independent (right
+    multiplication by E - a is injective); so the rank is at most cap, and
+    once it is reached the square block is nonsingular and feeding stops.
+
+    Per coordinate ff(g, e + t) = ff(g, e) ff(g - e, t), so a row is the
+    scalar prod_j ff(gamma_j, m_j) times the row of prod_j ff(gamma_j - m_j,
+    delta_j).  The scalar does not change the rank: feed() skips the row
+    where it is 0 (some 0 <= gamma_j < m_j) and leaves it out otherwise.
+    What remains is the falling-factorial basis of the polynomials of
+    degree <= N - |m| in gamma_1 - m_1, ..., gamma_n - m_n.  On the
+    principal lattice gamma_i = m_i + q_i (q >= 0, |q| <= N - |m|) it is
+    triangular with a nonzero diagonal (the lattice is unisolvent, Chung and
+    Yao 1977), so those rows reach cap wherever their scalar is nonzero.
+    feed() adds one row; pivot rows persist across calls, so a larger test
+    box only has to feed the monomials it adds.
+
+    The block of a lower order K >= |m| is the column prefix |delta| <= K -
+    |m|, C(K - |m| + n, n) columns with the same entries.  Each pivot row
+    sits on its leftmost column, so the rank of that prefix is the number
+    of pivots inside it: rank_at(K).
     """
 
-    __slots__ = ("m", "betas", "cap", "pivots")
+    __slots__ = ("m", "support", "steps", "ends", "cap", "pivots")
 
     def __init__(self, m: Exponent, order: int):
-        n = len(m) - 1
         self.m = m
-        self.betas = [tuple(x + y for x, y in zip(m, delta))
-                      for k in range(order - sum(m) + 1)
-                      for delta in monomials_of_degree(n + 1, k)]
-        self.cap = comb(order - sum(m) + n, n)
+        self.support = [(j, e) for j, e in enumerate(m) if e]
+        self.steps, self.ends = _square_layout(m, order)
+        self.cap = len(self.steps) + 1
         self.pivots: dict[int, dict[int, int]] = {}
 
     @property
@@ -192,21 +242,42 @@ class _ShiftBlock:
         return len(self.pivots)
 
     def rank_at(self, order: int) -> int:
-        return sum(1 for c in self.pivots if sum(self.betas[c]) <= order)
+        end = self.ends[order]
+        return sum(1 for c in self.pivots if c < end)
 
-    def feed(self, tables: list[list[int]]) -> None:
-        """Add the row of one test monomial gamma, given as its falling
-        factorial tables: tables[j][t] = ff(gamma_j, t)."""
-        row = {}
-        for i, beta in enumerate(self.betas):
-            c = 1
-            for ff, e in zip(tables, beta):
-                c *= ff[e]
-                if not c:
-                    break
-            if c:
-                row[i] = c
-        add_pivot_row(self.pivots, row)
+    def feed(self, gamma: Exponent) -> bool:
+        """Add the row of one test monomial gamma; True while the rank is
+        below cap.  Row entries grow one factor per column step."""
+        for j, e in self.support:
+            if 0 <= gamma[j] < e:
+                return True
+        vals = [1]
+        for p, j, off in self.steps:
+            vals.append(vals[p] * (gamma[j] - off))
+        add_pivot_row(self.pivots, {i: v for i, v in enumerate(vals) if v})
+        return len(self.pivots) < self.cap
+
+
+@lru_cache(maxsize=1024)
+def _square_layout(m: Exponent, order: int
+                   ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """The square block's columns after the first, delta = 0, as steps
+    (p, j, off): the entry of column i is that of column p, where delta_j
+    is one less, times gamma_j - off with off = m_j + delta_j - 1.  Also,
+    for each order K <= N, the end of the column prefix of order K,
+    C(K - |m| + n, n), or 0 below |m|."""
+    n = len(m) - 1
+    deltas = [(0,) + delta for k in range(order - sum(m) + 1)
+              for delta in monomials_of_degree(n, k)]
+    index = {delta: i for i, delta in enumerate(deltas)}
+    steps = []
+    for delta in deltas[1:]:
+        j = next(j for j, e in enumerate(delta) if e)
+        parent = delta[:j] + (delta[j] - 1,) + delta[j + 1:]
+        steps.append((index[parent], j, m[j] + parent[j]))
+    ends = tuple(comb(k - sum(m) + n, n) if k >= sum(m) else 0
+                 for k in range(order + 1))
+    return tuple(steps), ends
 
 
 class TwistedDOSpace(NamedTuple):
@@ -226,14 +297,22 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
     """Dimension of the global operator space, with the certifying test box.
 
     The action matrix is block-diagonal by shift, and a block's rank depends
-    only on the sorted negative part of its shift (the test set is symmetric
-    under permuting coordinates), so the rank is a weighted sum of one
-    integer block rank per shift orbit.  The same sum over the Euler-relation
-    caps bounds the dimension from above, and the rank on a finite test set
-    bounds it from below.  Starting from box = N + |a| + |b| + 2, the box
-    grows by 2 until the rank reaches the bound; that box is reported.  Each
-    test monomial goes to the blocks still below their cap, and the box is
-    left as soon as none is, so most of the test set is never generated.
+    only on the sorted negative part m of its shift (the test set is
+    symmetric under permuting coordinates), so the rank is a weighted sum of
+    one integer block rank per shift orbit.  On every test row the Euler
+    column identity sum_i col(beta + e_i) + (|beta| - a) col(beta) = 0
+    holds, so each block is ranked on its C(N - |m| + n, n) columns with
+    beta_0 = m_0 only (see _ShiftBlock).  That count is also the block's
+    Euler-relation cap, and the same weighted sum over the caps bounds the
+    dimension from above, while the rank on a finite test set bounds it
+    from below.  Starting from box = N + |a| + |b| + 2, the box grows by 2
+    until the rank reaches the bound; that box is reported.  Test monomials
+    arrive in shells of tail size (see iter_chart_test_monomials) and go to
+    the blocks still below their cap, and the box is left as soon as none
+    is, so most of the test set is never generated.  A box is either fed in
+    full or left at the bound, so the order of the stream moves neither the
+    box nor the rank history.  Input whose kernel_cost passes
+    KERNEL_COST_LIMIT is refused with PreconditionError before any work.
     """
     return _fed_blocks(n, a, b, order, initial_box)[0]
 
@@ -242,6 +321,11 @@ def _fed_blocks(n: int, a: int, b: int, order: int, initial_box: int | None
                 ) -> tuple[TwistedDOSpace, list[tuple[_ShiftBlock, int]]]:
     """global_do_dimension's loop; also returns its blocks with their counts."""
     _check_space(n, order)
+    cost = kernel_cost(n, a, b, order)
+    if cost > KERNEL_COST_LIMIT:
+        raise PreconditionError(
+            f"(n={n}, a={a}, b={b}, N={order}) has kernel cost at least "
+            f"{cost}, above the limit {KERNEL_COST_LIMIT}")
     blocks = [(_ShiftBlock(m, order), count)
               for m, count in shift_orbits(n, a, b, order).items()]
     bound = sum(count * block.cap for block, count in blocks)
@@ -254,15 +338,10 @@ def _fed_blocks(n: int, a: int, b: int, order: int, initial_box: int | None
     live = [block for block, _ in blocks]
     fed_box = -1  # every monomial of this box has been fed
     for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
-        tables = {g: list(accumulate(range(g, g - order, -1), mul, initial=1))
-                  for g in range(-box, box + 1)}
         for gamma in iter_chart_test_monomials(n, a, box):
             if fed_box >= 0 and max(map(abs, gamma)) <= fed_box:
                 continue
-            row = [tables[g] for g in gamma]
-            for block in live:
-                block.feed(row)
-            live = [block for block in live if block.rank < block.cap]
+            live = [block for block in live if block.feed(gamma)]
             if not live:
                 break
         fed_box = box
@@ -273,6 +352,10 @@ def _fed_blocks(n: int, a: int, b: int, order: int, initial_box: int | None
     raise InconsistencyError(
         f"action-matrix rank {rank} stayed below the Euler-relation bound "
         f"{bound} for (n={n}, a={a}, b={b}, N={order}) within box {box}")
+
+
+# (n, a, b) -> the longest sweep do_dimensions has returned, for do_dimension
+_SWEEPS: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -288,20 +371,26 @@ def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
     dims = []
     for order in range(top + 1):
         rank = sum(count * block.rank_at(order) for block, count in blocks)
-        bound = sum(count * comb(order - sum(block.m) + n, n)
-                    for block, count in blocks if sum(block.m) <= order)
+        bound = sum(count * block.ends[order] for block, count in blocks)
         if rank != bound:
             raise InconsistencyError(
                 f"action-matrix rank {rank} at order {order} misses the "
                 f"Euler-relation bound {bound} for (n={n}, a={a}, b={b}, "
                 f"N={top}) within box {space.box}")
         dims.append(rank)
+    if top >= len(_SWEEPS.get((n, a, b), ())):
+        _SWEEPS[(n, a, b)] = tuple(dims)
     return tuple(dims)
 
 
 @lru_cache(maxsize=None)
 def do_dimension(n: int, a: int, b: int, order: int) -> int:
-    """Cached dimension of one order: the last entry of do_dimensions."""
+    """Cached dimension of one order: read off the longest sweep computed
+    so far for (n, a, b) when it reaches this order, else the last entry
+    of do_dimensions(n, a, b, order)."""
+    dims = _SWEEPS.get((n, a, b), ())
+    if 0 <= order < len(dims):
+        return dims[order]
     return do_dimensions(n, a, b, order)[order]
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from jetspace.cli import main
+from jetspace.growth import default_n_max
+from jetspace.projective import KERNEL_COST_LIMIT, kernel_cost
 
 
 def run(capsys, *argv):
@@ -372,6 +374,36 @@ def test_inconsistency_exit(capsys):
                        "--b", "-2", "--nmax", "1")
     assert rc == 3
     assert "internal inconsistency" in err
+
+
+# ---------------------------------------------------------------------------
+# kernel cost limit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("dim-do", "--n", "50", "--a", "0", "--b", "0", "--N", "6"),
+    ("dim-do", "--n", "1", "--a", "0", "--b", "0", "--N", "1000000000"),
+    ("growth-table", "--n", "40", "--a", "0", "--b", "0", "--nmax", "5"),
+])
+def test_oversized_input_is_refused_up_front(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(r"precondition failed: \(n=\d+, a=0, b=0, N=\d+\) has kernel "
+                        r"cost at least \d+, above the limit 10000000\n", err)
+
+
+def test_every_golden_kernel_input_is_within_the_cost_limit():
+    for name in ("dim_do_golden.json", "growth_table_golden.json",
+                 "readme_cli_golden.json"):
+        for case in json.loads((Path(__file__).parent / "data" / name).read_text()):
+            argv = case["argv"]
+            if argv[0] not in ("dim-do", "growth-table") or case["exit"] != 0:
+                continue
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            n = int(opts["--n"])
+            order = int(opts.get("--N", opts.get("--nmax", default_n_max(n))))
+            assert kernel_cost(n, int(opts["--a"]), int(opts["--b"]), order) \
+                <= KERNEL_COST_LIMIT, argv
 
 
 # ---------------------------------------------------------------------------

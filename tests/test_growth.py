@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ from jetspace.cohomology import chi_sym_tangent, h0_line, h0_sym_tangent
 from jetspace.errors import StabilizationError
 from jetspace import growth
 from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
-                             dimension_sweep, expected_delta,
-                             growth_polynomial, stabilization_threshold,
-                             verify_growth)
+                             closed_form_dimensions, dimension_sweep,
+                             expected_delta, growth_polynomial,
+                             stabilization_threshold, verify_growth)
 from jetspace.presented import UniPoly
 from jetspace.projective import do_dimension
 
@@ -170,10 +171,28 @@ def test_closed_form_dimension_matches_computed(n):
     assert closed_form_dimension(5, 0, 3) == 3136
 
 
+def test_closed_form_sweep_counts_shifts_by_brute_force():
+    # S(k) by enumerating the shifts of coordinate sum d, then the
+    # convolution with C(N - k + n, n), for every order of the sweep
+    for n in (1, 2, 3):
+        for d in range(-n - 3, 3):
+            top = 5 if n < 3 else 3
+            box = top + abs(d)
+            counts = [0] * (top + 1)
+            for s in itertools.product(range(-top, box + 1), repeat=n + 1):
+                k = -sum(v for v in s if v < 0)
+                if sum(s) == d and k <= top:
+                    counts[k] += 1
+            want = [sum(math.comb(order - k + n, n) * counts[k] for k in range(order + 1))
+                    for order in range(top + 1)]
+            assert closed_form_dimensions(n, d, top) == want, (n, d)
+            assert closed_form_dimension(n, d, top) == want[top]
+
+
 def test_verify_growth_reports_first_closed_form_mismatch(monkeypatch):
-    true_form = closed_form_dimension
-    monkeypatch.setattr(growth, "closed_form_dimension",
-                        lambda n, d, order: true_form(n, d, order) + (order >= 3))
+    true_forms = closed_form_dimensions
+    monkeypatch.setattr(growth, "closed_form_dimensions", lambda n, d, top: [
+        dim + (order >= 3) for order, dim in enumerate(true_forms(n, d, top))])
     report = verify_growth(2, 0, 1, 4)
     assert report.verdict is False
     assert report.first_failure == 3

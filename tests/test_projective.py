@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import runpy
@@ -10,20 +11,22 @@ import pytest
 from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
 from jetspace.errors import InconsistencyError, PreconditionError
-from jetspace.growth import closed_form_dimension
+from jetspace.growth import closed_form_dimension, verify_growth
 from jetspace import projective
-from jetspace.laurent import LaurentPoly
+from jetspace.laurent import LaurentPoly, monomials_of_degree
+from jetspace.linalg import ExactMatrix
 from jetspace.projective import (BOX_GROWTH_LIMIT, BOX_GROWTH_STEP,
-                                 BlockOperator, action_matrix, block_operator,
+                                 KERNEL_COST_LIMIT, BlockOperator,
+                                 action_matrix, block_operator,
                                  candidate_count, candidate_monomials,
                                  chart_test_monomials, do_dimension,
                                  do_dimensions, euler_relation,
                                  global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
-                                 iter_chart_test_monomials,
+                                 iter_chart_test_monomials, kernel_cost,
                                  negative_twist_existence, shift_orbits,
                                  strictness_check)
-from jetspace.weyl import WeylElement, euler_operator
+from jetspace.weyl import WeylElement, euler_operator, falling
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +78,20 @@ def reference_test_monomials(n, a, box):
                   if sum(g) == a and sum(1 for v in g if v < 0) <= 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def tail_size(gamma):
+    return sum(map(abs, gamma[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chart_test_stream_matches_reference_enumeration(n):
+    # the stream runs in shells of tail size, each shell sorted; the list
+    # entry point stays sorted
     for a in range(-4, 5):
-        for box in range(6 if n < 3 else 4):
+        for box in range((6, 6, 4, 3)[n - 1]):
             want = reference_test_monomials(n, a, box)
-            assert list(iter_chart_test_monomials(n, a, box)) == want, (n, a, box)
+            stream = list(iter_chart_test_monomials(n, a, box))
+            assert sorted(stream) == want, (n, a, box)
+            assert stream == sorted(stream, key=lambda g: (tail_size(g), g)), (n, a, box)
             assert chart_test_monomials(n, a, box) == want
 
 
@@ -271,6 +282,106 @@ def test_sweep_certifies_each_order_against_its_bound(monkeypatch):
 def test_sweep_rejects_a_negative_top():
     with pytest.raises(PreconditionError, match="operator order must be >= 0"):
         do_dimensions(2, 0, 0, -1)
+
+
+def full_block_rank(m, order, rows):
+    """Rank of the full shift block of m at this order, every beta >= m with
+    |beta| <= N a column, entries prod_j ff(gamma_j, beta_j)."""
+    betas = [beta for k in range(sum(m), order + 1)
+             for beta in monomials_of_degree(len(m), k)
+             if all(x >= y for x, y in zip(beta, m))]
+    if not rows or not betas:
+        return 0
+    return ExactMatrix.from_rows(
+        [[math.prod(falling(g, e) for g, e in zip(gamma, beta)) for beta in betas]
+         for gamma in rows]).rank()
+
+
+@pytest.mark.parametrize("n, a, b, top", [
+    (1, 0, 0, 3), (1, 2, -1, 3), (1, 0, -3, 4), (1, -1, -5, 5),
+    (2, 0, -1, 2), (2, 1, 0, 2), (2, 0, -3, 3), (2, 1, -3, 4), (3, 0, 0, 2),
+    (3, -1, -5, 4)])
+def test_square_block_rank_is_the_full_block_rank(n, a, b, top):
+    # the Euler column identity on every row: the beta_0 = m_0 columns span
+    # each column prefix, so ranks agree on any row subset and at every
+    # lower order; b - a <= -(n + 1) includes the all-negative shifts
+    rng = random.Random(f"square:{n},{a},{b},{top}")
+    pool = chart_test_monomials(n, a, 3 if n < 3 else 2)
+    orbits = list(shift_orbits(n, a, b, top))
+    if b - a <= -(n + 1):
+        assert any(min(m) > 0 for m in orbits)
+    for m in orbits:
+        for _ in range(4):
+            rows = rng.sample(pool, rng.randint(1, min(len(pool), 12)))
+            block = projective._ShiftBlock(m, top)
+            for gamma in rows:
+                block.feed(gamma)
+            for order in range(sum(m), top + 1):
+                assert block.rank_at(order) == full_block_rank(m, order, rows), \
+                    (m, order, rows)
+
+
+def recorded_grid():
+    return json.loads((Path(__file__).parent / "data" / "shift_block_grid.json").read_text())
+
+
+def test_dims_boxes_and_histories_match_the_full_block_recording():
+    # recorded with full shift blocks fed in sorted order (commit 054fefe)
+    grid = recorded_grid()
+    for n, a, b, order, box0, dim, box, history in grid["spaces"]:
+        space = global_do_dimension(n, a, b, order, initial_box=box0)
+        assert (space.dim, space.box, space.rank_history) == (
+            dim, box, tuple(map(tuple, history))), (n, a, b, order, box0)
+    for n, a, b, top, dims in grid["sweeps"]:
+        assert do_dimensions.__wrapped__(n, a, b, top) == tuple(dims), (n, a, b, top)
+
+
+def test_do_dimension_reads_a_longer_cached_sweep(monkeypatch):
+    sweep = do_dimensions(1, 9, 8, 4)
+    with pytest.raises(PreconditionError, match="operator order must be >= 0"):
+        do_dimension(1, 9, 8, -1)
+
+    def refuse(*args):
+        raise AssertionError("a cached order was computed again")
+
+    monkeypatch.setattr(projective, "do_dimensions", refuse)
+    assert tuple(do_dimension.__wrapped__(1, 9, 8, k) for k in range(5)) == sweep
+    with pytest.raises(AssertionError, match="computed again"):
+        do_dimension.__wrapped__(1, 9, 8, 5)
+
+
+def test_negative_twist_search_reuses_the_growth_sweep(monkeypatch):
+    verify_growth(2, 0, -3)
+
+    def refuse(*args):
+        raise AssertionError("kernel pass after the sweep")
+
+    monkeypatch.setattr(projective, "_fed_blocks", refuse)
+    result = negative_twist_existence(2, 3)
+    assert (result.order, result.dim) == (3, 10)
+
+
+@pytest.mark.parametrize("n, a, b, order", [(2, 0, 0, 12), (6, 0, 0, 3),
+                                             (2, 0, 0, 5), (3, 0, 0, 3),
+                                             (2, 0, 0, 8), (5, 0, 0, 3)])
+def test_kernel_cost_accepts_the_anchor_inputs(n, a, b, order):
+    assert kernel_cost(n, a, b, order) <= KERNEL_COST_LIMIT
+
+
+def test_kernel_cost_refuses_oversized_input_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("shift orbits walked")
+
+    monkeypatch.setattr(projective, "shift_orbits", refuse)
+    with pytest.raises(PreconditionError, match=r"\(n=50, a=0, b=0, N=6\) has kernel "
+                                                r"cost at least \d+, above the limit"):
+        global_do_dimension(50, 0, 0, 6)
+    # the sum stops once past the limit, so a huge order is refused at once
+    assert KERNEL_COST_LIMIT < kernel_cost(1, 0, 0, 10 ** 12) < 10 ** 30
+    # it counts the walked tuples and the square-block cells exactly
+    assert kernel_cost(2, 0, 0, 1) == 1 * (3 + 3 ** 2) + 3 * (3 + 1)
+    assert kernel_cost(2, 0, -1, 1) == 3 * (3 + 1)
+    assert kernel_cost(2, 0, -2, 1) == 0
 
 
 def test_negative_twist_script_replays_its_recording(capsys):
