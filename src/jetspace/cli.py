@@ -17,17 +17,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import growth as growth_mod
-from .cohomology import cech_line_oracle, h0_sym_tangent, line_cohomology
+# Modules, not names: a module's body runs only when a subcommand first reads
+# from it (see __init__), so each subcommand pays for the modules it uses.
+from . import cohomology, growth, jets, laurent, presented, projective, symbols, weyl
 from .errors import InconsistencyError, PreconditionError
-from .jets import cyclic_jet_invariants, universal_derivation
-from .laurent import LaurentPoly, format_terms, parse_terms
-from .presented import UniPoly
-from .projective import (block_operator, candidate_count, global_do_dimension,
-                         h0_basis, hn_basis, induced_cohomology_map)
-from .symbols import (DEFAULT_GRID_DEPTH, elliptic_algebraic, elliptic_real,
-                      symbol_of, torus_operator_check)
-from .weyl import WeylElement
 
 SCHEMA = "jetspace/1"
 NMAX_ENV = "JETSPACE_NMAX_OVERRIDE"
@@ -81,7 +74,7 @@ def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def _parse_operator(args) -> list[list[WeylElement]]:
+def _parse_operator(args) -> list[list[weyl.WeylElement]]:
     """Either a single --op string or a --matrix JSON array of strings."""
     if getattr(args, "matrix", None):
         try:
@@ -93,12 +86,12 @@ def _parse_operator(args) -> list[list[WeylElement]]:
                        or not all(isinstance(cell, str) for cell in row) for row in raw)):
             raise _UsageError("--matrix must be a square JSON array of arrays of strings")
         try:
-            return [[WeylElement.parse(cell) for cell in row] for row in raw]
+            return [[weyl.WeylElement.parse(cell) for cell in row] for row in raw]
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     if getattr(args, "op", None):
         try:
-            return [[WeylElement.parse(args.op)]]
+            return [[weyl.WeylElement.parse(args.op)]]
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     raise _UsageError("one of --op or --matrix is required")
@@ -109,11 +102,11 @@ def _parse_operator(args) -> list[list[WeylElement]]:
 
 def _cmd_dim_do(args) -> dict:
     _enforce_cap(args.N, "--N")
-    space = global_do_dimension(args.n, args.a, args.b, args.N)
+    space = projective.global_do_dimension(args.n, args.a, args.b, args.N)
     return {
         "n": args.n, "a": args.a, "b": args.b, "N": args.N,
         "dim": space.dim, "box": space.box,
-        "candidates": candidate_count(args.n, args.a, args.b, args.N),
+        "candidates": projective.candidate_count(args.n, args.a, args.b, args.N),
     }
 
 
@@ -123,10 +116,10 @@ def _cmd_growth_table(args) -> dict | str:
         nmax = args.nmax
         _enforce_cap(nmax, "--nmax")
     else:
-        nmax = growth_mod.default_n_max(args.n)
+        nmax = growth.default_n_max(args.n)
         if cap is not None:
             nmax = min(nmax, cap)
-    report = growth_mod.verify_growth(args.n, args.a, args.b, nmax)
+    report = growth.verify_growth(args.n, args.a, args.b, nmax)
     footer = {
         "M": report.table.threshold,
         "P_coeffs": [_frac_str(c) for c in report.polynomial.coeffs],
@@ -159,7 +152,7 @@ def _cmd_cohomology(args) -> dict:
     if args.method is not None and args.i is None:
         raise _UsageError("--method needs --i")
     if args.j is not None:
-        result = h0_sym_tangent(args.n, args.k, args.j)
+        result = cohomology.h0_sym_tangent(args.n, args.k, args.j)
         return {
             "n": args.n, "k": args.k, "j": args.j,
             "h0": result.h0, "chi": result.chi,
@@ -167,9 +160,9 @@ def _cmd_cohomology(args) -> dict:
     elif args.i is not None:
         method = args.method or "closed"
         if method == "cech":
-            h = cech_line_oracle(args.n, args.k, args.i)
+            h = cohomology.cech_line_oracle(args.n, args.k, args.i)
         else:
-            full = line_cohomology(args.n, args.k)
+            full = cohomology.line_cohomology(args.n, args.k)
             if not (0 <= args.i <= args.n):
                 raise PreconditionError(f"i must lie in [0, {args.n}]")
             h = full.dims[args.i]
@@ -178,7 +171,7 @@ def _cmd_cohomology(args) -> dict:
             "h": h, "method": method,
         }
     else:
-        full = line_cohomology(args.n, args.k)
+        full = cohomology.line_cohomology(args.n, args.k)
         return {
             "n": args.n, "k": args.k,
             "h": list(full.dims), "chi": full.chi,
@@ -187,23 +180,23 @@ def _cmd_cohomology(args) -> dict:
 
 def _cmd_symbol(args) -> dict:
     ops = _parse_operator(args)
-    sym = symbol_of(ops, args.N)
+    sym = symbols.symbol_of(ops, args.N)
     return {
         "m": sym.m, "N": args.N, "size": sym.size,
-        "entries": [[format_terms(p.terms, ("x", "s"), sym.m) for p in row]
+        "entries": [[laurent.format_terms(p.terms, ("x", "s"), sym.m) for p in row]
                     for row in sym.entries],
         "constant_coefficient": sym.constant_coefficient,
-        "torus_operator": torus_operator_check(ops),
+        "torus_operator": symbols.torus_operator_check(ops),
     }
 
 
 def _cmd_elliptic_check(args) -> dict:
-    sym = symbol_of(_parse_operator(args), args.N)
+    sym = symbols.symbol_of(_parse_operator(args), args.N)
     payload = {
         "mode": args.mode, "m": sym.m, "N": args.N,
     }
     if args.mode == "algebraic":
-        res = elliptic_algebraic(sym)
+        res = symbols.elliptic_algebraic(sym)
         payload.update({
             "elliptic": res.elliptic,
             "witness": res.witness.as_strings() if res.witness else None,
@@ -214,7 +207,8 @@ def _cmd_elliptic_check(args) -> dict:
             "reason": res.reason,
         })
     else:
-        res = elliptic_real(sym, depth=args.depth)
+        depth = symbols.DEFAULT_GRID_DEPTH if args.depth is None else args.depth
+        res = symbols.elliptic_real(sym, depth=depth)
         payload.update({
             "verdict": res.verdict,
             "witness": res.witness.as_strings() if res.witness else None,
@@ -234,10 +228,10 @@ def _coefficient(text: str, where: str) -> Fraction:
         raise _UsageError(f"zero denominator in coefficient {text!r} in {where}") from None
 
 
-def _parse_poly(text: str) -> LaurentPoly:
+def _parse_poly(text: str) -> laurent.LaurentPoly:
     """Polynomial text "c * x^(e0,..,em)" terms joined by '+'."""
     try:
-        return LaurentPoly(*parse_terms(text, ("x",)))
+        return laurent.LaurentPoly(*laurent.parse_terms(text, ("x",)))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -250,25 +244,23 @@ def _cmd_jet(args) -> dict:
     if args.free_rank:
         if args.m is None or args.r is None:
             raise _UsageError("--free-rank needs --m and --r")
-        from .jets import jet_free_rank
-
         return {
             "action": "free-rank",
             "m": args.m, "N": args.N, "r": args.r,
-            "rank": jet_free_rank(args.m, args.N, args.r),
+            "rank": jets.jet_free_rank(args.m, args.N, args.r),
         }
     elif args.derive is not None:
         poly = _parse_poly(args.derive)
-        jet = universal_derivation(poly, args.N)
+        jet = jets.universal_derivation(poly, args.N)
         return {
             "action": "derive",
             "m": jet.m, "N": args.N,
-            "jet": format_terms(jet.poly.terms, ("x", "dx"), jet.m),
+            "jet": laurent.format_terms(jet.poly.terms, ("x", "dx"), jet.m),
         }
     else:
         coeffs = [_coefficient(p, "--cyclic") for p in args.cyclic.split(",")]
-        p = UniPoly(coeffs)
-        torsion = cyclic_jet_invariants(p, args.N)
+        p = presented.UniPoly(coeffs)
+        torsion = jets.cyclic_jet_invariants(p, args.N)
         return {
             "action": "cyclic",
             "N": args.N, "modulus": repr(p),
@@ -284,13 +276,13 @@ def _cmd_induced_map(args) -> dict:
     if len(ops) != 1:
         raise _UsageError("induced-map works on a single operator")
     op = ops[0][0]
-    matrix = induced_cohomology_map(args.n, args.a, args.b, op, args.i)
+    matrix = projective.induced_cohomology_map(args.n, args.a, args.b, op, args.i)
     if args.i == 0:
-        source = h0_basis(args.n, args.a)
-        target = h0_basis(args.n, args.b)
+        source = projective.h0_basis(args.n, args.a)
+        target = projective.h0_basis(args.n, args.b)
     else:
-        source = hn_basis(args.n, args.a)
-        target = hn_basis(args.n, args.b)
+        source = projective.hn_basis(args.n, args.a)
+        target = projective.hn_basis(args.n, args.b)
     return {
         "n": args.n, "a": args.a, "b": args.b, "i": args.i,
         "source_dim": matrix.cols, "target_dim": matrix.rows,
@@ -305,7 +297,7 @@ def _cmd_block_op(args) -> dict:
     ops = _parse_operator(args)
     if len(ops) != 1:
         raise _UsageError("block-op takes the off-diagonal operator only")
-    block = block_operator(args.n, args.m, args.d, ops[0][0])
+    block = projective.block_operator(args.n, args.m, args.d, ops[0][0])
     report = block.verify()
     return {
         "n": args.n, "m": args.m, "d": args.d,
@@ -374,7 +366,8 @@ def build_parser() -> _Parser:
     p.add_argument("--op")
     p.add_argument("--matrix")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_GRID_DEPTH)
+    # None, not symbols.DEFAULT_GRID_DEPTH: parsing must not load symbols
+    p.add_argument("--depth", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_elliptic_check)
 

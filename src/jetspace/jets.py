@@ -49,15 +49,6 @@ class JetElement:
     def zero(cls, m: int, order: int) -> "JetElement":
         return cls(m, order, LaurentPoly.zero(2 * m))
 
-    def dx_part(self, k: Exponent) -> LaurentPoly:
-        """Coefficient of dx^k as a polynomial in x."""
-        m = self.m
-        out = {}
-        for e, c in self.poly.terms.items():
-            if e[m:] == tuple(k):
-                out[e[:m]] = c
-        return LaurentPoly(m, out)
-
     def __add__(self, other: "JetElement") -> "JetElement":
         self._check(other)
         return JetElement(self.m, self.order, self.poly + other.poly)

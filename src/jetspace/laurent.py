@@ -263,9 +263,6 @@ class LaurentPoly(TermMap):
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def homogeneous_degree(self) -> int | None:
         """Total degree if every term has the same one, else None.  None for 0."""
         degs = {sum(e) for e in self.terms}

@@ -94,9 +94,6 @@ class ExactMatrix:
             ((i, j), c * d) for (i, k), c in self.entries.items()
             for j, d in other_rows[k].items())))
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, {(j, i): c for (i, j), c in self.entries.items()})
-
     # ---- rank ---------------------------------------------------------
 
     def rank(self) -> int:
@@ -153,16 +150,6 @@ class ExactMatrix:
                     vec[pcol] = -coeff
             basis.append(tuple(vec))
         return basis
-
-    def apply_to_vector(self, vec: Iterable) -> list[Fraction]:
-        v = [_coerce(x) for x in vec]
-        if len(v) != self.cols:
-            raise ValueError("vector has wrong length")
-        out = [Fraction(0)] * self.rows
-        for (i, j), c in self.entries.items():
-            if v[j]:
-                out[i] += c * v[j]
-        return out
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

@@ -532,11 +532,6 @@ class BlockOperator:
         o = self.d12.order()
         return 0 if o is None else max(o, 0)
 
-    def as_matrix(self) -> list[list[WeylElement]]:
-        nvars = self.n + 1
-        return [[WeylElement.one(nvars), WeylElement.zero(nvars)],
-                [self.d12, WeylElement.one(nvars)]]
-
     def verify(self, box: int | None = None) -> BlockOperatorReport:
         """Exact evaluation on chart monomial test sections."""
         if box is None:

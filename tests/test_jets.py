@@ -42,15 +42,6 @@ def test_jet_multiplication_truncates():
     assert (dx2 * dx2 * dx2).is_zero()
 
 
-def test_dx_part_splits_layers():
-    f = lp(2, {(1, 0): 1, (0, 1): 2})
-    j = universal_derivation(f, 2)
-    assert j.dx_part((0, 0)) == f
-    assert j.dx_part((1, 0)) == LaurentPoly.one(2)
-    assert j.dx_part((0, 1)) == 2 * LaurentPoly.one(2)
-    assert j.dx_part((1, 1)).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # universal derivation
 # ---------------------------------------------------------------------------
@@ -59,7 +50,8 @@ def test_universal_derivation_product_example():
     f = lp(2, {(1, 1): 1})            # xy
     j = universal_derivation(f, 2)
     # (x+dx)(y+dy) = xy + x dy + y dx + dx dy
-    assert j.dx_part((0, 0)) == f
+    assert len(j.poly.terms) == 4
+    assert j.poly.coefficient((1, 1, 0, 0)) == 1
     assert j.poly.coefficient((1, 0, 0, 1)) == 1
     assert j.poly.coefficient((0, 1, 1, 0)) == 1
     assert j.poly.coefficient((0, 0, 1, 1)) == 1

@@ -558,11 +558,11 @@ def test_induced_map_functoriality():
 def test_block_operator_shape_and_order():
     d12 = WeylElement.monomial((3, 0), (1, 0))   # degree 2 = m - d with m=0, d=2? no: d - m
     op = block_operator(1, 0, 2, d12)
-    mat = op.as_matrix()
-    assert mat[0][0] == WeylElement.one(2)
-    assert mat[0][1].is_zero()
-    assert mat[1][0] == d12
-    assert mat[1][1] == WeylElement.one(2)
+    s, t = LaurentPoly.monomial((1, -1)), LaurentPoly.monomial((2, 0))
+    zero = LaurentPoly.zero(2)
+    # columns of [[1, 0], [D12, 1]]
+    assert op.apply_pair(s, zero) == (s, d12.apply(s))
+    assert op.apply_pair(zero, t) == (zero, t)
     assert op.order() == 1
 
 
