@@ -14,7 +14,7 @@ The structural rank deficiency comes from the Euler operator E = sum x_i d_i:
 E - a annihilates every degree-a monomial, so phi (E - a) acts as zero for
 every graded phi.  The dimension is therefore at most the candidate count
 minus these relations, and at least the rank on any finite test set; the
-box grows until the two meet, which certifies the dimension.
+two meet on the test set of one box, which certifies the dimension.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
 the minimal order at which operators into a negative twist appear, and the
@@ -36,8 +36,6 @@ from .weyl import WeylElement, euler_operator, falling
 
 Candidate = tuple[Exponent, Exponent]
 
-BOX_GROWTH_STEP = 2
-BOX_GROWTH_LIMIT = 40
 # kernel_cost above this is refused up front; one unit is at most about a
 # microsecond on the inputs timed (2-core Xeon, Python 3.11)
 KERNEL_COST_LIMIT = 10 ** 7
@@ -219,13 +217,10 @@ class _ShiftBlock:
     principal lattice gamma_i = m_i + q_i (q >= 0, |q| <= N - |m|) it is
     triangular with a nonzero diagonal (the lattice is unisolvent, Chung and
     Yao 1977), so those rows reach cap wherever their scalar is nonzero.
-    feed() adds one row; pivot rows persist across calls, so a larger test
-    box only has to feed the monomials it adds.
 
     The block of a lower order K >= |m| is the column prefix |delta| <= K -
-    |m|, C(K - |m| + n, n) columns with the same entries.  Each pivot row
-    sits on its leftmost column, so the rank of that prefix is the number
-    of pivots inside it: rank_at(K).
+    |m|, C(K - |m| + n, n) = ends[K] columns with the same entries; once the
+    square block is nonsingular, that prefix has full column rank ends[K].
     """
 
     __slots__ = ("m", "support", "steps", "ends", "cap", "pivots")
@@ -240,10 +235,6 @@ class _ShiftBlock:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def rank_at(self, order: int) -> int:
-        end = self.ends[order]
-        return sum(1 for c in self.pivots if c < end)
 
     def feed(self, gamma: Exponent) -> bool:
         """Add the row of one test monomial gamma; True while the rank is
@@ -292,8 +283,7 @@ class TwistedDOSpace(NamedTuple):
     rank_history: tuple[tuple[int, int], ...]
 
 
-def global_do_dimension(n: int, a: int, b: int, order: int,
-                        initial_box: int | None = None) -> TwistedDOSpace:
+def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
     """Dimension of the global operator space, with the certifying test box.
 
     The action matrix is block-diagonal by shift, and a block's rank depends
@@ -305,21 +295,28 @@ def global_do_dimension(n: int, a: int, b: int, order: int,
     beta_0 = m_0 only (see _ShiftBlock).  That count is also the block's
     Euler-relation cap, and the same weighted sum over the caps bounds the
     dimension from above, while the rank on a finite test set bounds it
-    from below.  Starting from box = N + |a| + |b| + 2, the box grows by 2
-    until the rank reaches the bound; that box is reported.  Test monomials
-    arrive in shells of tail size (see iter_chart_test_monomials) and go to
-    the blocks still below their cap, and the box is left as soon as none
-    is, so most of the test set is never generated.  A box is either fed in
-    full or left at the bound, so the order of the stream moves neither the
-    box nor the rank history.  Input whose kernel_cost passes
-    KERNEL_COST_LIMIT is refused with PreconditionError before any work.
+    from below.
+
+    The box N + |a| + |b| + 2 always reaches the bound.  With K = N - |m|,
+    it holds the cap rows gamma_i = m_i + t + q_i (i >= 1, q >= 0, |q| <=
+    K), gamma_0 = a - sum_{i >= 1} gamma_i, where t = 0 if m_0 = 0 and t =
+    max(0, floor((b + m_0) / n) + 1) otherwise (then every shift is all
+    negative, b - a = -|m|, and gamma_0 < 0).  Their row scalars are
+    nonzero, and what remains of each row is the falling-factorial basis
+    on a translate of the principal lattice, which is unisolvent; so every
+    block reaches its cap.  Test monomials arrive in shells of tail size
+    (see iter_chart_test_monomials) and go to the blocks still below their
+    cap, and the stream is left as soon as none is, so most of the box is
+    never generated.  A rank below the bound raises InconsistencyError.
+    Input whose kernel_cost passes KERNEL_COST_LIMIT is refused with
+    PreconditionError before any work.
     """
-    return _fed_blocks(n, a, b, order, initial_box)[0]
+    return _fed_blocks(n, a, b, order)[0]
 
 
-def _fed_blocks(n: int, a: int, b: int, order: int, initial_box: int | None
+def _fed_blocks(n: int, a: int, b: int, order: int
                 ) -> tuple[TwistedDOSpace, list[tuple[_ShiftBlock, int]]]:
-    """global_do_dimension's loop; also returns its blocks with their counts."""
+    """global_do_dimension's pass; also returns its blocks with their counts."""
     _check_space(n, order)
     cost = kernel_cost(n, a, b, order)
     if cost > KERNEL_COST_LIMIT:
@@ -328,69 +325,52 @@ def _fed_blocks(n: int, a: int, b: int, order: int, initial_box: int | None
             f"{cost}, above the limit {KERNEL_COST_LIMIT}")
     blocks = [(_ShiftBlock(m, order), count)
               for m, count in shift_orbits(n, a, b, order).items()]
-    bound = sum(count * block.cap for block, count in blocks)
-    box0 = initial_box if initial_box is not None else order + abs(a) + abs(b) + 2
-    # b - a < -N: no candidate, so the start box certifies dim 0 without a
-    # test set (a negative box is still rejected by the test stream)
-    if bound == 0 and box0 >= 0:
-        return TwistedDOSpace(n, a, b, order, 0, box0, ((box0, 0),)), blocks
-    history: list[tuple[int, int]] = []
+    box = order + abs(a) + abs(b) + 2
+    # b - a < -N leaves no block, and so no test set to build
     live = [block for block, _ in blocks]
-    fed_box = -1  # every monomial of this box has been fed
-    for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
+    if live:
         for gamma in iter_chart_test_monomials(n, a, box):
-            if fed_box >= 0 and max(map(abs, gamma)) <= fed_box:
-                continue
             live = [block for block in live if block.feed(gamma)]
             if not live:
                 break
-        fed_box = box
-        rank = sum(count * block.rank for block, count in blocks)
-        history.append((box, rank))
-        if rank == bound:
-            return TwistedDOSpace(n, a, b, order, rank, box, tuple(history)), blocks
-    raise InconsistencyError(
-        f"action-matrix rank {rank} stayed below the Euler-relation bound "
-        f"{bound} for (n={n}, a={a}, b={b}, N={order}) within box {box}")
+    rank = sum(count * block.rank for block, count in blocks)
+    bound = sum(count * block.cap for block, count in blocks)
+    if rank != bound:
+        raise InconsistencyError(
+            f"action-matrix rank {rank} stayed below the Euler-relation bound "
+            f"{bound} for (n={n}, a={a}, b={b}, N={order}) within box {box}")
+    return TwistedDOSpace(n, a, b, order, rank, box, ((box, rank),)), blocks
 
 
-# (n, a, b) -> the longest sweep do_dimensions has returned, for do_dimension
+# (n, a, b) -> the longest sweep computed so far, dims for N = 0..top
 _SWEEPS: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
-@lru_cache(maxsize=None)
 def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
     """dim DO^N(O(a), O(b)) for N = 0..top, from one pass at order top.
 
     The shift orbits of a lower order K are those of order top with
     |m| <= K, with the same counts, and their blocks are column prefixes of
-    the top blocks (see _ShiftBlock).  Each order's rank is certified
-    against its own Euler-relation bound, sum count C(K - |m| + n, n).
+    the top blocks (see _ShiftBlock).  The pass certifies the top order:
+    rank = bound forces every square block to its cap, so every block is
+    nonsingular and each prefix has full column rank.  The rank of order K
+    is then its own Euler-relation bound, sum count C(K - |m| + n, n), and
+    that is dim DO^K.  A stored sweep at least as long is read instead.
     """
-    space, blocks = _fed_blocks(n, a, b, top, None)
-    dims = []
-    for order in range(top + 1):
-        rank = sum(count * block.rank_at(order) for block, count in blocks)
-        bound = sum(count * block.ends[order] for block, count in blocks)
-        if rank != bound:
-            raise InconsistencyError(
-                f"action-matrix rank {rank} at order {order} misses the "
-                f"Euler-relation bound {bound} for (n={n}, a={a}, b={b}, "
-                f"N={top}) within box {space.box}")
-        dims.append(rank)
-    if top >= len(_SWEEPS.get((n, a, b), ())):
-        _SWEEPS[(n, a, b)] = tuple(dims)
-    return tuple(dims)
+    _check_space(n, top)
+    dims = _SWEEPS.get((n, a, b), ())
+    if top < len(dims):
+        return dims[:top + 1]
+    blocks = _fed_blocks(n, a, b, top)[1]
+    dims = tuple(sum(count * block.ends[order] for block, count in blocks)
+                 for order in range(top + 1))
+    _SWEEPS[(n, a, b)] = dims
+    return dims
 
 
 @lru_cache(maxsize=None)
 def do_dimension(n: int, a: int, b: int, order: int) -> int:
-    """Cached dimension of one order: read off the longest sweep computed
-    so far for (n, a, b) when it reaches this order, else the last entry
-    of do_dimensions(n, a, b, order)."""
-    dims = _SWEEPS.get((n, a, b), ())
-    if 0 <= order < len(dims):
-        return dims[order]
+    """Cached dimension of one order, read off do_dimensions' sweep."""
     return do_dimensions(n, a, b, order)[order]
 
 

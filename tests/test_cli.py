@@ -335,6 +335,7 @@ def test_precondition_exit(capsys):
 @pytest.mark.parametrize("argv", [
     ("jet", "--derive", "1 * x^(1)", "--N=-1"),
     ("jet", "--cyclic=1", "--N=-1"),
+    ("jet", "--cyclic", "1,1", "--N", "100000000"),
     ("induced-map", "--n", "0", "--a", "0", "--b", "0", "--i", "0",
      "--op", "1 * x^(0) d^(0)"),
     ("block-op", "--n", "0", "--m", "0", "--d", "0", "--op", "1 * x^(0) d^(0)"),

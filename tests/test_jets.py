@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial
+from jetspace import jets
 from jetspace.errors import PreconditionError
 from jetspace.jets import (JetElement, cyclic_jet_invariants,
                            do_jet_correspondence_check, evaluate_jet_map,
@@ -217,6 +218,16 @@ def test_cyclic_jet_invariants_units_and_errors():
         cyclic_jet_invariants(UniPoly.zero(), 2)
     with pytest.raises(PreconditionError):
         cyclic_jet_invariants(t, -1)
+
+
+def test_cyclic_jet_invariants_refuse_a_length_over_the_limit():
+    # length deg(p) * (N + 1): the limit itself is computed, a longer one refused
+    limit = jets.CYCLIC_JET_LENGTH_LIMIT
+    assert sum(d.degree() for d in cyclic_jet_invariants(t, limit - 1)) == limit
+    with pytest.raises(PreconditionError, match=f"length {limit + 2}, above the limit {limit}"):
+        cyclic_jet_invariants(t * t + t, limit // 2)
+    with pytest.raises(PreconditionError, match="length 100000001, above the limit"):
+        cyclic_jet_invariants(t + UniPoly.one(), 10 ** 8)
 
 
 # ---------------------------------------------------------------------------

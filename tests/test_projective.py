@@ -12,11 +12,10 @@ from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
 from jetspace.errors import InconsistencyError, PreconditionError
 from jetspace.growth import closed_form_dimension, verify_growth
-from jetspace import projective
+from jetspace import cli, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
-from jetspace.projective import (BOX_GROWTH_LIMIT, BOX_GROWTH_STEP,
-                                 KERNEL_COST_LIMIT, BlockOperator,
+from jetspace.projective import (KERNEL_COST_LIMIT, BlockOperator,
                                  action_matrix, block_operator,
                                  candidate_count, candidate_monomials,
                                  chart_test_monomials, do_dimension,
@@ -101,8 +100,6 @@ def test_negative_box_rejected_by_every_entry_point():
         iter_chart_test_monomials(2, 0, -1)
     with pytest.raises(PreconditionError, match="box must be nonnegative"):
         chart_test_monomials(2, 0, -1)
-    with pytest.raises(PreconditionError, match="box must be nonnegative"):
-        global_do_dimension(2, 0, 1, 2, initial_box=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +164,19 @@ def euler_bound(n, a, b, order):
                for m, count in shift_orbits(n, a, b, order).items())
 
 
-def reference_rank_history(n, a, b, order, box0=None):
-    """An independent box loop on the whole Fraction action matrix: accept a
-    rank once it is unchanged across three boxes.  Returns (dim, box,
-    history); dim and box are None when the rank does not stabilize within
-    the growth limit."""
+REFERENCE_BOX_STEP = 2
+REFERENCE_BOX_LIMIT = 40
+
+
+def reference_rank_history(n, a, b, order):
+    """An independent box loop on the whole Fraction action matrix from the
+    start box: accept a rank once it is unchanged across three boxes.
+    Returns (dim, box, history); dim and box are None when the rank does not
+    stabilize within the limit."""
     cands = candidate_monomials(n, a, b, order)
-    if box0 is None:
-        box0 = order + abs(a) + abs(b) + 2
+    box0 = order + abs(a) + abs(b) + 2
     history = []
-    for box in range(box0, box0 + BOX_GROWTH_LIMIT + 1, BOX_GROWTH_STEP):
+    for box in range(box0, box0 + REFERENCE_BOX_LIMIT + 1, REFERENCE_BOX_STEP):
         m = action_matrix(cands, chart_test_monomials(n, a, box))
         history.append((box, m.rank()))
         if len(history) >= 3 and len({r for _, r in history[-3:]}) == 1:
@@ -195,41 +195,16 @@ def test_block_kernel_matches_action_matrix(n, span, max_order):
                 assert history[:len(space.rank_history)] == space.rank_history
 
 
-def test_block_kernel_matches_action_matrix_from_small_boxes():
-    # below the default start the ranks still grow, so the pivots carried
-    # from box to box are what the later ranks are built on
-    grew = 0
-    for n, a, b, order in [(1, 0, 0, 3), (1, 2, -1, 3), (1, -2, 1, 2),
-                           (2, 0, 0, 2), (2, 1, -1, 2), (2, -1, 1, 1)]:
-        for box0 in (0, 1):
-            _, _, history = reference_rank_history(n, a, b, order, box0)
-            space = global_do_dimension(n, a, b, order, initial_box=box0)
-            assert history[:len(space.rank_history)] == space.rank_history
-            assert space.dim == closed_form_dimension(n, b - a, order), \
-                (n, a, b, order, box0)
-            grew += space.rank_history[0][1] < space.dim
-    assert grew >= 6
-
-
-def test_small_start_boxes_reach_the_true_dimension():
-    # no degree -5 chart monomial fits in a box below 5, so from box 0 the
-    # rank of (1, -5, -5, 0) reads 0 at boxes 0, 2 and 4 although the
-    # identity is a global operator; only the bound tells the box is too small
-    assert global_do_dimension(1, -5, -5, 0, initial_box=0).dim == 1
-    for n, span, max_order in [(1, 5, 3), (2, 3, 2)]:
-        for a in range(-span, span + 1):
-            for b in range(-span, span + 1):
-                for order in range(max_order + 1):
-                    expected = closed_form_dimension(n, b - a, order)
-                    for box0 in range(4):
-                        space = global_do_dimension(n, a, b, order, initial_box=box0)
-                        assert space.dim == expected, (n, a, b, order, box0)
-
-
-def test_bound_not_reached_within_limit_is_inconsistent(monkeypatch):
-    monkeypatch.setattr(projective, "BOX_GROWTH_LIMIT", 2)
-    with pytest.raises(InconsistencyError, match="Euler-relation bound 1 "):
-        global_do_dimension(1, -5, -5, 0, initial_box=0)
+def test_bound_not_reached_within_limit_is_inconsistent(monkeypatch, capsys):
+    # a starved test stream leaves the rank below the bound: exit 3
+    monkeypatch.setattr(projective, "iter_chart_test_monomials",
+                        lambda n, a, box: iter(()))
+    with pytest.raises(InconsistencyError, match=(
+            r"rank 0 stayed below the Euler-relation bound 1 "
+            r"for \(n=1, a=-5, b=-5, N=0\) within box 12")):
+        global_do_dimension(1, -5, -5, 0)
+    assert cli.main(["dim-do", "--n", "1", "--a", "-5", "--b", "-5", "--N", "0"]) == 3
+    assert "Euler-relation bound 1 " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, a, b, order", [(3, 0, -30, 1), (1, 0, -40, 1),
@@ -267,21 +242,50 @@ def test_sweep_entries_are_the_cached_orders():
     assert info.hits + info.misses > 0
 
 
-def test_sweep_certifies_each_order_against_its_bound(monkeypatch):
-    true_rank = projective._ShiftBlock.rank_at
-    monkeypatch.setattr(projective._ShiftBlock, "rank_at",
-                        lambda block, order: 0 if order == 1 else true_rank(block, order))
-    # the top order alone still certifies: global_do_dimension is unaffected
-    assert global_do_dimension(2, 0, 0, 3).dim == 100
-    with pytest.raises(InconsistencyError, match=(
-            r"rank 0 at order 1 misses the Euler-relation bound 9 "
-            r"for \(n=2, a=0, b=0, N=3\)")):
-        do_dimensions.__wrapped__(2, 0, 0, 3)
-
-
 def test_sweep_rejects_a_negative_top():
     with pytest.raises(PreconditionError, match="operator order must be >= 0"):
         do_dimensions(2, 0, 0, -1)
+
+
+def lattice_rows(n, a, b, m, order):
+    """The cap rows on which the block of m is unisolvent: gamma_i = m_i +
+    t + q_i (i >= 1, q >= 0, |q| <= N - |m|), gamma_0 = a - sum_{i >= 1}
+    gamma_i, with t = 0 if m_0 = 0, else t = max(0, floor((b + m_0) / n) + 1)
+    so that gamma_0 < 0."""
+    t = 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
+    rows = []
+    for k in range(order - sum(m) + 1):
+        for q in monomials_of_degree(n, k):
+            tail = tuple(mi + t + qi for mi, qi in zip(m[1:], q))
+            rows.append((a - sum(tail), *tail))
+    return rows
+
+
+@pytest.mark.parametrize("n, span, max_order", [(1, 5, 8), (2, 4, 6), (3, 3, 5), (4, 3, 5)])
+def test_start_box_holds_a_unisolvent_lattice_for_every_block(n, span, max_order):
+    # the lemma behind the single pass: every block reaches its cap on rows
+    # of the start box, including the all-negative shifts (b - a <= -(n + 1))
+    all_negative = 0
+    for a in range(-span, span + 1):
+        for b in range(-span, span + 1):
+            for order in range(max_order + 1):
+                box = order + abs(a) + abs(b) + 2
+                for m in shift_orbits(n, a, b, order):
+                    rows = lattice_rows(n, a, b, m, order)
+                    assert len(set(rows)) == len(rows)
+                    for gamma in rows:
+                        assert sum(gamma) == a and max(map(abs, gamma)) <= box
+                        assert sum(1 for g in gamma if g < 0) <= 1, (m, gamma)
+                    block = projective._ShiftBlock(m, order)
+                    for gamma in rows:
+                        block.feed(gamma)
+                    assert block.rank == block.cap == len(rows), (n, a, b, order, m)
+                    all_negative += m[0] > 0
+                dim = closed_form_dimension(n, b - a, order)
+                space = global_do_dimension(n, a, b, order)
+                assert (space.dim, space.box, space.rank_history) == (
+                    dim, box, ((box, dim),)), (n, a, b, order)
+    assert all_negative > 0
 
 
 def full_block_rank(m, order, rows):
@@ -317,8 +321,9 @@ def test_square_block_rank_is_the_full_block_rank(n, a, b, top):
             for gamma in rows:
                 block.feed(gamma)
             for order in range(sum(m), top + 1):
-                assert block.rank_at(order) == full_block_rank(m, order, rows), \
-                    (m, order, rows)
+                # each pivot row sits on its leftmost column
+                prefix_rank = sum(1 for c in block.pivots if c < block.ends[order])
+                assert prefix_rank == full_block_rank(m, order, rows), (m, order, rows)
 
 
 def recorded_grid():
@@ -326,17 +331,23 @@ def recorded_grid():
 
 
 def test_dims_boxes_and_histories_match_the_full_block_recording():
-    # recorded with full shift blocks fed in sorted order (commit 054fefe)
+    # recorded with full shift blocks fed in sorted order (commit 054fefe);
+    # the entries recorded from start boxes 0 and 1 pin the dimension only
     grid = recorded_grid()
     for n, a, b, order, box0, dim, box, history in grid["spaces"]:
-        space = global_do_dimension(n, a, b, order, initial_box=box0)
-        assert (space.dim, space.box, space.rank_history) == (
-            dim, box, tuple(map(tuple, history))), (n, a, b, order, box0)
+        space = global_do_dimension(n, a, b, order)
+        if box0 is None:
+            assert (space.dim, space.box, space.rank_history) == (
+                dim, box, tuple(map(tuple, history))), (n, a, b, order)
+        else:
+            assert space.dim == dim, (n, a, b, order, box0)
     for n, a, b, top, dims in grid["sweeps"]:
-        assert do_dimensions.__wrapped__(n, a, b, top) == tuple(dims), (n, a, b, top)
+        projective._SWEEPS.clear()
+        assert do_dimensions(n, a, b, top) == tuple(dims), (n, a, b, top)
 
 
 def test_do_dimension_reads_a_longer_cached_sweep(monkeypatch):
+    projective._SWEEPS.clear()
     sweep = do_dimensions(1, 9, 8, 4)
     with pytest.raises(PreconditionError, match="operator order must be >= 0"):
         do_dimension(1, 9, 8, -1)
@@ -344,10 +355,23 @@ def test_do_dimension_reads_a_longer_cached_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cached order was computed again")
 
-    monkeypatch.setattr(projective, "do_dimensions", refuse)
+    monkeypatch.setattr(projective, "_fed_blocks", refuse)
     assert tuple(do_dimension.__wrapped__(1, 9, 8, k) for k in range(5)) == sweep
     with pytest.raises(AssertionError, match="computed again"):
         do_dimension.__wrapped__(1, 9, 8, 5)
+
+
+def test_lower_orders_after_a_sweep_run_no_pass(monkeypatch):
+    projective._SWEEPS.clear()
+    passes = []
+    fed_blocks = projective._fed_blocks
+    monkeypatch.setattr(projective, "_fed_blocks",
+                        lambda *args: passes.append(args) or fed_blocks(*args))
+    verify_growth(2, 0, -1)
+    assert passes == [(2, 0, -1, 4)]
+    assert strictness_check(2, 0, -1, 2)
+    assert do_dimensions(2, 0, -1, 3) == (0, 3, 18, 60)
+    assert passes == [(2, 0, -1, 4)]
 
 
 def test_negative_twist_search_reuses_the_growth_sweep(monkeypatch):
@@ -390,11 +414,6 @@ def test_negative_twist_script_replays_its_recording(capsys):
     assert script["main"](["--n", "2", "--max-drop", "3", "--budget", "4"]) == 0
     recorded = (root / "tests" / "data" / "negative_twist_search.txt").read_text()
     assert capsys.readouterr().out == recorded
-
-
-def test_zero_bound_still_rejects_negative_box():
-    with pytest.raises(PreconditionError, match="box must be nonnegative"):
-        global_do_dimension(1, 0, -40, 1, initial_box=-1)
 
 
 def test_shift_orbits_cover_every_candidate():
