@@ -17,8 +17,7 @@ injective, so h^0 is a difference of binomial counts.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -30,17 +29,12 @@ CECH_MAX_TWIST = 12
 
 def chi_line(n: int, k: int) -> int:
     """Euler characteristic of O(k) on P^n: the binomial (n+k choose n) as a
-    polynomial in k, so negative twists produce signed values."""
+    polynomial in k, so negative twists produce signed values.  In integers:
+    a product of n consecutive integers is divisible by n!, whatever their
+    sign."""
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
-    num = 1
-    for i in range(1, n + 1):
-        num *= k + i
-    chi = Fraction(num, 1)
-    for i in range(2, n + 1):
-        chi /= i
-    assert chi.denominator == 1
-    return int(chi)
+    return prod(range(k + 1, k + n + 1)) // factorial(n)
 
 
 def h0_line(n: int, k: int) -> int:

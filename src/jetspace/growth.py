@@ -16,10 +16,10 @@ that counts candidate shifts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import NamedTuple
 
-from .cohomology import _h0_sym_tangent, h0_line
+from .cohomology import _h0_sym_tangent, chi_line, h0_line
 from .errors import PreconditionError, StabilizationError
 from .projective import do_dimension, do_dimensions
 
@@ -76,12 +76,6 @@ class GrowthPolynomial(NamedTuple):
         return acc
 
 
-def _binomial_value(n: int, shift: int, order: int) -> int:
-    """binom(N + shift + n, n) at N = order, in integers: a product of n
-    consecutive integers is divisible by n!, whatever their sign."""
-    return prod(range(order + shift + 1, order + shift + n + 1)) // factorial(n)
-
-
 def dimension_sweep(n: int, a: int, b: int, n_max: int) -> list[int]:
     """dim DO^N(O(a), O(b)) for N = 0..n_max, from one pass at order n_max."""
     if n_max < 0:
@@ -136,7 +130,7 @@ def stabilization_threshold(n: int, a: int, b: int, n_max: int,
         expected = [expected_delta(n, order, d) for order in range(1, n_max + 1)]
     matches = [dims[order] - dims[order - 1] == expected[order - 1]
                for order in range(1, n_max + 1)]
-    constants = [dims[order] - _binomial_value(n, 0, order) * _binomial_value(n, d, order)
+    constants = [dims[order] - chi_line(n, order) * chi_line(n, order + d)
                  for order in range(n_max + 1)]
     for threshold in range(n_max):
         if all(matches[threshold:]) and len(set(constants[threshold:])) == 1:
@@ -149,8 +143,8 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
                       dim_at_threshold: int | None = None) -> GrowthPolynomial:
     if dim_at_threshold is None:
         dim_at_threshold = do_dimension(n, a, b, threshold)
-    constant = Fraction(dim_at_threshold - _binomial_value(n, 0, threshold)
-                        * _binomial_value(n, b - a, threshold))
+    constant = Fraction(dim_at_threshold - chi_line(n, threshold)
+                        * chi_line(n, threshold + b - a))
     # (n!)^2 binom(N + n, n) binom(N + b - a + n, n) is the product of the
     # N + r below: ascending integer coefficients, divided once by (n!)^2
     product = [1]

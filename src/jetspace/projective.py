@@ -14,7 +14,8 @@ The structural rank deficiency comes from the Euler operator E = sum x_i d_i:
 E - a annihilates every degree-a monomial, so phi (E - a) acts as zero for
 every graded phi.  The dimension is therefore at most the candidate count
 minus these relations, and at least the rank on any finite test set; the
-two meet on the test set of one box, which certifies the dimension.
+two meet on a lattice of test rows per shift block, all inside one box,
+which certifies the dimension.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
 the minimal order at which operators into a negative twist appear, and the
@@ -23,22 +24,26 @@ unipotent block construction pairing a twist with a shifted twist.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import NamedTuple
 
+from . import cohomology, weyl
 from .errors import InconsistencyError, PreconditionError
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
 from .linalg import ExactMatrix, add_pivot_row
-from .weyl import WeylElement, euler_operator, falling
 
 Candidate = tuple[Exponent, Exponent]
 
 # kernel_cost above this is refused up front; one unit is at most about a
 # microsecond on the inputs timed (2-core Xeon, Python 3.11)
 KERNEL_COST_LIMIT = 10 ** 7
+
+# induced_cohomology_map refuses a dense matrix with more cells than this
+INDUCED_MAP_CELL_LIMIT = 10 ** 6
 
 
 def _check_space(n: int, order: int) -> None:
@@ -73,48 +78,16 @@ def candidate_count(n: int, a: int, b: int, order: int) -> int:
 
 def chart_test_monomials(n: int, a: int, box: int) -> list[Exponent]:
     """Degree-a Laurent monomials with at most one negative exponent and all
-    exponents in [-box, box], sorted."""
-    return sorted(iter_chart_test_monomials(n, a, box))
-
-
-def iter_chart_test_monomials(n: int, a: int, box: int) -> Iterator[Exponent]:
-    """The monomials of chart_test_monomials(n, a, box), generated lazily in
-    shells of tail size |gamma_1| + ... + |gamma_n|, each shell sorted.
-
-    The tail fixes gamma_0 = a - (gamma_1 + ... + gamma_n).  A shell holds
-    the nonnegative tails of sum t, and the tails with one entry -v < 0 and
-    the rest summing to t - v, whose gamma_0 = a - t + 2v must then lie in
-    [0, box].  Small shells come first for the kernel: by the Euler column
-    identity sum_i col(beta + e_i) + (|beta| - a) col(beta) = 0, a shift
-    block of negative part m is ranked on its columns with beta_0 = m_0,
-    whose entries depend on the tail alone up to a row scalar, and on the
-    lattice gamma_i = m_i + q_i (i >= 1, q >= 0, |q| <= N - |m|) those
-    columns are triangular (see _ShiftBlock).  The box is checked when the
-    stream is created, before anything is iterated.
-    """
+    exponents in [-box, box], sorted: the nonnegative ones, and those with
+    one slot at -v for v = 1..box."""
     if box < 0:
         raise PreconditionError("box must be nonnegative")
-
-    def shells() -> Iterator[Exponent]:
-        for t in range(n * box + 1):
-            shell = []
-            if -box <= a - t <= box:
-                shell += [(a - t, *tail) for tail in _bounded_monomials(n, t, box)]
-            for v in range(max(1, -((a - t) // 2)), min(box, t, (t - a + box) // 2) + 1):
-                for rest in _bounded_monomials(n - 1, t - v, box):
-                    shell += [(a - t + 2 * v, *rest[:j], -v, *rest[j:])
-                              for j in range(n)]
-            shell.sort()
-            yield from shell
-
-    return shells()
-
-
-def _bounded_monomials(nvars: int, degree: int, box: int) -> list[Exponent]:
-    """Nonnegative exponent tuples of the given total degree with every
-    entry at most box, sorted."""
-    tails = monomials_of_degree(nvars, degree)
-    return tails if degree <= box else [e for e in tails if max(e) <= box]
+    out = [e for e in monomials_of_degree(n + 1, a) if max(e) <= box]
+    for v in range(1, box + 1):
+        for rest in monomials_of_degree(n, a + v):
+            if max(rest, default=0) <= box:
+                out += [(*rest[:j], -v, *rest[j:]) for j in range(n + 1)]
+    return sorted(out)
 
 
 def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> ExactMatrix:
@@ -130,7 +103,7 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
                     key = (g, bexp)
                     ff = ff_cache.get(key)
                     if ff is None:
-                        ff = falling(g, bexp)
+                        ff = weyl.falling(g, bexp)
                         ff_cache[key] = ff
                     coeff *= ff
                     if coeff == 0:
@@ -153,7 +126,7 @@ def kernel_cost(n: int, a: int, b: int, order: int) -> int:
         sum_{k = max(0, a - b)..N} C(k + n, n) (n + 1 + C(N - k + n, n)^2),
 
     one term per negative part m of size k that shift_orbits walks: its
-    n + 1 entries plus the cells of its square block (see _ShiftBlock).
+    n + 1 entries plus the cells of its square block (see _block_rank).
     The sum stops as soon as it passes KERNEL_COST_LIMIT, so a huge N
     costs nothing."""
     total = 0
@@ -187,76 +160,75 @@ def shift_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
     return orbits
 
 
-class _ShiftBlock:
-    """Incremental rank of one square shift block of the action matrix.
+def _lattice_rows(n: int, a: int, b: int, m: Exponent, order: int
+                  ) -> Iterator[Exponent]:
+    """The C(N - |m| + n, n) test rows on which the block of m is ranked:
+    gamma_i = m_i + t + q_i (i >= 1, q >= 0, |q| <= N - |m|) and gamma_0 =
+    a - sum_{i >= 1} gamma_i.  If m_0 = 0, t = 0.  Otherwise every shift of
+    the orbit is all negative, b - a = -|m|, and t = max(0, floor((b + m_0)
+    / n) + 1) makes gamma_0 = b + m_0 - n t - |q| < 0.  Either way gamma_i
+    >= 0 for i >= 1, so each row is a chart monomial."""
+    t = 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
+    base = [mi + t for mi in m[1:]]
+    head = a - sum(base)
+    for k in range(order - sum(m) + 1):
+        for q in monomials_of_degree(n, k):
+            yield (head - k, *map(add, base, q))
+
+
+def _block_rank(m: Exponent, order: int, rows: Iterable[Exponent]) -> int:
+    """Rank of the square shift block of m at order N on the given rows.
 
     The full block of a shift s with negative part m has rows the test
     monomials gamma, columns the beta >= m with |beta| <= N, and entries the
     integers prod_j ff(gamma_j, beta_j) (the coefficient of x^(gamma + s) in
-    x^(beta + s) d^beta x^gamma).  Since ff(g, t + 1) = ff(g, t) (g - t) and
+    x^(beta + s) d^beta x^gamma).  Since ff(g, r + 1) = ff(g, r) (g - r) and
     sum_i gamma_i = a, every test row satisfies the Euler column identity
 
         sum_i col(beta + e_i) + (|beta| - a) col(beta) = 0,
 
     which writes col(beta + e_0) through columns of smaller beta_0 and no
     larger |beta|.  So the columns with beta_0 = m_0 span every column
-    prefix |beta| <= K, on any set of rows, and the block keeps only them:
-    beta = (m_0, m_1 + delta_1, ..., m_n + delta_n) with |delta| <= N - |m|,
-    sorted by |delta|.  There are cap = C(N - |m| + n, n) of them, as many
-    as the Euler relations phi (E - a) (phi of shift s and order <= N - 1)
-    among the full block's columns, which are independent (right
-    multiplication by E - a is injective); so the rank is at most cap, and
-    once it is reached the square block is nonsingular and feeding stops.
+    prefix |beta| <= K, on any set of rows, and the square block keeps only
+    them: beta = (m_0, m_1 + delta_1, ..., m_n + delta_n) with |delta| <=
+    N - |m|, sorted by |delta|.  There are cap = C(N - |m| + n, n) of them,
+    as many as the Euler relations phi (E - a) (phi of shift s and order
+    <= N - 1) among the full block's columns, which are independent (right
+    multiplication by E - a is injective); so the rank is at most cap.
 
-    Per coordinate ff(g, e + t) = ff(g, e) ff(g - e, t), so a row is the
+    Per coordinate ff(g, e + r) = ff(g, e) ff(g - e, r), so a row is the
     scalar prod_j ff(gamma_j, m_j) times the row of prod_j ff(gamma_j - m_j,
-    delta_j).  The scalar does not change the rank: feed() skips the row
-    where it is 0 (some 0 <= gamma_j < m_j) and leaves it out otherwise.
+    delta_j).  The scalar does not change the rank: a row where it is 0
+    (some 0 <= gamma_j < m_j) is skipped, and otherwise it is left out.
     What remains is the falling-factorial basis of the polynomials of
-    degree <= N - |m| in gamma_1 - m_1, ..., gamma_n - m_n.  On the
-    principal lattice gamma_i = m_i + q_i (q >= 0, |q| <= N - |m|) it is
-    triangular with a nonzero diagonal (the lattice is unisolvent, Chung and
-    Yao 1977), so those rows reach cap wherever their scalar is nonzero.
+    degree <= N - |m| in gamma_1 - m_1, ..., gamma_n - m_n.  On a translate
+    gamma_i = m_i + t + q_i (t >= 0, q >= 0, |q| <= N - |m|) of the
+    principal lattice it is unisolvent (Chung and Yao 1977), so on the rows
+    of _lattice_rows, whose scalars are nonzero, the rank is cap.
 
-    The block of a lower order K >= |m| is the column prefix |delta| <= K -
-    |m|, C(K - |m| + n, n) = ends[K] columns with the same entries; once the
-    square block is nonsingular, that prefix has full column rank ends[K].
+    Row entries grow one factor per column step, and each row is reduced
+    against the pivots in exact integers.
     """
-
-    __slots__ = ("m", "support", "steps", "ends", "cap", "pivots")
-
-    def __init__(self, m: Exponent, order: int):
-        self.m = m
-        self.support = [(j, e) for j, e in enumerate(m) if e]
-        self.steps, self.ends = _square_layout(m, order)
-        self.cap = len(self.steps) + 1
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def feed(self, gamma: Exponent) -> bool:
-        """Add the row of one test monomial gamma; True while the rank is
-        below cap.  Row entries grow one factor per column step."""
-        for j, e in self.support:
+    support = [(j, e) for j, e in enumerate(m) if e]
+    steps = _square_layout(m, order)
+    pivots: dict[int, dict[int, int]] = {}
+    for gamma in rows:
+        for j, e in support:
             if 0 <= gamma[j] < e:
-                return True
-        vals = [1]
-        for p, j, off in self.steps:
-            vals.append(vals[p] * (gamma[j] - off))
-        add_pivot_row(self.pivots, {i: v for i, v in enumerate(vals) if v})
-        return len(self.pivots) < self.cap
+                break
+        else:
+            vals = [1]
+            for p, j, off in steps:
+                vals.append(vals[p] * (gamma[j] - off))
+            add_pivot_row(pivots, {i: v for i, v in enumerate(vals) if v})
+    return len(pivots)
 
 
 @lru_cache(maxsize=1024)
-def _square_layout(m: Exponent, order: int
-                   ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+def _square_layout(m: Exponent, order: int) -> tuple[tuple[int, int, int], ...]:
     """The square block's columns after the first, delta = 0, as steps
     (p, j, off): the entry of column i is that of column p, where delta_j
-    is one less, times gamma_j - off with off = m_j + delta_j - 1.  Also,
-    for each order K <= N, the end of the column prefix of order K,
-    C(K - |m| + n, n), or 0 below |m|."""
+    is one less, times gamma_j - off with off = m_j + delta_j - 1."""
     n = len(m) - 1
     deltas = [(0,) + delta for k in range(order - sum(m) + 1)
               for delta in monomials_of_degree(n, k)]
@@ -266,9 +238,7 @@ def _square_layout(m: Exponent, order: int
         j = next(j for j, e in enumerate(delta) if e)
         parent = delta[:j] + (delta[j] - 1,) + delta[j + 1:]
         steps.append((index[parent], j, m[j] + parent[j]))
-    ends = tuple(comb(k - sum(m) + n, n) if k >= sum(m) else 0
-                 for k in range(order + 1))
-    return tuple(steps), ends
+    return tuple(steps)
 
 
 class TwistedDOSpace(NamedTuple):
@@ -289,57 +259,57 @@ def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
     The action matrix is block-diagonal by shift, and a block's rank depends
     only on the sorted negative part m of its shift (the test set is
     symmetric under permuting coordinates), so the rank is a weighted sum of
-    one integer block rank per shift orbit.  On every test row the Euler
-    column identity sum_i col(beta + e_i) + (|beta| - a) col(beta) = 0
-    holds, so each block is ranked on its C(N - |m| + n, n) columns with
-    beta_0 = m_0 only (see _ShiftBlock).  That count is also the block's
-    Euler-relation cap, and the same weighted sum over the caps bounds the
-    dimension from above, while the rank on a finite test set bounds it
-    from below.
+    one integer block rank per shift orbit.  Each block is ranked on its
+    C(N - |m| + n, n) columns with beta_0 = m_0 only (see _block_rank).
+    That count is also the block's Euler-relation cap, and the same
+    weighted sum over the caps bounds the dimension from above, while the
+    rank on any set of test rows bounds it from below.
 
-    The box N + |a| + |b| + 2 always reaches the bound.  With K = N - |m|,
-    it holds the cap rows gamma_i = m_i + t + q_i (i >= 1, q >= 0, |q| <=
-    K), gamma_0 = a - sum_{i >= 1} gamma_i, where t = 0 if m_0 = 0 and t =
-    max(0, floor((b + m_0) / n) + 1) otherwise (then every shift is all
-    negative, b - a = -|m|, and gamma_0 < 0).  Their row scalars are
-    nonzero, and what remains of each row is the falling-factorial basis
-    on a translate of the principal lattice, which is unisolvent; so every
-    block reaches its cap.  Test monomials arrive in shells of tail size
-    (see iter_chart_test_monomials) and go to the blocks still below their
-    cap, and the stream is left as soon as none is, so most of the box is
-    never generated.  A rank below the bound raises InconsistencyError.
-    Input whose kernel_cost passes KERNEL_COST_LIMIT is refused with
-    PreconditionError before any work.
+    Each block is ranked on its cap rows of _lattice_rows, which lie in the
+    box N + |a| + |b| + 2 and on which the block is unisolvent, so the two
+    bounds meet in one pass.  A row outside the box, or a rank below the
+    bound, raises InconsistencyError.  Input whose kernel_cost passes
+    KERNEL_COST_LIMIT is refused with PreconditionError before any work.
     """
-    return _fed_blocks(n, a, b, order)[0]
+    orbits = _certified_orbits(n, a, b, order)
+    dim = _orbit_dimension(n, orbits, order)
+    box = order + abs(a) + abs(b) + 2
+    return TwistedDOSpace(n, a, b, order, dim, box, ((box, dim),))
 
 
-def _fed_blocks(n: int, a: int, b: int, order: int
-                ) -> tuple[TwistedDOSpace, list[tuple[_ShiftBlock, int]]]:
-    """global_do_dimension's pass; also returns its blocks with their counts."""
+def _certified_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
+    """global_do_dimension's pass: the shift orbits of order N, once every
+    block has reached its cap on its lattice rows."""
     _check_space(n, order)
     cost = kernel_cost(n, a, b, order)
     if cost > KERNEL_COST_LIMIT:
         raise PreconditionError(
             f"(n={n}, a={a}, b={b}, N={order}) has kernel cost at least "
             f"{cost}, above the limit {KERNEL_COST_LIMIT}")
-    blocks = [(_ShiftBlock(m, order), count)
-              for m, count in shift_orbits(n, a, b, order).items()]
+    orbits = shift_orbits(n, a, b, order)
     box = order + abs(a) + abs(b) + 2
-    # b - a < -N leaves no block, and so no test set to build
-    live = [block for block, _ in blocks]
-    if live:
-        for gamma in iter_chart_test_monomials(n, a, box):
-            live = [block for block in live if block.feed(gamma)]
-            if not live:
-                break
-    rank = sum(count * block.rank for block, count in blocks)
-    bound = sum(count * block.cap for block, count in blocks)
+    rank = 0
+    for m, count in orbits.items():
+        rows = list(_lattice_rows(n, a, b, m, order))
+        for gamma in rows:
+            if max(map(abs, gamma)) > box:
+                raise InconsistencyError(
+                    f"lattice row {gamma} of the block {m} left the box {box} "
+                    f"for (n={n}, a={a}, b={b}, N={order})")
+        rank += count * _block_rank(m, order, rows)
+    bound = _orbit_dimension(n, orbits, order)
     if rank != bound:
         raise InconsistencyError(
             f"action-matrix rank {rank} stayed below the Euler-relation bound "
             f"{bound} for (n={n}, a={a}, b={b}, N={order}) within box {box}")
-    return TwistedDOSpace(n, a, b, order, rank, box, ((box, rank),)), blocks
+    return orbits
+
+
+def _orbit_dimension(n: int, orbits: dict[Exponent, int], order: int) -> int:
+    """sum count C(K - |m| + n, n) over the orbits with |m| <= K = order:
+    the Euler-relation bound of order K."""
+    return sum(count * comb(order - sum(m) + n, n)
+               for m, count in orbits.items() if sum(m) <= order)
 
 
 # (n, a, b) -> the longest sweep computed so far, dims for N = 0..top
@@ -350,20 +320,20 @@ def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
     """dim DO^N(O(a), O(b)) for N = 0..top, from one pass at order top.
 
     The shift orbits of a lower order K are those of order top with
-    |m| <= K, with the same counts, and their blocks are column prefixes of
-    the top blocks (see _ShiftBlock).  The pass certifies the top order:
-    rank = bound forces every square block to its cap, so every block is
-    nonsingular and each prefix has full column rank.  The rank of order K
-    is then its own Euler-relation bound, sum count C(K - |m| + n, n), and
-    that is dim DO^K.  A stored sweep at least as long is read instead.
+    |m| <= K, with the same counts, and their square blocks are column
+    prefixes |delta| <= K - |m| of the top blocks (see _block_rank).  The
+    pass certifies the top order: every square block reaches its cap, so
+    it is nonsingular and each prefix has full column rank.  The rank of
+    order K is then its own Euler-relation bound, sum count C(K - |m| + n,
+    n), and that is dim DO^K.  A stored sweep at least as long is read
+    instead.
     """
     _check_space(n, top)
     dims = _SWEEPS.get((n, a, b), ())
     if top < len(dims):
         return dims[:top + 1]
-    blocks = _fed_blocks(n, a, b, top)[1]
-    dims = tuple(sum(count * block.ends[order] for block, count in blocks)
-                 for order in range(top + 1))
+    orbits = _certified_orbits(n, a, b, top)
+    dims = tuple(_orbit_dimension(n, orbits, order) for order in range(top + 1))
     _SWEEPS[(n, a, b)] = dims
     return dims
 
@@ -374,9 +344,9 @@ def do_dimension(n: int, a: int, b: int, order: int) -> int:
     return do_dimensions(n, a, b, order)[order]
 
 
-def euler_relation(n: int, a: int, phi: WeylElement) -> WeylElement:
+def euler_relation(n: int, a: int, phi: weyl.WeylElement) -> weyl.WeylElement:
     """phi composed with (E - a); annihilates every degree-a section."""
-    shifted = euler_operator(n + 1) - WeylElement.one(n + 1) * a
+    shifted = weyl.euler_operator(n + 1) - weyl.WeylElement.one(n + 1) * a
     return phi * shifted
 
 
@@ -435,13 +405,14 @@ def hn_basis(n: int, k: int) -> list[Exponent]:
     return sorted(tuple(-1 - v for v in e) for e in inner)
 
 
-def induced_cohomology_map(n: int, a: int, b: int, op: WeylElement,
+def induced_cohomology_map(n: int, a: int, b: int, op: weyl.WeylElement,
                            i: int) -> ExactMatrix:
     """Matrix of the map induced by op on H^i of the twists, i in {0, n}.
 
     For i = n the image is projected back onto the all-negative monomial
     basis; monomials with a nonnegative exponent are coboundaries and are
-    discarded.
+    discarded.  A matrix of more than INDUCED_MAP_CELL_LIMIT cells, h^i(O(a))
+    h^i(O(b)), is refused with PreconditionError before any work.
     """
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
@@ -449,21 +420,23 @@ def induced_cohomology_map(n: int, a: int, b: int, op: WeylElement,
         raise PreconditionError("operator has the wrong number of variables")
     if not op.is_graded_of_degree(b - a):
         raise PreconditionError(f"operator is not homogeneous of x-degree {b - a}")
-    if i == 0:
-        source, target = h0_basis(n, a), h0_basis(n, b)
-        project = False
-    elif i == n:
-        source, target = hn_basis(n, a), hn_basis(n, b)
-        project = True
-    else:
+    if i not in (0, n):
         raise PreconditionError("induced maps are available for i = 0 and i = n")
+    line, basis = ((cohomology.h0_line, h0_basis) if i == 0
+                   else (cohomology.hn_line, hn_basis))
+    cells = line(n, a) * line(n, b)
+    if cells > INDUCED_MAP_CELL_LIMIT:
+        raise PreconditionError(
+            f"the H^{i} map O({a}) -> O({b}) on P^{n} has {cells} matrix cells, "
+            f"above the limit {INDUCED_MAP_CELL_LIMIT}")
+    source, target = basis(n, a), basis(n, b)
     tgt_index = {e: r for r, e in enumerate(target)}
     entries: dict[tuple[int, int], Fraction] = {}
     for j, gamma in enumerate(source):
         for image, c in op.apply_monomial(gamma).items():
             row = tgt_index.get(image)
             if row is None:
-                if project and max(image) >= 0:
+                if i == n and max(image) >= 0:
                     continue
                 raise InconsistencyError(
                     f"image monomial {image} escaped the H^{i} basis")
@@ -496,7 +469,7 @@ class BlockOperator:
     operator order equals the order of D12 (0 when D12 = 0).
     """
 
-    def __init__(self, n: int, m: int, d: int, d12: WeylElement):
+    def __init__(self, n: int, m: int, d: int, d12: weyl.WeylElement):
         if n < 1:
             raise PreconditionError("projective dimension must be >= 1")
         if d12.nvars != n + 1:
@@ -544,5 +517,5 @@ class BlockOperator:
             order_witness=witness)
 
 
-def block_operator(n: int, m: int, d: int, d12: WeylElement) -> BlockOperator:
+def block_operator(n: int, m: int, d: int, d12: weyl.WeylElement) -> BlockOperator:
     return BlockOperator(n=n, m=m, d=d, d12=d12)

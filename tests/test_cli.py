@@ -343,6 +343,8 @@ def test_precondition_exit(capsys):
      "1 * x^(0,0) d^(4,0) + 1 * x^(0,0) d^(0,4)", "--N", "4", "--depth", "-5"),
     ("elliptic-check", "--mode", "real", "--op",
      "1 * x^(0,0) d^(2,0) + 1 * x^(0,0) d^(0,2)", "--N", "2", "--depth", "-5"),
+    ("induced-map", "--n", "2", "--a", "120", "--b", "121", "--i", "0",
+     "--op", "1 * x^(1,0,0) d^(0,0,0)"),
 ])
 def test_precondition_exit_without_traceback(capsys, argv):
     rc, out, err = run(capsys, *argv)

@@ -22,7 +22,7 @@ from jetspace.projective import (KERNEL_COST_LIMIT, BlockOperator,
                                  do_dimensions, euler_relation,
                                  global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
-                                 iter_chart_test_monomials, kernel_cost,
+                                 kernel_cost,
                                  negative_twist_existence, shift_orbits,
                                  strictness_check)
 from jetspace.weyl import WeylElement, euler_operator, falling
@@ -77,27 +77,15 @@ def reference_test_monomials(n, a, box):
                   if sum(g) == a and sum(1 for v in g if v < 0) <= 1)
 
 
-def tail_size(gamma):
-    return sum(map(abs, gamma[1:]))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chart_test_stream_matches_reference_enumeration(n):
-    # the stream runs in shells of tail size, each shell sorted; the list
-    # entry point stays sorted
     for a in range(-4, 5):
         for box in range((6, 6, 4, 3)[n - 1]):
             want = reference_test_monomials(n, a, box)
-            stream = list(iter_chart_test_monomials(n, a, box))
-            assert sorted(stream) == want, (n, a, box)
-            assert stream == sorted(stream, key=lambda g: (tail_size(g), g)), (n, a, box)
-            assert chart_test_monomials(n, a, box) == want
+            assert chart_test_monomials(n, a, box) == want, (n, a, box)
 
 
 def test_negative_box_rejected_by_every_entry_point():
-    # the stream checks its box when called, before anything is iterated
-    with pytest.raises(PreconditionError, match="box must be nonnegative"):
-        iter_chart_test_monomials(2, 0, -1)
     with pytest.raises(PreconditionError, match="box must be nonnegative"):
         chart_test_monomials(2, 0, -1)
 
@@ -196,9 +184,8 @@ def test_block_kernel_matches_action_matrix(n, span, max_order):
 
 
 def test_bound_not_reached_within_limit_is_inconsistent(monkeypatch, capsys):
-    # a starved test stream leaves the rank below the bound: exit 3
-    monkeypatch.setattr(projective, "iter_chart_test_monomials",
-                        lambda n, a, box: iter(()))
+    # starved lattice rows leave the rank below the bound: exit 3
+    monkeypatch.setattr(projective, "_lattice_rows", lambda *args: iter(()))
     with pytest.raises(InconsistencyError, match=(
             r"rank 0 stayed below the Euler-relation bound 1 "
             r"for \(n=1, a=-5, b=-5, N=0\) within box 12")):
@@ -214,7 +201,7 @@ def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
     def refuse(*args):
         raise AssertionError("test set built for a zero bound")
 
-    monkeypatch.setattr(projective, "iter_chart_test_monomials", refuse)
+    monkeypatch.setattr(projective, "_lattice_rows", refuse)
     space = global_do_dimension(n, a, b, order)
     box0 = order + abs(a) + abs(b) + 2
     assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))
@@ -272,20 +259,48 @@ def test_start_box_holds_a_unisolvent_lattice_for_every_block(n, span, max_order
                 box = order + abs(a) + abs(b) + 2
                 for m in shift_orbits(n, a, b, order):
                     rows = lattice_rows(n, a, b, m, order)
+                    assert list(projective._lattice_rows(n, a, b, m, order)) == rows
                     assert len(set(rows)) == len(rows)
                     for gamma in rows:
                         assert sum(gamma) == a and max(map(abs, gamma)) <= box
                         assert sum(1 for g in gamma if g < 0) <= 1, (m, gamma)
-                    block = projective._ShiftBlock(m, order)
-                    for gamma in rows:
-                        block.feed(gamma)
-                    assert block.rank == block.cap == len(rows), (n, a, b, order, m)
+                    cap = math.comb(order - sum(m) + n, n)
+                    assert projective._block_rank(m, order, rows) == cap == len(rows), (
+                        n, a, b, order, m)
                     all_negative += m[0] > 0
                 dim = closed_form_dimension(n, b - a, order)
                 space = global_do_dimension(n, a, b, order)
                 assert (space.dim, space.box, space.rank_history) == (
                     dim, box, ((box, dim),)), (n, a, b, order)
     assert all_negative > 0
+
+
+@pytest.mark.parametrize("n, a, b, order", [
+    (2, 0, -3, 4), (2, -2, 0, 3), (2, -1, -3, 4), (3, 0, 0, 3), (3, -2, 1, 3),
+    (4, 0, 2, 2)])
+def test_one_pass_ranks_exactly_the_lattice_rows(monkeypatch, n, a, b, order):
+    # every block gets its cap rows and no more (a stream of chart test rows
+    # feeds some blocks rows that add no rank on each of these inputs);
+    # (2, 0, -3, 4) includes an all-negative orbit
+    ranked = []
+    add_pivot_row = projective.add_pivot_row
+    monkeypatch.setattr(projective, "add_pivot_row",
+                        lambda pivots, row: ranked.append(row) or add_pivot_row(pivots, row))
+    orbits = shift_orbits(n, a, b, order)
+    space = global_do_dimension(n, a, b, order)
+    assert len(ranked) == sum(math.comb(order - sum(m) + n, n) for m in orbits)
+    assert space.dim == euler_bound(n, a, b, order)
+    if b - a <= -(n + 1):
+        assert any(min(m) > 0 for m in orbits)
+
+
+def test_lattice_row_outside_the_box_is_inconsistent(monkeypatch):
+    # the box is a checked statement: a row past it raises, exit 3
+    monkeypatch.setattr(projective, "_lattice_rows", lambda *args: iter([(-13, 13)]))
+    with pytest.raises(InconsistencyError, match=(
+            r"lattice row \(-13, 13\) of the block \(0, 0\) left the box 12 "
+            r"for \(n=1, a=0, b=0, N=10\)")):
+        global_do_dimension(1, 0, 0, 10)
 
 
 def full_block_rank(m, order, rows):
@@ -317,13 +332,9 @@ def test_square_block_rank_is_the_full_block_rank(n, a, b, top):
     for m in orbits:
         for _ in range(4):
             rows = rng.sample(pool, rng.randint(1, min(len(pool), 12)))
-            block = projective._ShiftBlock(m, top)
-            for gamma in rows:
-                block.feed(gamma)
             for order in range(sum(m), top + 1):
-                # each pivot row sits on its leftmost column
-                prefix_rank = sum(1 for c in block.pivots if c < block.ends[order])
-                assert prefix_rank == full_block_rank(m, order, rows), (m, order, rows)
+                assert projective._block_rank(m, order, rows) == full_block_rank(
+                    m, order, rows), (m, order, rows)
 
 
 def recorded_grid():
@@ -355,7 +366,7 @@ def test_do_dimension_reads_a_longer_cached_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cached order was computed again")
 
-    monkeypatch.setattr(projective, "_fed_blocks", refuse)
+    monkeypatch.setattr(projective, "_certified_orbits", refuse)
     assert tuple(do_dimension.__wrapped__(1, 9, 8, k) for k in range(5)) == sweep
     with pytest.raises(AssertionError, match="computed again"):
         do_dimension.__wrapped__(1, 9, 8, 5)
@@ -364,9 +375,9 @@ def test_do_dimension_reads_a_longer_cached_sweep(monkeypatch):
 def test_lower_orders_after_a_sweep_run_no_pass(monkeypatch):
     projective._SWEEPS.clear()
     passes = []
-    fed_blocks = projective._fed_blocks
-    monkeypatch.setattr(projective, "_fed_blocks",
-                        lambda *args: passes.append(args) or fed_blocks(*args))
+    certified_orbits = projective._certified_orbits
+    monkeypatch.setattr(projective, "_certified_orbits",
+                        lambda *args: passes.append(args) or certified_orbits(*args))
     verify_growth(2, 0, -1)
     assert passes == [(2, 0, -1, 4)]
     assert strictness_check(2, 0, -1, 2)
@@ -380,7 +391,7 @@ def test_negative_twist_search_reuses_the_growth_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("kernel pass after the sweep")
 
-    monkeypatch.setattr(projective, "_fed_blocks", refuse)
+    monkeypatch.setattr(projective, "_certified_orbits", refuse)
     result = negative_twist_existence(2, 3)
     assert (result.order, result.dim) == (3, 10)
 
@@ -544,6 +555,27 @@ def test_induced_map_euler_acts_by_degree_on_hn():
             for j in range(dim):
                 expected = Fraction(k) if i == j else Fraction(0)
                 assert m.entry(i, j) == expected
+
+
+def test_induced_map_refuses_a_matrix_over_the_cell_limit(monkeypatch):
+    # h0(O(2)) h0(O(1)) = 3 * 2 cells on P^1; the limit is checked first
+    op = WeylElement.d(0, 2)
+    monkeypatch.setattr(projective, "INDUCED_MAP_CELL_LIMIT", 6)
+    assert induced_cohomology_map(1, 2, 1, op, 0).rank() == 2
+    monkeypatch.setattr(projective, "INDUCED_MAP_CELL_LIMIT", 5)
+    with pytest.raises(PreconditionError, match=(
+            r"the H\^0 map O\(2\) -> O\(1\) on P\^1 has 6 matrix cells, "
+            r"above the limit 5")):
+        induced_cohomology_map(1, 2, 1, op, 0)
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("basis built for a refused map")
+
+    monkeypatch.setattr(projective, "h0_basis", refuse)
+    big = WeylElement.parse("1 * x^(1,0,0) d^(0,0,0)")
+    with pytest.raises(PreconditionError, match="above the limit 1000000"):
+        induced_cohomology_map(2, 120, 121, big, 0)
 
 
 def test_induced_map_requires_graded_operator():

@@ -83,7 +83,7 @@ def test_executing_every_module_loads_no_dataclasses_or_inspect():
 
 @pytest.mark.parametrize("argv, expected", [
     (["dim-do", "--n", "2", "--a", "0", "--b", "0", "--N", "5"],
-     {"cli", "errors", "laurent", "linalg", "weyl", "projective"}),
+     {"cli", "errors", "laurent", "linalg", "projective"}),
     (["jet", "--cyclic=3,-1,2,5", "--N", "12"],
      {"cli", "errors", "laurent", "presented", "jets"}),
 ], ids=["dim-do", "jet-cyclic"])
