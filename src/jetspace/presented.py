@@ -5,8 +5,8 @@ is a principal ideal domain, so every finitely presented module splits as a
 free part plus cyclic torsion summands Q[t]/(d_i); the invariant factors
 d_1 | d_2 | ... are computed by an exact Smith reduction (pivot on a
 minimal-degree entry, clear its row and column by polynomial division,
-restart the block when a division leaves a remainder, then fix up the
-divisibility chain).
+restart the block when a division leaves a remainder, and fold in a row
+the pivot does not divide, so each pivot divides the next).
 
 A PresentedModule is coker of a g x r relation matrix.  It is torsion
 exactly when the relation matrix has full row rank g, and then its length
@@ -270,7 +270,7 @@ def smith_normal_form(matrix: Sequence[Sequence[UniPoly]]) -> list[UniPoly]:
                 work[top][j] = work[top][j] + work[oi][j]
         invariants.append(work[top][top].monic())
         top += 1
-    return _fix_divisibility(invariants)
+    return invariants
 
 
 def _minimal_degree_entry(work: PolyMatrix, top: int):
@@ -344,17 +344,6 @@ def _undivided_entry(work: PolyMatrix, top: int):
             if work[i][j] and not piv.divides(work[i][j]):
                 return (i, j)
     return None
-
-
-def _fix_divisibility(diag: list[UniPoly]) -> list[UniPoly]:
-    ds = [d.monic() for d in diag if d]
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            if not ds[i].divides(ds[j]):
-                g = ds[i].gcd(ds[j])
-                lcm = (ds[i] * ds[j] // g).monic()
-                ds[i], ds[j] = g, lcm
-    return ds
 
 
 class PresentedModule:

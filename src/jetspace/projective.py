@@ -24,11 +24,11 @@ unipotent block construction pairing a twist with a shifted twist.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from operator import add
+from itertools import accumulate
+from math import comb, prod
+from operator import mul
 from typing import NamedTuple
 
 from . import cohomology, weyl
@@ -44,6 +44,9 @@ KERNEL_COST_LIMIT = 10 ** 7
 
 # induced_cohomology_map refuses a dense matrix with more cells than this
 INDUCED_MAP_CELL_LIMIT = 10 ** 6
+
+# BlockOperator.verify refuses two test sets with more monomials than this
+BLOCK_OP_TEST_LIMIT = 2 * 10 ** 5
 
 
 def _check_space(n: int, order: int) -> None:
@@ -90,6 +93,21 @@ def chart_test_monomials(n: int, a: int, box: int) -> list[Exponent]:
     return sorted(out)
 
 
+def chart_test_count(n: int, a: int, box: int) -> int:
+    """Closed form for len(chart_test_monomials(n, a, box))."""
+    if box < 0:
+        raise PreconditionError("box must be nonnegative")
+    return _bounded_count(n + 1, a, box) + (n + 1) * sum(
+        _bounded_count(n, a + v, box) for v in range(1, box + 1))
+
+
+def _bounded_count(k: int, total: int, cap: int) -> int:
+    """Number of k-tuples (k >= 1) of integers in [0, cap] summing to total,
+    by inclusion-exclusion over the entries that pass cap."""
+    return sum((-1) ** i * comb(k, i) * comb(total - i * (cap + 1) + k - 1, k - 1)
+               for i in range(k + 1) if total >= i * (cap + 1))
+
+
 def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> ExactMatrix:
     """Rows: candidates; columns: (test monomial, image monomial) slots."""
     ff_cache: dict[tuple[int, int], int] = {}
@@ -127,8 +145,10 @@ def kernel_cost(n: int, a: int, b: int, order: int) -> int:
 
     one term per negative part m of size k that shift_orbits walks: its
     n + 1 entries plus the cells of its square block (see _block_rank).
-    The sum stops as soon as it passes KERNEL_COST_LIMIT, so a huge N
-    costs nothing."""
+    Blocks are shared by every orbit with the same N - |m| and lattice
+    translate, so this is an upper bound on the work; the formula is kept
+    so that the set of refused inputs does not change.  The sum stops as
+    soon as it passes KERNEL_COST_LIMIT, so a huge N costs nothing."""
     total = 0
     for k in range(max(0, a - b), order + 1):
         total += comb(k + n, n) * (n + 1 + comb(order - k + n, n) ** 2)
@@ -160,24 +180,20 @@ def shift_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
     return orbits
 
 
-def _lattice_rows(n: int, a: int, b: int, m: Exponent, order: int
-                  ) -> Iterator[Exponent]:
-    """The C(N - |m| + n, n) test rows on which the block of m is ranked:
-    gamma_i = m_i + t + q_i (i >= 1, q >= 0, |q| <= N - |m|) and gamma_0 =
-    a - sum_{i >= 1} gamma_i.  If m_0 = 0, t = 0.  Otherwise every shift of
-    the orbit is all negative, b - a = -|m|, and t = max(0, floor((b + m_0)
-    / n) + 1) makes gamma_0 = b + m_0 - n t - |q| < 0.  Either way gamma_i
-    >= 0 for i >= 1, so each row is a chart monomial."""
-    t = 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
-    base = [mi + t for mi in m[1:]]
-    head = a - sum(base)
-    for k in range(order - sum(m) + 1):
-        for q in monomials_of_degree(n, k):
-            yield (head - k, *map(add, base, q))
+def _lattice_offset(n: int, b: int, m: Exponent) -> int:
+    """The translate t of the lattice rows of the block of m (see
+    _certified_orbits).  If m_0 = 0, t = 0.  Otherwise every shift of the
+    orbit is all negative, b - a = -|m|, and t = max(0, floor((b + m_0) / n)
+    + 1) makes every gamma_0 = b + m_0 - n t - |q| negative."""
+    return 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
 
 
-def _block_rank(m: Exponent, order: int, rows: Iterable[Exponent]) -> int:
-    """Rank of the square shift block of m at order N on the given rows.
+@lru_cache(maxsize=None)
+def _block_rank(n: int, size: int, t: int) -> int:
+    """Rank of R(n, K, t)[q, delta] = prod_{j >= 1} ff(t + q_j, delta_j),
+    q and delta ranging over n-tuples >= 0 with |q|, |delta| <= K = size:
+    up to nonzero row scalars, the square block of every shift orbit m with
+    N - |m| = K on its lattice rows of translate t.
 
     The full block of a shift s with negative part m has rows the test
     monomials gamma, columns the beta >= m with |beta| <= N, and entries the
@@ -198,47 +214,21 @@ def _block_rank(m: Exponent, order: int, rows: Iterable[Exponent]) -> int:
 
     Per coordinate ff(g, e + r) = ff(g, e) ff(g - e, r), so a row is the
     scalar prod_j ff(gamma_j, m_j) times the row of prod_j ff(gamma_j - m_j,
-    delta_j).  The scalar does not change the rank: a row where it is 0
-    (some 0 <= gamma_j < m_j) is skipped, and otherwise it is left out.
-    What remains is the falling-factorial basis of the polynomials of
-    degree <= N - |m| in gamma_1 - m_1, ..., gamma_n - m_n.  On a translate
-    gamma_i = m_i + t + q_i (t >= 0, q >= 0, |q| <= N - |m|) of the
-    principal lattice it is unisolvent (Chung and Yao 1977), so on the rows
-    of _lattice_rows, whose scalars are nonzero, the rank is cap.
-
-    Row entries grow one factor per column step, and each row is reduced
-    against the pivots in exact integers.
+    delta_j).  On the lattice rows gamma_i = m_i + t + q_i (i >= 1) the
+    scalars are nonzero (checked in _certified_orbits) and what remains is
+    R(n, K, t): the falling-factorial basis of the polynomials of degree
+    <= K in gamma_1 - m_1, ..., gamma_n - m_n on a translate of the
+    principal lattice, where it is unisolvent (Chung and Yao 1977), so the
+    rank is cap.  Rows are reduced against the pivots in exact integers.
     """
-    support = [(j, e) for j, e in enumerate(m) if e]
-    steps = _square_layout(m, order)
+    tuples = [q for k in range(size + 1) for q in monomials_of_degree(n, k)]
     pivots: dict[int, dict[int, int]] = {}
-    for gamma in rows:
-        for j, e in support:
-            if 0 <= gamma[j] < e:
-                break
-        else:
-            vals = [1]
-            for p, j, off in steps:
-                vals.append(vals[p] * (gamma[j] - off))
-            add_pivot_row(pivots, {i: v for i, v in enumerate(vals) if v})
+    for q in tuples:
+        falls = [list(accumulate(range(t + x, t + x - size, -1), mul, initial=1))
+                 for x in q]
+        row = (prod(f[d] for f, d in zip(falls, delta)) for delta in tuples)
+        add_pivot_row(pivots, {i: v for i, v in enumerate(row) if v})
     return len(pivots)
-
-
-@lru_cache(maxsize=1024)
-def _square_layout(m: Exponent, order: int) -> tuple[tuple[int, int, int], ...]:
-    """The square block's columns after the first, delta = 0, as steps
-    (p, j, off): the entry of column i is that of column p, where delta_j
-    is one less, times gamma_j - off with off = m_j + delta_j - 1."""
-    n = len(m) - 1
-    deltas = [(0,) + delta for k in range(order - sum(m) + 1)
-              for delta in monomials_of_degree(n, k)]
-    index = {delta: i for i, delta in enumerate(deltas)}
-    steps = []
-    for delta in deltas[1:]:
-        j = next(j for j, e in enumerate(delta) if e)
-        parent = delta[:j] + (delta[j] - 1,) + delta[j + 1:]
-        steps.append((index[parent], j, m[j] + parent[j]))
-    return tuple(steps)
 
 
 class TwistedDOSpace(NamedTuple):
@@ -265,11 +255,12 @@ def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
     weighted sum over the caps bounds the dimension from above, while the
     rank on any set of test rows bounds it from below.
 
-    Each block is ranked on its cap rows of _lattice_rows, which lie in the
-    box N + |a| + |b| + 2 and on which the block is unisolvent, so the two
-    bounds meet in one pass.  A row outside the box, or a rank below the
-    bound, raises InconsistencyError.  Input whose kernel_cost passes
-    KERNEL_COST_LIMIT is refused with PreconditionError before any work.
+    Each block is ranked on its cap lattice rows, which lie in the box
+    N + |a| + |b| + 2 and on which the block is unisolvent, so the two
+    bounds meet in one pass.  A row outside the box, a zero row scalar, or
+    a rank below the bound raises InconsistencyError.  Input whose
+    kernel_cost passes KERNEL_COST_LIMIT is refused with PreconditionError
+    before any work.
     """
     orbits = _certified_orbits(n, a, b, order)
     dim = _orbit_dimension(n, orbits, order)
@@ -279,7 +270,17 @@ def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
 
 def _certified_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
     """global_do_dimension's pass: the shift orbits of order N, once every
-    block has reached its cap on its lattice rows."""
+    block has reached its cap on its lattice rows.
+
+    The block of m is ranked on the rows gamma_i = m_i + t + q_i (i >= 1,
+    q >= 0, |q| <= K = N - |m|, t from _lattice_offset) and gamma_0 = h -
+    |q| with h = a - sum_{i >= 1} (m_i + t), so gamma_i >= 0 for i >= 1 and
+    each row is a chart monomial.  The rows are checked at the extremes,
+    q = 0 and q = K e_n, which hold the largest |gamma_j| of all rows; and
+    gamma_0 runs over [h - K, h], so the row scalar ff(gamma_0, m_0) is
+    nonzero on every row iff m_0 = 0 or that range misses [0, m_0 - 1].
+    The rank is then count * _block_rank(n, K, t) summed over the orbits.
+    """
     _check_space(n, order)
     cost = kernel_cost(n, a, b, order)
     if cost > KERNEL_COST_LIMIT:
@@ -288,20 +289,28 @@ def _certified_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]
             f"{cost}, above the limit {KERNEL_COST_LIMIT}")
     orbits = shift_orbits(n, a, b, order)
     box = order + abs(a) + abs(b) + 2
+    where = f"for (n={n}, a={a}, b={b}, N={order})"
     rank = 0
     for m, count in orbits.items():
-        rows = list(_lattice_rows(n, a, b, m, order))
-        for gamma in rows:
-            if max(map(abs, gamma)) > box:
-                raise InconsistencyError(
-                    f"lattice row {gamma} of the block {m} left the box {box} "
-                    f"for (n={n}, a={a}, b={b}, N={order})")
-        rank += count * _block_rank(m, order, rows)
+        size = order - sum(m)
+        t = _lattice_offset(n, b, m)
+        tail = [mi + t for mi in m[1:]]
+        h = a - sum(tail)
+        far = max((h, *tail), (h - size, *tail[:-1], tail[-1] + size),
+                  key=lambda gamma: max(map(abs, gamma)))
+        if max(map(abs, far)) > box:
+            raise InconsistencyError(
+                f"lattice row {far} of the block {m} left the box {box} {where}")
+        if m[0] and h >= 0 and h - size < m[0]:
+            raise InconsistencyError(
+                f"lattice rows of the block {m} have gamma_0 in [{h - size}, {h}], "
+                f"which meets [0, {m[0] - 1}] where the row scalar is 0 {where}")
+        rank += count * _block_rank(n, size, t)
     bound = _orbit_dimension(n, orbits, order)
     if rank != bound:
         raise InconsistencyError(
             f"action-matrix rank {rank} stayed below the Euler-relation bound "
-            f"{bound} for (n={n}, a={a}, b={b}, N={order}) within box {box}")
+            f"{bound} {where} within box {box}")
     return orbits
 
 
@@ -486,9 +495,17 @@ class BlockOperator:
         return 0 if o is None else max(o, 0)
 
     def verify(self, box: int | None = None) -> BlockOperatorReport:
-        """Exact evaluation on chart monomial test sections."""
+        """Exact evaluation on chart monomial test sections.  Test sets of
+        more than BLOCK_OP_TEST_LIMIT monomials together are refused with
+        PreconditionError before any work."""
         if box is None:
             box = self.order() + abs(self.m) + abs(self.d) + 3
+        tests = chart_test_count(self.n, self.d, box) + chart_test_count(self.n, self.m, box)
+        if tests > BLOCK_OP_TEST_LIMIT:
+            raise PreconditionError(
+                f"the block operator O({self.m}) + O({self.d}) on P^{self.n} has "
+                f"{tests} chart test monomials in box {box}, above the limit "
+                f"{BLOCK_OP_TEST_LIMIT}")
         zero_s = LaurentPoly.zero(self.n + 1)
         sub_ok = True
         quot_ok = True

@@ -339,6 +339,7 @@ def test_precondition_exit(capsys):
     ("induced-map", "--n", "0", "--a", "0", "--b", "0", "--i", "0",
      "--op", "1 * x^(0) d^(0)"),
     ("block-op", "--n", "0", "--m", "0", "--d", "0", "--op", "1 * x^(0) d^(0)"),
+    ("block-op", "--n", "2", "--m", "160", "--d", "161", "--op", "1 * x^(1,0,0) d^(0,0,0)"),
     ("elliptic-check", "--mode", "real", "--op",
      "1 * x^(0,0) d^(4,0) + 1 * x^(0,0) d^(0,4)", "--N", "4", "--depth", "-5"),
     ("elliptic-check", "--mode", "real", "--op",

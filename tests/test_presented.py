@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -173,12 +174,21 @@ def test_snf_invariant_under_unimodular_moves():
 
 
 def test_snf_divisibility_chain():
+    # each pivot divides the rest of its block, so d_1 | d_2 | ... holds
+    # without a gcd/lcm fix-up pass
     rng = random.Random(17)
-    for _ in range(20):
-        rows = random_poly_matrix(rng, 3, 4)
+    shapes = [(3, 4)] * 20 + [(nr, nc) for nr in range(1, 5) for nc in range(1, 5)
+                               for _ in range(8)]
+    for k, (nr, nc) in enumerate(shapes):
+        # odd draws: entries are products of shared linear factors, so the
+        # invariants are not all units
+        rows = (random_poly_matrix(rng, nr, nc) if k % 2 == 0 else
+                [[math.prod((t - poly(rng.randint(-1, 1)) for _ in range(rng.randint(0, 2))),
+                            start=poly(rng.randint(-2, 2))) for _ in range(nc)]
+                 for _ in range(nr)])
         facs = smith_normal_form(rows)
         for a, b in zip(facs, facs[1:]):
-            assert a.divides(b)
+            assert a.divides(b), rows
         assert all(f.lead() == 1 for f in facs)
 
 

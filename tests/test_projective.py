@@ -15,10 +15,11 @@ from jetspace.growth import closed_form_dimension, verify_growth
 from jetspace import cli, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
-from jetspace.projective import (KERNEL_COST_LIMIT, BlockOperator,
-                                 action_matrix, block_operator,
+from jetspace.projective import (BLOCK_OP_TEST_LIMIT, KERNEL_COST_LIMIT,
+                                 BlockOperator, action_matrix, block_operator,
                                  candidate_count, candidate_monomials,
-                                 chart_test_monomials, do_dimension,
+                                 chart_test_count, chart_test_monomials,
+                                 do_dimension,
                                  do_dimensions, euler_relation,
                                  global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
@@ -85,9 +86,18 @@ def test_chart_test_stream_matches_reference_enumeration(n):
             assert chart_test_monomials(n, a, box) == want, (n, a, box)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_test_count_is_the_test_set_size(n):
+    for a in range(-5, 7):
+        for box in range(8 - n):
+            assert chart_test_count(n, a, box) == len(chart_test_monomials(n, a, box)), (
+                n, a, box)
+
+
 def test_negative_box_rejected_by_every_entry_point():
-    with pytest.raises(PreconditionError, match="box must be nonnegative"):
-        chart_test_monomials(2, 0, -1)
+    for entry in (chart_test_monomials, chart_test_count):
+        with pytest.raises(PreconditionError, match="box must be nonnegative"):
+            entry(2, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +194,8 @@ def test_block_kernel_matches_action_matrix(n, span, max_order):
 
 
 def test_bound_not_reached_within_limit_is_inconsistent(monkeypatch, capsys):
-    # starved lattice rows leave the rank below the bound: exit 3
-    monkeypatch.setattr(projective, "_lattice_rows", lambda *args: iter(()))
+    # a block ranked below its cap leaves the rank below the bound: exit 3
+    monkeypatch.setattr(projective, "_block_rank", lambda *args: 0)
     with pytest.raises(InconsistencyError, match=(
             r"rank 0 stayed below the Euler-relation bound 1 "
             r"for \(n=1, a=-5, b=-5, N=0\) within box 12")):
@@ -201,7 +211,8 @@ def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
     def refuse(*args):
         raise AssertionError("test set built for a zero bound")
 
-    monkeypatch.setattr(projective, "_lattice_rows", refuse)
+    monkeypatch.setattr(projective, "_lattice_offset", refuse)
+    monkeypatch.setattr(projective, "_block_rank", refuse)
     space = global_do_dimension(n, a, b, order)
     box0 = order + abs(a) + abs(b) + 2
     assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))
@@ -234,12 +245,16 @@ def test_sweep_rejects_a_negative_top():
         do_dimensions(2, 0, 0, -1)
 
 
-def lattice_rows(n, a, b, m, order):
+def lattice_offset(n, b, m):
+    """t = 0 if m_0 = 0, else t = max(0, floor((b + m_0) / n) + 1), so that
+    gamma_0 < 0 on every lattice row."""
+    return 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
+
+
+def lattice_rows(n, a, m, order, t):
     """The cap rows on which the block of m is unisolvent: gamma_i = m_i +
     t + q_i (i >= 1, q >= 0, |q| <= N - |m|), gamma_0 = a - sum_{i >= 1}
-    gamma_i, with t = 0 if m_0 = 0, else t = max(0, floor((b + m_0) / n) + 1)
-    so that gamma_0 < 0."""
-    t = 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
+    gamma_i."""
     rows = []
     for k in range(order - sum(m) + 1):
         for q in monomials_of_degree(n, k):
@@ -253,20 +268,31 @@ def test_start_box_holds_a_unisolvent_lattice_for_every_block(n, span, max_order
     # the lemma behind the single pass: every block reaches its cap on rows
     # of the start box, including the all-negative shifts (b - a <= -(n + 1))
     all_negative = 0
+    full_ranks = {}  # the same rows recur for every b sharing an orbit
     for a in range(-span, span + 1):
         for b in range(-span, span + 1):
             for order in range(max_order + 1):
                 box = order + abs(a) + abs(b) + 2
                 for m in shift_orbits(n, a, b, order):
-                    rows = lattice_rows(n, a, b, m, order)
-                    assert list(projective._lattice_rows(n, a, b, m, order)) == rows
+                    size = order - sum(m)
+                    t = lattice_offset(n, b, m)
+                    assert projective._lattice_offset(n, b, m) == t
+                    rows = lattice_rows(n, a, m, order, t)
                     assert len(set(rows)) == len(rows)
                     for gamma in rows:
-                        assert sum(gamma) == a and max(map(abs, gamma)) <= box
+                        assert sum(gamma) == a
                         assert sum(1 for g in gamma if g < 0) <= 1, (m, gamma)
-                    cap = math.comb(order - sum(m) + n, n)
-                    assert projective._block_rank(m, order, rows) == cap == len(rows), (
-                        n, a, b, order, m)
+                        assert falling(gamma[0], m[0]) != 0, (m, gamma)
+                    # the closed-form bound _certified_orbits checks
+                    h = a - sum(mi + t for mi in m[1:])
+                    far = max(abs(h), abs(h - size), m[-1] + t + size)
+                    assert far == max(max(map(abs, gamma)) for gamma in rows) <= box
+                    cap = math.comb(size + n, n)
+                    key = (m, order, tuple(rows))
+                    if key not in full_ranks:
+                        full_ranks[key] = full_block_rank(m, order, rows)
+                    assert full_ranks[key] == projective._block_rank(
+                        n, size, t) == cap == len(rows), (n, a, b, order, m)
                     all_negative += m[0] > 0
                 dim = closed_form_dimension(n, b - a, order)
                 space = global_do_dimension(n, a, b, order)
@@ -279,36 +305,77 @@ def test_start_box_holds_a_unisolvent_lattice_for_every_block(n, span, max_order
     (2, 0, -3, 4), (2, -2, 0, 3), (2, -1, -3, 4), (3, 0, 0, 3), (3, -2, 1, 3),
     (4, 0, 2, 2)])
 def test_one_pass_ranks_exactly_the_lattice_rows(monkeypatch, n, a, b, order):
-    # every block gets its cap rows and no more (a stream of chart test rows
-    # feeds some blocks rows that add no rank on each of these inputs);
+    # one block per distinct (K, t), each on its cap rows and no more;
     # (2, 0, -3, 4) includes an all-negative orbit
     ranked = []
     add_pivot_row = projective.add_pivot_row
     monkeypatch.setattr(projective, "add_pivot_row",
                         lambda pivots, row: ranked.append(row) or add_pivot_row(pivots, row))
+    projective._block_rank.cache_clear()
     orbits = shift_orbits(n, a, b, order)
     space = global_do_dimension(n, a, b, order)
-    assert len(ranked) == sum(math.comb(order - sum(m) + n, n) for m in orbits)
+    blocks = {(order - sum(m), lattice_offset(n, b, m)) for m in orbits}
+    assert len(ranked) == sum(math.comb(size + n, n) for size, _ in blocks)
     assert space.dim == euler_bound(n, a, b, order)
     if b - a <= -(n + 1):
         assert any(min(m) > 0 for m in orbits)
 
 
-def test_lattice_row_outside_the_box_is_inconsistent(monkeypatch):
-    # the box is a checked statement: a row past it raises, exit 3
-    monkeypatch.setattr(projective, "_lattice_rows", lambda *args: iter([(-13, 13)]))
+def test_blocks_are_shared_across_orbits_and_twists(monkeypatch):
+    # (2, 0, 0, 5) ranks 56 rows in 6 blocks, one per K = 0..5, against 80
+    # rows over its orbits; (2, 1, 1, 5) needs the same blocks again
+    ranked = []
+    add_pivot_row = projective.add_pivot_row
+    monkeypatch.setattr(projective, "add_pivot_row",
+                        lambda pivots, row: ranked.append(row) or add_pivot_row(pivots, row))
+    projective._block_rank.cache_clear()
+    assert global_do_dimension(2, 0, 0, 5).dim == closed_form_dimension(2, 0, 5)
+    assert len(ranked) == 56
+    assert global_do_dimension(2, 1, 1, 5).dim == closed_form_dimension(2, 0, 5)
+    assert len(ranked) == 56
+
+
+@pytest.mark.parametrize("n, top", [(1, 5), (2, 3), (3, 2)])
+def test_sweeps_are_invariant_under_a_common_twist(n, top):
+    for a in range(-2, 3):
+        for b in range(-n - 3, 3):
+            for s in (-3, -1, 2):
+                assert do_dimensions(n, a, b, top) == do_dimensions(
+                    n, a + s, b + s, top), (n, a, b, s)
+
+
+def test_lattice_row_outside_the_box_is_inconsistent(monkeypatch, capsys):
+    # the box is a checked statement: a translate t pushed past it raises
+    # and names the extreme row q = K e_n, exit 3
+    monkeypatch.setattr(projective, "_lattice_offset", lambda *args: 20)
     with pytest.raises(InconsistencyError, match=(
-            r"lattice row \(-13, 13\) of the block \(0, 0\) left the box 12 "
+            r"lattice row \(-30, 30\) of the block \(0, 0\) left the box 12 "
             r"for \(n=1, a=0, b=0, N=10\)")):
         global_do_dimension(1, 0, 0, 10)
+    assert cli.main(["dim-do", "--n", "1", "--a", "0", "--b", "0", "--N", "10"]) == 3
+    assert "left the box 12" in capsys.readouterr().err
 
 
-def full_block_rank(m, order, rows):
+def test_zero_row_scalar_is_inconsistent(monkeypatch, capsys):
+    # the all-negative orbit (1, 1) of (n=1, a=1, b=-1) needs t = 1; at
+    # t = 0 its row (0, 1) has the row scalar ff(0, 1) = 0, exit 3
+    assert global_do_dimension(1, 1, -1, 2).dim == closed_form_dimension(1, -2, 2)
+    monkeypatch.setattr(projective, "_lattice_offset", lambda *args: 0)
+    with pytest.raises(InconsistencyError, match=(
+            r"lattice rows of the block \(1, 1\) have gamma_0 in \[0, 0\], which "
+            r"meets \[0, 0\] where the row scalar is 0 for \(n=1, a=1, b=-1, N=2\)")):
+        global_do_dimension(1, 1, -1, 2)
+    assert cli.main(["dim-do", "--n", "1", "--a", "1", "--b", "-1", "--N", "2"]) == 3
+    assert "row scalar is 0" in capsys.readouterr().err
+
+
+def full_block_rank(m, order, rows, square=False):
     """Rank of the full shift block of m at this order, every beta >= m with
-    |beta| <= N a column, entries prod_j ff(gamma_j, beta_j)."""
+    |beta| <= N a column, entries prod_j ff(gamma_j, beta_j); with square,
+    of the square block, the columns with beta_0 = m_0 only."""
     betas = [beta for k in range(sum(m), order + 1)
              for beta in monomials_of_degree(len(m), k)
-             if all(x >= y for x, y in zip(beta, m))]
+             if all(x >= y for x, y in zip(beta, m)) and not (square and beta[0] > m[0])]
     if not rows or not betas:
         return 0
     return ExactMatrix.from_rows(
@@ -333,7 +400,7 @@ def test_square_block_rank_is_the_full_block_rank(n, a, b, top):
         for _ in range(4):
             rows = rng.sample(pool, rng.randint(1, min(len(pool), 12)))
             for order in range(sum(m), top + 1):
-                assert projective._block_rank(m, order, rows) == full_block_rank(
+                assert full_block_rank(m, order, rows, square=True) == full_block_rank(
                     m, order, rows), (m, order, rows)
 
 
@@ -665,3 +732,19 @@ def test_block_operator_constructor_validates(n, m, d, d12, message):
         BlockOperator(n, m, d, d12)
     with pytest.raises(PreconditionError, match=message):
         BlockOperator(n=n, m=m, d=d, d12=d12)
+
+
+def test_block_operator_refuses_oversized_test_sets_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("test set built past the limit")
+
+    x0 = WeylElement.monomial((1, 0, 0), (0, 0, 0))
+    monkeypatch.setattr(projective, "chart_test_monomials", refuse)
+    with pytest.raises(PreconditionError, match=(
+            r"O\(160\) \+ O\(161\) on P\^2 has 500574 chart test monomials in box "
+            r"324, above the limit 200000")):
+        block_operator(2, 160, 161, x0).verify()
+    # M = 80 stays within the limit
+    box = 0 + 80 + 81 + 3  # order + |m| + |d| + 3
+    assert chart_test_count(2, 81, box) + chart_test_count(2, 80, box) == 128734
+    assert 128734 <= BLOCK_OP_TEST_LIMIT
