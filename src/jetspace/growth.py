@@ -94,18 +94,14 @@ def closed_form_dimension(n: int, d: int, order: int) -> int:
 
 def closed_form_dimensions(n: int, d: int, top: int) -> list[int]:
     """closed_form_dimension for N = 0..top, each S(k) computed once."""
-    def spread(total: int, parts: int) -> int:
-        if parts == 0:
-            return int(total == 0)
-        return comb(total + parts - 1, parts - 1) if total >= 0 else 0
-
-    def shifts(k: int) -> int:
-        if k == 0:
-            return spread(d, n + 1)
-        return sum(comb(n + 1, i) * comb(k - 1, i - 1) * spread(d + k, n + 1 - i)
-                   for i in range(1, n + 2))
-
-    counts = [shifts(k) for k in range(top + 1)]
+    counts = [comb(d + n, n) if d >= 0 else 0] + [0] * top
+    for k in range(max(1, -d), top + 1):
+        # i = n + 1 negative coordinates only when d + k = 0; i = 1..n leave
+        # n + 1 - i slots to spread d + k over
+        total = comb(k - 1, n) if d + k == 0 else 0
+        for i in range(1, n + 1):
+            total += comb(n + 1, i) * comb(k - 1, i - 1) * comb(d + k + n - i, n - i)
+        counts[k] = total
     return [sum(comb(order - k + n, n) * counts[k] for k in range(order + 1))
             for order in range(top + 1)]
 
@@ -143,17 +139,18 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
                       dim_at_threshold: int | None = None) -> GrowthPolynomial:
     if dim_at_threshold is None:
         dim_at_threshold = do_dimension(n, a, b, threshold)
-    constant = Fraction(dim_at_threshold - chi_line(n, threshold)
-                        * chi_line(n, threshold + b - a))
-    # (n!)^2 binom(N + n, n) binom(N + b - a + n, n) is the product of the
-    # N + r below: ascending integer coefficients, divided once by (n!)^2
+    constant = dim_at_threshold - chi_line(n, threshold) * chi_line(n, threshold + b - a)
+    # (n!)^2 (binom(N + n, n) binom(N + b - a + n, n) + C) is the product of
+    # the N + r below plus (n!)^2 C: ascending integer coefficients, divided
+    # once by (n!)^2
     product = [1]
     for r in [*range(1, n + 1), *range(b - a + 1, b - a + n + 1)]:
         product = [r * c + prev for c, prev in zip(product + [0], [0] + product)]
-    coeffs = [Fraction(c, factorial(n) ** 2) for c in product]
-    coeffs[0] += constant
+    scale = factorial(n) ** 2
+    product[0] += constant * scale
     return GrowthPolynomial(n=n, a=a, b=b, threshold=threshold,
-                            constant=constant, coeffs=tuple(coeffs))
+                            constant=Fraction(constant),
+                            coeffs=tuple(Fraction(c, scale) for c in product))
 
 
 class GrowthReport(NamedTuple):

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, prod
-from operator import mul
+from itertools import accumulate, product
+from math import comb, factorial, prod
+from operator import getitem, mul
 from typing import NamedTuple
 
 from . import cohomology, weyl
@@ -143,12 +143,14 @@ def kernel_cost(n: int, a: int, b: int, order: int) -> int:
 
         sum_{k = max(0, a - b)..N} C(k + n, n) (n + 1 + C(N - k + n, n)^2),
 
-    one term per negative part m of size k that shift_orbits walks: its
-    n + 1 entries plus the cells of its square block (see _block_rank).
-    Blocks are shared by every orbit with the same N - |m| and lattice
-    translate, so this is an upper bound on the work; the formula is kept
-    so that the set of refused inputs does not change.  The sum stops as
-    soon as it passes KERNEL_COST_LIMIT, so a huge N costs nothing."""
+    one term per negative part m of size k: its n + 1 entries plus the
+    cap^2 cells of its square block (see _block_rank).  This overstates
+    the work: the orbit table walks sorted negative parts only, blocks are
+    shared by every orbit with the same N - |m| and lattice translate, and
+    a block of translate 0 feeds only its C(K + 2n, 2n) nonzero entries,
+    already in echelon form.  The formula is kept so that the set of
+    refused inputs does not change.  The sum stops as soon as it passes
+    KERNEL_COST_LIMIT, so a huge N costs nothing."""
     total = 0
     for k in range(max(0, a - b), order + 1):
         total += comb(k + n, n) * (n + 1 + comb(order - k + n, n) ** 2)
@@ -166,18 +168,31 @@ def shift_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
     b - a + |m(s)| over the zero slots of m(s).  Counts are summed over the
     orderings of m(s), keyed by sorted(m(s)).
     """
-    orbits: dict[Exponent, int] = {}
-    for size in range(order + 1):
-        rest = b - a + size
-        if rest < 0:
-            continue
-        for m in monomials_of_degree(n + 1, size):
+    return dict(_orbit_table(n, b - a, order))
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(n: int, d: int, order: int) -> dict[Exponent, int]:
+    """shift_orbits for b - a = d, walking the sorted negative parts m
+    directly: each count is the number of distinct orderings of m times
+    the spreads of d + |m| over its zero slots."""
+    table: dict[Exponent, int] = {}
+    for size in range(max(0, -d), order + 1):
+        for m in _sorted_parts(n + 1, size, 0):
             zeros = m.count(0)
-            spreads = comb(rest + zeros - 1, zeros - 1) if zeros else int(rest == 0)
+            spreads = comb(d + size + zeros - 1, zeros - 1) if zeros else int(d + size == 0)
             if spreads:
-                key = tuple(sorted(m))
-                orbits[key] = orbits.get(key, 0) + spreads
-    return orbits
+                table[m] = spreads * factorial(n + 1) // prod(map(factorial, map(m.count, set(m))))
+    return table
+
+
+def _sorted_parts(slots: int, total: int, low: int) -> list[Exponent]:
+    """Non-decreasing slots-tuples (slots >= 1) of integers >= low with the
+    given total."""
+    if slots == 1:
+        return [(total,)] if total >= low else []
+    return [(first, *rest) for first in range(low, total // slots + 1)
+            for rest in _sorted_parts(slots - 1, total - first, first)]
 
 
 def _lattice_offset(n: int, b: int, m: Exponent) -> int:
@@ -220,14 +235,25 @@ def _block_rank(n: int, size: int, t: int) -> int:
     <= K in gamma_1 - m_1, ..., gamma_n - m_n on a translate of the
     principal lattice, where it is unisolvent (Chung and Yao 1977), so the
     rank is cap.  Rows are reduced against the pivots in exact integers.
+
+    Row q is built on its support only: ff(t + q_j, delta_j) = 0 exactly
+    when delta_j > t + q_j >= 0, so it holds the delta <= t + q with
+    |delta| <= K.  Columns are keyed from the largest delta down (key
+    -index in the |delta|-sorted list), so a row's pivot is its last
+    delta.  For t = 0 the support is delta <= q, whose last delta is q
+    itself with entry prod_j q_j! != 0: the rows arrive in echelon form
+    and feed only their C(K + 2n, 2n) nonzero entries, with nothing to
+    eliminate.  The rank is still computed, in the same column order for
+    every t.
     """
     tuples = [q for k in range(size + 1) for q in monomials_of_degree(n, k)]
+    key = {delta: -i for i, delta in enumerate(tuples)}
     pivots: dict[int, dict[int, int]] = {}
     for q in tuples:
-        falls = [list(accumulate(range(t + x, t + x - size, -1), mul, initial=1))
+        falls = [list(accumulate(range(t + x, max(t + x - size, 0), -1), mul, initial=1))
                  for x in q]
-        row = (prod(f[d] for f, d in zip(falls, delta)) for delta in tuples)
-        add_pivot_row(pivots, {i: v for i, v in enumerate(row) if v})
+        support = product(*map(range, map(len, falls)))
+        add_pivot_row(pivots, {key[d]: prod(map(getitem, falls, d)) for d in support if d in key})
     return len(pivots)
 
 
@@ -262,15 +288,14 @@ def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
     kernel_cost passes KERNEL_COST_LIMIT is refused with PreconditionError
     before any work.
     """
-    orbits = _certified_orbits(n, a, b, order)
-    dim = _orbit_dimension(n, orbits, order)
+    dim = _certified_orbits(n, a, b, order)[-1]
     box = order + abs(a) + abs(b) + 2
     return TwistedDOSpace(n, a, b, order, dim, box, ((box, dim),))
 
 
-def _certified_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
-    """global_do_dimension's pass: the shift orbits of order N, once every
-    block has reached its cap on its lattice rows.
+def _certified_orbits(n: int, a: int, b: int, order: int) -> list[int]:
+    """global_do_dimension's pass: the Euler-relation bounds of the orders
+    K = 0..N, once every block has reached its cap on its lattice rows.
 
     The block of m is ranked on the rows gamma_i = m_i + t + q_i (i >= 1,
     q >= 0, |q| <= K = N - |m|, t from _lattice_offset) and gamma_0 = h -
@@ -279,7 +304,11 @@ def _certified_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]
     q = 0 and q = K e_n, which hold the largest |gamma_j| of all rows; and
     gamma_0 runs over [h - K, h], so the row scalar ff(gamma_0, m_0) is
     nonzero on every row iff m_0 = 0 or that range misses [0, m_0 - 1].
-    The rank is then count * _block_rank(n, K, t) summed over the orbits.
+    The rank count * _block_rank(n, K, t) and the per-size totals S(k) (the
+    counts of the orbits with |m| = k) are summed over the orbits in one
+    loop.  The bound of order K is sum_k S(k) C(K - k + n, n), which is S
+    summed n + 1 times cumulatively, C(j + n, n) being the coefficient of
+    x^j in (1 - x)^-(n + 1); at K = N it is sum count * cap.
     """
     _check_space(n, order)
     cost = kernel_cost(n, a, b, order)
@@ -287,18 +316,19 @@ def _certified_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]
         raise PreconditionError(
             f"(n={n}, a={a}, b={b}, N={order}) has kernel cost at least "
             f"{cost}, above the limit {KERNEL_COST_LIMIT}")
-    orbits = shift_orbits(n, a, b, order)
     box = order + abs(a) + abs(b) + 2
     where = f"for (n={n}, a={a}, b={b}, N={order})"
+    totals = [0] * (order + 1)
     rank = 0
-    for m, count in orbits.items():
+    for m, count in _orbit_table(n, b - a, order).items():
         size = order - sum(m)
         t = _lattice_offset(n, b, m)
         tail = [mi + t for mi in m[1:]]
         h = a - sum(tail)
-        far = max((h, *tail), (h - size, *tail[:-1], tail[-1] + size),
-                  key=lambda gamma: max(map(abs, gamma)))
-        if max(map(abs, far)) > box:
+        # t >= 0, so tail is nonnegative and non-decreasing
+        if max(abs(h), abs(h - size), tail[-1] + size) > box:
+            far = max((h, *tail), (h - size, *tail[:-1], tail[-1] + size),
+                      key=lambda gamma: max(map(abs, gamma)))
             raise InconsistencyError(
                 f"lattice row {far} of the block {m} left the box {box} {where}")
         if m[0] and h >= 0 and h - size < m[0]:
@@ -306,19 +336,15 @@ def _certified_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]
                 f"lattice rows of the block {m} have gamma_0 in [{h - size}, {h}], "
                 f"which meets [0, {m[0] - 1}] where the row scalar is 0 {where}")
         rank += count * _block_rank(n, size, t)
-    bound = _orbit_dimension(n, orbits, order)
-    if rank != bound:
+        totals[order - size] += count
+    bounds = list(accumulate(totals))
+    for _ in range(n):
+        bounds = list(accumulate(bounds))
+    if rank != bounds[-1]:
         raise InconsistencyError(
             f"action-matrix rank {rank} stayed below the Euler-relation bound "
-            f"{bound} {where} within box {box}")
-    return orbits
-
-
-def _orbit_dimension(n: int, orbits: dict[Exponent, int], order: int) -> int:
-    """sum count C(K - |m| + n, n) over the orbits with |m| <= K = order:
-    the Euler-relation bound of order K."""
-    return sum(count * comb(order - sum(m) + n, n)
-               for m, count in orbits.items() if sum(m) <= order)
+            f"{bounds[-1]} {where} within box {box}")
+    return bounds
 
 
 # (n, a, b) -> the longest sweep computed so far, dims for N = 0..top
@@ -333,16 +359,15 @@ def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
     prefixes |delta| <= K - |m| of the top blocks (see _block_rank).  The
     pass certifies the top order: every square block reaches its cap, so
     it is nonsingular and each prefix has full column rank.  The rank of
-    order K is then its own Euler-relation bound, sum count C(K - |m| + n,
-    n), and that is dim DO^K.  A stored sweep at least as long is read
+    order K is then its own Euler-relation bound, which the pass returns,
+    and that is dim DO^K.  A stored sweep at least as long is read
     instead.
     """
     _check_space(n, top)
     dims = _SWEEPS.get((n, a, b), ())
     if top < len(dims):
         return dims[:top + 1]
-    orbits = _certified_orbits(n, a, b, top)
-    dims = tuple(_orbit_dimension(n, orbits, order) for order in range(top + 1))
+    dims = tuple(_certified_orbits(n, a, b, top))
     _SWEEPS[(n, a, b)] = dims
     return dims
 

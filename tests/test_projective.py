@@ -12,7 +12,7 @@ from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
 from jetspace.errors import InconsistencyError, PreconditionError
 from jetspace.growth import closed_form_dimension, verify_growth
-from jetspace import cli, projective
+from jetspace import cli, linalg, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
 from jetspace.projective import (BLOCK_OP_TEST_LIMIT, KERNEL_COST_LIMIT,
@@ -335,6 +335,45 @@ def test_blocks_are_shared_across_orbits_and_twists(monkeypatch):
     assert len(ranked) == 56
 
 
+def dense_block(n, size, t):
+    """R(n, K, t) in full: rows q, columns delta, both over the n-tuples of
+    size <= K sorted by size."""
+    tuples = [q for k in range(size + 1) for q in monomials_of_degree(n, k)]
+    return [[math.prod(falling(t + x, d) for x, d in zip(q, delta)) for delta in tuples]
+            for q in tuples]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_rank_is_the_rank_of_the_dense_block(n):
+    for size in range(6):
+        for t in range(5):
+            dense = ExactMatrix.from_rows(dense_block(n, size, t)).rank()
+            assert projective._block_rank.__wrapped__(n, size, t) == dense, (n, size, t)
+            assert dense == math.comb(size + n, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_translate_zero_blocks_arrive_in_echelon_form(monkeypatch, n):
+    # row q is supported on delta <= q, so its pivot is its own diagonal:
+    # nothing is eliminated, and only the C(K + 2n, 2n) nonzero entries of
+    # R(n, K, 0) are fed
+    eliminated, fed = [], []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: eliminated.append(args) or eliminate(*args))
+    add_pivot_row = projective.add_pivot_row
+    monkeypatch.setattr(projective, "add_pivot_row",
+                        lambda pivots, row: fed.append(dict(row)) or add_pivot_row(pivots, row))
+    for size in range(6):
+        fed.clear()
+        assert projective._block_rank.__wrapped__(n, size, 0) == math.comb(size + n, n)
+        assert eliminated == []
+        assert all(all(row.values()) for row in fed)
+        assert sum(map(len, fed)) == math.comb(size + 2 * n, 2 * n)
+        dense = dense_block(n, size, 0)
+        assert sum(1 for row in dense for v in row if v) == math.comb(size + 2 * n, 2 * n)
+
+
 @pytest.mark.parametrize("n, top", [(1, 5), (2, 3), (3, 2)])
 def test_sweeps_are_invariant_under_a_common_twist(n, top):
     for a in range(-2, 3):
@@ -474,7 +513,7 @@ def test_kernel_cost_refuses_oversized_input_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("shift orbits walked")
 
-    monkeypatch.setattr(projective, "shift_orbits", refuse)
+    monkeypatch.setattr(projective, "_orbit_table", refuse)
     with pytest.raises(PreconditionError, match=r"\(n=50, a=0, b=0, N=6\) has kernel "
                                                 r"cost at least \d+, above the limit"):
         global_do_dimension(50, 0, 0, 6)
@@ -502,6 +541,32 @@ def test_shift_orbits_cover_every_candidate():
                 rows = sum(count * math.comb(order - sum(m) + n + 1, n + 1)
                            for m, count in shift_orbits(n, a, b, order).items())
                 assert rows == candidate_count(n, a, b, order)
+
+
+def reference_shift_orbits(n, a, b, order):
+    """shift_orbits by walking every negative part m, each monomial of each
+    size <= N, and keying its spreads by sorted(m)."""
+    orbits = {}
+    for size in range(order + 1):
+        rest = b - a + size
+        if rest < 0:
+            continue
+        for m in monomials_of_degree(n + 1, size):
+            zeros = m.count(0)
+            spreads = math.comb(rest + zeros - 1, zeros - 1) if zeros else int(rest == 0)
+            if spreads:
+                key = tuple(sorted(m))
+                orbits[key] = orbits.get(key, 0) + spreads
+    return orbits
+
+
+def test_shift_orbits_match_the_monomial_walk():
+    for n in range(1, 6):
+        for d in range(-8, 5):
+            for order in range(8):
+                want = reference_shift_orbits(n, 0, d, order)
+                assert shift_orbits(n, 0, d, order) == want, (n, d, order)
+                assert shift_orbits(n, 3, 3 + d, order) == want, (n, d, order)
 
 
 def shift_count(n, d, k):
