@@ -9,7 +9,7 @@ back-substitution; together they satisfy rank + nullity = cols exactly.
 Row elimination picks each row's minimal column as pivot position, so rows
 with disjoint column supports never interact; on block-structured input the
 cost is the sum of the block costs.  add_pivot_row() is one elimination
-step on integer rows; projective's shift blocks call it directly.
+step on integer rows, the step rank() takes for each row.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ coefficient slots over a finite test set of chart monomials.
 The structural rank deficiency comes from the Euler operator E = sum x_i d_i:
 E - a annihilates every degree-a monomial, so phi (E - a) acts as zero for
 every graded phi.  The dimension is therefore at most the candidate count
-minus these relations, and at least the rank on any finite test set; the
-two meet on a lattice of test rows per shift block, all inside one box,
-which certifies the dimension.
+minus these relations, and at least the rank on any finite test set; on
+a lattice of test rows per shift block, all inside one box, each block is
+a product of two nonsingular triangular matrices, so the two meet without
+any matrix being ranked.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
 the minimal order at which operators into a negative twist appear, and the
@@ -26,20 +27,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, factorial, prod
-from operator import getitem, mul
 from typing import NamedTuple
 
 from . import cohomology, weyl
 from .errors import InconsistencyError, PreconditionError
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
-from .linalg import ExactMatrix, add_pivot_row
+from .linalg import ExactMatrix
 
 Candidate = tuple[Exponent, Exponent]
 
-# kernel_cost above this is refused up front; one unit is at most about a
-# microsecond on the inputs timed (2-core Xeon, Python 3.11)
+# kernel_cost above this is refused up front (kernel_cost says why it stays)
 KERNEL_COST_LIMIT = 10 ** 7
 
 # induced_cohomology_map refuses a dense matrix with more cells than this
@@ -139,18 +138,18 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
 
 
 def kernel_cost(n: int, a: int, b: int, order: int) -> int:
-    """Closed-form size of the shift-block work at order N,
+    """Closed-form cost estimate of the pass at order N,
 
         sum_{k = max(0, a - b)..N} C(k + n, n) (n + 1 + C(N - k + n, n)^2),
 
     one term per negative part m of size k: its n + 1 entries plus the
-    cap^2 cells of its square block (see _block_rank).  This overstates
-    the work: the orbit table walks sorted negative parts only, blocks are
-    shared by every orbit with the same N - |m| and lattice translate, and
-    a block of translate 0 feeds only its C(K + 2n, 2n) nonzero entries,
-    already in echelon form.  The formula is kept so that the set of
-    refused inputs does not change.  The sum stops as soon as it passes
-    KERNEL_COST_LIMIT, so a huge N costs nothing."""
+    cap^2 cells of a square block.  No block is ranked (see
+    _certified_orbits), so the only work left is the orbit walk and the
+    formula overstates it many times over: (1, 0, 0, 150) and (2, 0, 0, 24)
+    are refused though they would run in a few milliseconds (the FOUND
+    line on kernel_cost in CHANGES.md).  The formula and KERNEL_COST_LIMIT
+    are kept only so that no exit code moves.  The sum stops as soon as it
+    passes KERNEL_COST_LIMIT, so a huge N costs nothing."""
     total = 0
     for k in range(max(0, a - b), order + 1):
         total += comb(k + n, n) * (n + 1 + comb(order - k + n, n) ** 2)
@@ -203,60 +202,6 @@ def _lattice_offset(n: int, b: int, m: Exponent) -> int:
     return 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
 
 
-@lru_cache(maxsize=None)
-def _block_rank(n: int, size: int, t: int) -> int:
-    """Rank of R(n, K, t)[q, delta] = prod_{j >= 1} ff(t + q_j, delta_j),
-    q and delta ranging over n-tuples >= 0 with |q|, |delta| <= K = size:
-    up to nonzero row scalars, the square block of every shift orbit m with
-    N - |m| = K on its lattice rows of translate t.
-
-    The full block of a shift s with negative part m has rows the test
-    monomials gamma, columns the beta >= m with |beta| <= N, and entries the
-    integers prod_j ff(gamma_j, beta_j) (the coefficient of x^(gamma + s) in
-    x^(beta + s) d^beta x^gamma).  Since ff(g, r + 1) = ff(g, r) (g - r) and
-    sum_i gamma_i = a, every test row satisfies the Euler column identity
-
-        sum_i col(beta + e_i) + (|beta| - a) col(beta) = 0,
-
-    which writes col(beta + e_0) through columns of smaller beta_0 and no
-    larger |beta|.  So the columns with beta_0 = m_0 span every column
-    prefix |beta| <= K, on any set of rows, and the square block keeps only
-    them: beta = (m_0, m_1 + delta_1, ..., m_n + delta_n) with |delta| <=
-    N - |m|, sorted by |delta|.  There are cap = C(N - |m| + n, n) of them,
-    as many as the Euler relations phi (E - a) (phi of shift s and order
-    <= N - 1) among the full block's columns, which are independent (right
-    multiplication by E - a is injective); so the rank is at most cap.
-
-    Per coordinate ff(g, e + r) = ff(g, e) ff(g - e, r), so a row is the
-    scalar prod_j ff(gamma_j, m_j) times the row of prod_j ff(gamma_j - m_j,
-    delta_j).  On the lattice rows gamma_i = m_i + t + q_i (i >= 1) the
-    scalars are nonzero (checked in _certified_orbits) and what remains is
-    R(n, K, t): the falling-factorial basis of the polynomials of degree
-    <= K in gamma_1 - m_1, ..., gamma_n - m_n on a translate of the
-    principal lattice, where it is unisolvent (Chung and Yao 1977), so the
-    rank is cap.  Rows are reduced against the pivots in exact integers.
-
-    Row q is built on its support only: ff(t + q_j, delta_j) = 0 exactly
-    when delta_j > t + q_j >= 0, so it holds the delta <= t + q with
-    |delta| <= K.  Columns are keyed from the largest delta down (key
-    -index in the |delta|-sorted list), so a row's pivot is its last
-    delta.  For t = 0 the support is delta <= q, whose last delta is q
-    itself with entry prod_j q_j! != 0: the rows arrive in echelon form
-    and feed only their C(K + 2n, 2n) nonzero entries, with nothing to
-    eliminate.  The rank is still computed, in the same column order for
-    every t.
-    """
-    tuples = [q for k in range(size + 1) for q in monomials_of_degree(n, k)]
-    key = {delta: -i for i, delta in enumerate(tuples)}
-    pivots: dict[int, dict[int, int]] = {}
-    for q in tuples:
-        falls = [list(accumulate(range(t + x, max(t + x - size, 0), -1), mul, initial=1))
-                 for x in q]
-        support = product(*map(range, map(len, falls)))
-        add_pivot_row(pivots, {key[d]: prod(map(getitem, falls, d)) for d in support if d in key})
-    return len(pivots)
-
-
 class TwistedDOSpace(NamedTuple):
     """The space of order <= N global operators O(a) -> O(b) on P^n."""
 
@@ -270,23 +215,13 @@ class TwistedDOSpace(NamedTuple):
 
 
 def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
-    """Dimension of the global operator space, with the certifying test box.
-
-    The action matrix is block-diagonal by shift, and a block's rank depends
-    only on the sorted negative part m of its shift (the test set is
-    symmetric under permuting coordinates), so the rank is a weighted sum of
-    one integer block rank per shift orbit.  Each block is ranked on its
-    C(N - |m| + n, n) columns with beta_0 = m_0 only (see _block_rank).
-    That count is also the block's Euler-relation cap, and the same
-    weighted sum over the caps bounds the dimension from above, while the
-    rank on any set of test rows bounds it from below.
-
-    Each block is ranked on its cap lattice rows, which lie in the box
-    N + |a| + |b| + 2 and on which the block is unisolvent, so the two
-    bounds meet in one pass.  A row outside the box, a zero row scalar, or
-    a rank below the bound raises InconsistencyError.  Input whose
-    kernel_cost passes KERNEL_COST_LIMIT is refused with PreconditionError
-    before any work.
+    """Dimension of the global operator space, with the certifying test box:
+    the sum over the shift orbits m of count * C(N - |m| + n, n), each
+    block reaching that Euler-relation cap on lattice rows inside the box
+    N + |a| + |b| + 2 (see _certified_orbits); no matrix is ranked.  A
+    lattice row outside the box or a zero row scalar raises
+    InconsistencyError.  Input whose kernel_cost passes KERNEL_COST_LIMIT
+    is refused with PreconditionError before any work.
     """
     dim = _certified_orbits(n, a, b, order)[-1]
     box = order + abs(a) + abs(b) + 2
@@ -295,20 +230,36 @@ def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
 
 def _certified_orbits(n: int, a: int, b: int, order: int) -> list[int]:
     """global_do_dimension's pass: the Euler-relation bounds of the orders
-    K = 0..N, once every block has reached its cap on its lattice rows.
+    K = 0..N, which are the dimensions.
 
-    The block of m is ranked on the rows gamma_i = m_i + t + q_i (i >= 1,
-    q >= 0, |q| <= K = N - |m|, t from _lattice_offset) and gamma_0 = h -
-    |q| with h = a - sum_{i >= 1} (m_i + t), so gamma_i >= 0 for i >= 1 and
-    each row is a chart monomial.  The rows are checked at the extremes,
-    q = 0 and q = K e_n, which hold the largest |gamma_j| of all rows; and
-    gamma_0 runs over [h - K, h], so the row scalar ff(gamma_0, m_0) is
-    nonzero on every row iff m_0 = 0 or that range misses [0, m_0 - 1].
-    The rank count * _block_rank(n, K, t) and the per-size totals S(k) (the
-    counts of the orbits with |m| = k) are summed over the orbits in one
-    loop.  The bound of order K is sum_k S(k) C(K - k + n, n), which is S
-    summed n + 1 times cumulatively, C(j + n, n) being the coefficient of
-    x^j in (1 - x)^-(n + 1); at K = N it is sum count * cap.
+    The block of a shift s with negative part m has rows the test monomials
+    gamma, columns the beta >= m with |beta| <= N and entries prod_j
+    ff(gamma_j, beta_j).  Its rank is at most cap = C(N - |m| + n, n), what
+    the independent Euler relations phi (E - a) leave of its columns.  Take
+    the cap columns beta = m + (0, delta), |delta| <= K = N - |m|, and the
+    cap lattice rows gamma_i = m_i + t + q_i (i >= 1, q >= 0, |q| <= K, t
+    from _lattice_offset), gamma_0 = h - |q| with h = a - sum_{i >= 1}
+    (m_i + t).  As ff(g, e + r) = ff(g, e) ff(g - e, r), the block there is
+    the row scalars prod_j ff(gamma_j, m_j) times R[q, delta] =
+    prod_{j >= 1} ff(t + q_j, delta_j).  By the Vandermonde identity
+    ff(x + y, k) = sum_r C(k, r) ff(x, r) ff(y, k - r), R = A B with
+    A[q, r] = prod_j ff(q_j, r_j), zero unless r <= q, diagonal prod_j q_j!,
+    and B[r, delta] = prod_j C(delta_j, r_j) ff(t, delta_j - r_j), zero
+    unless r <= delta, diagonal 1.  The simplex |q| <= K is down-closed, so
+    both are triangular and det R = prod_q prod_j q_j! != 0 for every
+    integer t (unisolvence on the principal lattice, Chung and Yao 1977).
+    So every block reaches its cap, and the bound is the dimension, if the
+    rows are chart monomials in the box N + |a| + |b| + 2 with nonzero
+    scalars.
+
+    Those hypotheses are checked per orbit, in closed form, and raise
+    InconsistencyError: gamma_i >= 0 for i >= 1 by construction; the
+    extreme rows q = 0 and q = K e_n hold the largest |gamma_j|; for i >= 1,
+    ff(gamma_i, m_i) != 0 as t + q_i >= 0; and gamma_0 runs over [h - K, h],
+    so ff(gamma_0, m_0) != 0 on every row iff m_0 = 0 or that range misses
+    [0, m_0 - 1].  The bound of order K is sum_k S(k) C(K - k + n, n), S(k)
+    the count of the orbits with |m| = k: S summed n + 1 times cumulatively,
+    C(j + n, n) being the x^j coefficient of (1 - x)^-(n + 1).
     """
     _check_space(n, order)
     cost = kernel_cost(n, a, b, order)
@@ -319,7 +270,6 @@ def _certified_orbits(n: int, a: int, b: int, order: int) -> list[int]:
     box = order + abs(a) + abs(b) + 2
     where = f"for (n={n}, a={a}, b={b}, N={order})"
     totals = [0] * (order + 1)
-    rank = 0
     for m, count in _orbit_table(n, b - a, order).items():
         size = order - sum(m)
         t = _lattice_offset(n, b, m)
@@ -335,15 +285,10 @@ def _certified_orbits(n: int, a: int, b: int, order: int) -> list[int]:
             raise InconsistencyError(
                 f"lattice rows of the block {m} have gamma_0 in [{h - size}, {h}], "
                 f"which meets [0, {m[0] - 1}] where the row scalar is 0 {where}")
-        rank += count * _block_rank(n, size, t)
         totals[order - size] += count
     bounds = list(accumulate(totals))
     for _ in range(n):
         bounds = list(accumulate(bounds))
-    if rank != bounds[-1]:
-        raise InconsistencyError(
-            f"action-matrix rank {rank} stayed below the Euler-relation bound "
-            f"{bounds[-1]} {where} within box {box}")
     return bounds
 
 
@@ -356,12 +301,11 @@ def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
 
     The shift orbits of a lower order K are those of order top with
     |m| <= K, with the same counts, and their square blocks are column
-    prefixes |delta| <= K - |m| of the top blocks (see _block_rank).  The
-    pass certifies the top order: every square block reaches its cap, so
-    it is nonsingular and each prefix has full column rank.  The rank of
-    order K is then its own Euler-relation bound, which the pass returns,
-    and that is dim DO^K.  A stored sweep at least as long is read
-    instead.
+    prefixes |delta| <= K - |m| of the top blocks (see _certified_orbits).
+    Every top square block is nonsingular on its lattice rows, so each
+    prefix has full column rank, its own cap: the rank of order K is its
+    Euler-relation bound, which the pass returns, and that is dim DO^K.
+    A stored sweep at least as long is read instead.
     """
     _check_space(n, top)
     dims = _SWEEPS.get((n, a, b), ())

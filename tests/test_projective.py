@@ -193,17 +193,6 @@ def test_block_kernel_matches_action_matrix(n, span, max_order):
                 assert history[:len(space.rank_history)] == space.rank_history
 
 
-def test_bound_not_reached_within_limit_is_inconsistent(monkeypatch, capsys):
-    # a block ranked below its cap leaves the rank below the bound: exit 3
-    monkeypatch.setattr(projective, "_block_rank", lambda *args: 0)
-    with pytest.raises(InconsistencyError, match=(
-            r"rank 0 stayed below the Euler-relation bound 1 "
-            r"for \(n=1, a=-5, b=-5, N=0\) within box 12")):
-        global_do_dimension(1, -5, -5, 0)
-    assert cli.main(["dim-do", "--n", "1", "--a", "-5", "--b", "-5", "--N", "0"]) == 3
-    assert "Euler-relation bound 1 " in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("n, a, b, order", [(3, 0, -30, 1), (1, 0, -40, 1),
                                              (2, 3, 0, 2)])
 def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
@@ -212,7 +201,6 @@ def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
         raise AssertionError("test set built for a zero bound")
 
     monkeypatch.setattr(projective, "_lattice_offset", refuse)
-    monkeypatch.setattr(projective, "_block_rank", refuse)
     space = global_do_dimension(n, a, b, order)
     box0 = order + abs(a) + abs(b) + 2
     assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))
@@ -291,8 +279,7 @@ def test_start_box_holds_a_unisolvent_lattice_for_every_block(n, span, max_order
                     key = (m, order, tuple(rows))
                     if key not in full_ranks:
                         full_ranks[key] = full_block_rank(m, order, rows)
-                    assert full_ranks[key] == projective._block_rank(
-                        n, size, t) == cap == len(rows), (n, a, b, order, m)
+                    assert full_ranks[key] == cap == len(rows), (n, a, b, order, m)
                     all_negative += m[0] > 0
                 dim = closed_form_dimension(n, b - a, order)
                 space = global_do_dimension(n, a, b, order)
@@ -304,35 +291,27 @@ def test_start_box_holds_a_unisolvent_lattice_for_every_block(n, span, max_order
 @pytest.mark.parametrize("n, a, b, order", [
     (2, 0, -3, 4), (2, -2, 0, 3), (2, -1, -3, 4), (3, 0, 0, 3), (3, -2, 1, 3),
     (4, 0, 2, 2)])
-def test_one_pass_ranks_exactly_the_lattice_rows(monkeypatch, n, a, b, order):
-    # one block per distinct (K, t), each on its cap rows and no more;
-    # (2, 0, -3, 4) includes an all-negative orbit
-    ranked = []
-    add_pivot_row = projective.add_pivot_row
-    monkeypatch.setattr(projective, "add_pivot_row",
-                        lambda pivots, row: ranked.append(row) or add_pivot_row(pivots, row))
-    projective._block_rank.cache_clear()
-    orbits = shift_orbits(n, a, b, order)
-    space = global_do_dimension(n, a, b, order)
-    blocks = {(order - sum(m), lattice_offset(n, b, m)) for m in orbits}
-    assert len(ranked) == sum(math.comb(size + n, n) for size, _ in blocks)
-    assert space.dim == euler_bound(n, a, b, order)
+def test_dimension_pass_runs_no_elimination(monkeypatch, capsys, n, a, b, order):
+    # every lattice block is nonsingular by its factorization, so a cold
+    # pass ranks nothing; (2, 0, -3, 4) includes an all-negative orbit
+    def refuse(*args):
+        raise AssertionError("an elimination step ran")
+
+    for name in ("add_pivot_row", "_make_primitive", "_eliminate"):
+        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(ExactMatrix, "rank", refuse)
+    # clear every cache in projective, so the pass runs cold
+    for cached in vars(projective).values():
+        getattr(cached, "cache_clear", lambda: None)()
+    projective._SWEEPS.clear()
+    dim = closed_form_dimension(n, b - a, order)
+    assert global_do_dimension(n, a, b, order).dim == dim == euler_bound(n, a, b, order)
+    assert do_dimensions(n, a, b, order)[-1] == dim
+    argv = ["dim-do", "--n", str(n), "--a", str(a), "--b", str(b), "--N", str(order)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == dim
     if b - a <= -(n + 1):
-        assert any(min(m) > 0 for m in orbits)
-
-
-def test_blocks_are_shared_across_orbits_and_twists(monkeypatch):
-    # (2, 0, 0, 5) ranks 56 rows in 6 blocks, one per K = 0..5, against 80
-    # rows over its orbits; (2, 1, 1, 5) needs the same blocks again
-    ranked = []
-    add_pivot_row = projective.add_pivot_row
-    monkeypatch.setattr(projective, "add_pivot_row",
-                        lambda pivots, row: ranked.append(row) or add_pivot_row(pivots, row))
-    projective._block_rank.cache_clear()
-    assert global_do_dimension(2, 0, 0, 5).dim == closed_form_dimension(2, 0, 5)
-    assert len(ranked) == 56
-    assert global_do_dimension(2, 1, 1, 5).dim == closed_form_dimension(2, 0, 5)
-    assert len(ranked) == 56
+        assert any(min(m) > 0 for m in shift_orbits(n, a, b, order))
 
 
 def dense_block(n, size, t):
@@ -345,33 +324,84 @@ def dense_block(n, size, t):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_block_rank_is_the_rank_of_the_dense_block(n):
+    # R(n, K, t) has full rank C(K + n, n)
     for size in range(6):
         for t in range(5):
-            dense = ExactMatrix.from_rows(dense_block(n, size, t)).rank()
-            assert projective._block_rank.__wrapped__(n, size, t) == dense, (n, size, t)
-            assert dense == math.comb(size + n, n)
+            dense = dense_block(n, size, t)
+            assert ExactMatrix.from_rows(dense).rank() == math.comb(size + n, n), (n, size, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_translate_zero_blocks_arrive_in_echelon_form(monkeypatch, n):
-    # row q is supported on delta <= q, so its pivot is its own diagonal:
-    # nothing is eliminated, and only the C(K + 2n, 2n) nonzero entries of
-    # R(n, K, 0) are fed
-    eliminated, fed = [], []
+    # row q of R(n, K, 0) is supported on delta <= q, so with columns keyed
+    # from the largest delta down its pivot is its own diagonal prod q_j!:
+    # the rows reduce with nothing eliminated, and only the C(K + 2n, 2n)
+    # nonzero entries are fed
+    eliminated = []
     eliminate = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate",
                         lambda *args: eliminated.append(args) or eliminate(*args))
-    add_pivot_row = projective.add_pivot_row
-    monkeypatch.setattr(projective, "add_pivot_row",
-                        lambda pivots, row: fed.append(dict(row)) or add_pivot_row(pivots, row))
     for size in range(6):
-        fed.clear()
-        assert projective._block_rank.__wrapped__(n, size, 0) == math.comb(size + n, n)
-        assert eliminated == []
-        assert all(all(row.values()) for row in fed)
-        assert sum(map(len, fed)) == math.comb(size + 2 * n, 2 * n)
         dense = dense_block(n, size, 0)
-        assert sum(1 for row in dense for v in row if v) == math.comb(size + 2 * n, 2 * n)
+        fed = [{-j: v for j, v in enumerate(row) if v} for row in dense]
+        assert sum(map(len, fed)) == math.comb(size + 2 * n, 2 * n)
+        for i, row in enumerate(fed):
+            assert min(row) == -i
+        pivots = {}
+        for row in fed:
+            linalg.add_pivot_row(pivots, dict(row))
+        assert eliminated == []
+        assert len(pivots) == math.comb(size + n, n)
+
+
+def bareiss_det(rows):
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination with row swaps."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def test_block_factors_into_triangular_falling_factorial_matrices():
+    # the theorem that replaces a rank pass: by the Vandermonde identity
+    # ff(x + y, k) = sum_r C(k, r) ff(x, r) ff(y, k - r), R = A B with
+    # A[q, r] = prod ff(q_j, r_j) (zero unless r <= q) and B[r, delta] =
+    # prod C(delta_j, r_j) ff(t, delta_j - r_j) (zero unless r <= delta), so
+    # det R = prod_q prod_j q_j! for every integer t, negative ones included
+    cases = 0
+    for n, top in [(1, 7), (2, 5), (3, 3), (4, 2)]:
+        for size in range(top + 1):
+            tuples = [q for k in range(size + 1) for q in monomials_of_degree(n, k)]
+            below = [[all(x <= y for x, y in zip(r, q)) for r in tuples] for q in tuples]
+            a = [[math.prod(falling(x, y) for x, y in zip(q, r)) for r in tuples]
+                 for q in tuples]
+            diagonal = math.prod(math.factorial(x) for q in tuples for x in q)
+            for i, q in enumerate(tuples):
+                assert a[i][i] == math.prod(map(math.factorial, q))
+                assert all(a[i][j] == 0 for j in range(len(tuples)) if not below[i][j])
+            for t in range(-4, 6):
+                b = [[math.prod(math.comb(d, x) * falling(t, d - x) for x, d in zip(r, delta))
+                      for delta in tuples] for r in tuples]
+                assert all(b[i][i] == 1 for i in range(len(tuples)))
+                assert all(b[i][j] == 0 for i in range(len(tuples))
+                           for j in range(len(tuples)) if not below[j][i])
+                dense = dense_block(n, size, t)
+                assert ExactMatrix.from_rows(a) @ ExactMatrix.from_rows(b) == (
+                    ExactMatrix.from_rows(dense)), (n, size, t)
+                assert bareiss_det(dense) == diagonal != 0, (n, size, t)
+                cases += 1
+    assert cases == 210
 
 
 @pytest.mark.parametrize("n, top", [(1, 5), (2, 3), (3, 2)])
