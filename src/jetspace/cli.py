@@ -70,6 +70,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _render(payload: dict) -> str:
+    """_json_text with Python's limit on int-to-str digits lifted: exact
+    results such as C(199998, 99999) pass it.  Parsing input keeps it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _json_text(payload)
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _json_text(payload)
+    finally:
+        set_limit(old)
+
+
 def _frac_str(x) -> str:
     return str(Fraction(x))
 
@@ -407,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         report = args.func(args)
         if not isinstance(report, str):
-            report = _json_text({"schema": SCHEMA, "command": args.command, **report})
+            report = _render({"schema": SCHEMA, "command": args.command, **report})
         _emit(report, args.output)
         return 0
     except _UsageError as exc:

@@ -17,7 +17,7 @@ injective, so h^0 is a difference of binomial counts.
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import comb
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -29,12 +29,11 @@ CECH_MAX_TWIST = 12
 
 def chi_line(n: int, k: int) -> int:
     """Euler characteristic of O(k) on P^n: the binomial (n+k choose n) as a
-    polynomial in k, so negative twists produce signed values.  In integers:
-    a product of n consecutive integers is divisible by n!, whatever their
-    sign."""
+    polynomial in k, so negative twists produce signed values.  Below k = 0
+    it is (k+1)...(k+n)/n! = (-1)^n C(-k-1, n), which is 0 for -n <= k < 0."""
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
-    return prod(range(k + 1, k + n + 1)) // factorial(n)
+    return comb(n + k, n) if k >= 0 else (-1) ** n * comb(-k - 1, n)
 
 
 def h0_line(n: int, k: int) -> int:

@@ -11,6 +11,25 @@ C is pinned by matching the computed dimension at N = M.  This module finds
 the threshold empirically, builds P with exact rational coefficients, and
 cross-checks every computed dimension against an independent closed form
 that counts candidate shifts.
+
+The search finds what the kernel's closed form proves.  With d = b - a,
+dims[N] = C(N + n, n) C(N + d + n, n), and 0 when N + d < 0
+(projective.do_dimensions).  So:
+
+- dims[N] - dims[N - 1] = C(N + n, n) h0(O(N + d)) - C(N - 1 + n, n)
+  h0(O(N - 1 + d)), which is expected_delta(n, N, d) for every N >= 1 when
+  n >= 2.  On the line, where h1 of O(N - 1 + d) can be nonzero, it is
+  h0(O(2N + d)) for N >= -d.
+- C(N + n, n) = chi(O(N)) for N >= 0, and C(N + d + n, n) = chi(O(N + d))
+  whenever N + d >= -n (both sides are 0 for -n <= N + d < 0).  So
+  dims[N] = chi(O(N)) chi(O(N + d)) for N >= M0 = max(0, a - b - n), and
+  not below M0, where dims[N] = 0 and the product of the chis is not.
+
+Hence whenever M0 < n_max the threshold is exactly M0 and the constant C is
+0.  When n_max <= M0 every dimension in the budget is 0, and the search
+can accept a spurious window: growth-table --n 1 --a 0 --b -9 --nmax 4
+reports M = 3 and P(N) = N^2 - 7N + 12 with verdict true, yet P(9) = 30
+while dim DO^9 = 10.
 """
 
 from __future__ import annotations

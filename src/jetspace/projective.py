@@ -15,8 +15,10 @@ E - a annihilates every degree-a monomial, so phi (E - a) acts as zero for
 every graded phi.  The dimension is therefore at most the candidate count
 minus these relations, and at least the rank on any finite test set; on
 a lattice of test rows per shift block, all inside one box, each block is
-a product of two nonsingular triangular matrices, so the two meet without
-any matrix being ranked.
+a product of two nonsingular triangular matrices, so the two meet.
+Counted, the bound is C(N + n, n) C(N + b - a + n, n), the number of
+candidates of exact order N (do_dimensions has the proof), and no matrix
+is built.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
 the minimal order at which operators into a negative twist appear, and the
@@ -27,8 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb
 from typing import NamedTuple
 
 from . import cohomology, weyl
@@ -138,18 +139,18 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
 
 
 def kernel_cost(n: int, a: int, b: int, order: int) -> int:
-    """Closed-form cost estimate of the pass at order N,
+    """Closed-form cost estimate of a certifying pass at order N,
 
         sum_{k = max(0, a - b)..N} C(k + n, n) (n + 1 + C(N - k + n, n)^2),
 
     one term per negative part m of size k: its n + 1 entries plus the
-    cap^2 cells of a square block.  No block is ranked (see
-    _certified_orbits), so the only work left is the orbit walk and the
-    formula overstates it many times over: (1, 0, 0, 150) and (2, 0, 0, 24)
-    are refused though they would run in a few milliseconds (the FOUND
-    line on kernel_cost in CHANGES.md).  The formula and KERNEL_COST_LIMIT
-    are kept only so that no exit code moves.  The sum stops as soon as it
-    passes KERNEL_COST_LIMIT, so a huge N costs nothing."""
+    cap^2 cells of a square block.  Nothing it models runs any more: the
+    dimension is a product of two binomials (see do_dimensions), so
+    (1, 0, 0, 150) and (2, 0, 0, 24) are refused though they cost nothing
+    (the FOUND line on kernel_cost in CHANGES.md).  The formula and
+    KERNEL_COST_LIMIT are kept only so that no exit code moves.  The sum
+    stops as soon as it passes KERNEL_COST_LIMIT, so a huge N costs
+    nothing."""
     total = 0
     for k in range(max(0, a - b), order + 1):
         total += comb(k + n, n) * (n + 1 + comb(order - k + n, n) ** 2)
@@ -158,52 +159,27 @@ def kernel_cost(n: int, a: int, b: int, order: int) -> int:
     return total
 
 
-def shift_orbits(n: int, a: int, b: int, order: int) -> dict[Exponent, int]:
-    """Shift orbits of the candidates: sorted negative part m -> shift count.
-
-    A candidate x^alpha d^beta has shift s = alpha - beta, and beta ranges
-    over beta >= m(s) := max(0, -s), |beta| <= N.  For each negative part
-    m(s) with |m(s)| <= N, the shifts sharing it spread the positive part
-    b - a + |m(s)| over the zero slots of m(s).  Counts are summed over the
-    orderings of m(s), keyed by sorted(m(s)).
-    """
-    return dict(_orbit_table(n, b - a, order))
+def _check_cost(n: int, a: int, b: int, order: int) -> None:
+    _check_space(n, order)
+    cost = kernel_cost(n, a, b, order)
+    if cost > KERNEL_COST_LIMIT:
+        raise PreconditionError(
+            f"(n={n}, a={a}, b={b}, N={order}) has kernel cost at least "
+            f"{cost}, above the limit {KERNEL_COST_LIMIT}")
 
 
-@lru_cache(maxsize=None)
-def _orbit_table(n: int, d: int, order: int) -> dict[Exponent, int]:
-    """shift_orbits for b - a = d, walking the sorted negative parts m
-    directly: each count is the number of distinct orderings of m times
-    the spreads of d + |m| over its zero slots."""
-    table: dict[Exponent, int] = {}
-    for size in range(max(0, -d), order + 1):
-        for m in _sorted_parts(n + 1, size, 0):
-            zeros = m.count(0)
-            spreads = comb(d + size + zeros - 1, zeros - 1) if zeros else int(d + size == 0)
-            if spreads:
-                table[m] = spreads * factorial(n + 1) // prod(map(factorial, map(m.count, set(m))))
-    return table
-
-
-def _sorted_parts(slots: int, total: int, low: int) -> list[Exponent]:
-    """Non-decreasing slots-tuples (slots >= 1) of integers >= low with the
-    given total."""
-    if slots == 1:
-        return [(total,)] if total >= low else []
-    return [(first, *rest) for first in range(low, total // slots + 1)
-            for rest in _sorted_parts(slots - 1, total - first, first)]
-
-
-def _lattice_offset(n: int, b: int, m: Exponent) -> int:
-    """The translate t of the lattice rows of the block of m (see
-    _certified_orbits).  If m_0 = 0, t = 0.  Otherwise every shift of the
-    orbit is all negative, b - a = -|m|, and t = max(0, floor((b + m_0) / n)
-    + 1) makes every gamma_0 = b + m_0 - n t - |q| negative."""
-    return 0 if m[0] == 0 else max(0, (b + m[0]) // n + 1)
+def _dimension(n: int, d: int, order: int) -> int:
+    """dim DO^N(O(a), O(a + d)), proved in do_dimensions' docstring."""
+    return comb(order + n, n) * comb(order + d + n, n) if order + d >= 0 else 0
 
 
 class TwistedDOSpace(NamedTuple):
-    """The space of order <= N global operators O(a) -> O(b) on P^n."""
+    """The space of order <= N global operators O(a) -> O(b) on P^n.
+
+    box is N + |a| + |b| + 2, which holds the test rows on which every
+    shift block is nonsingular (see do_dimensions).  rank_history is always
+    ((box, dim),); it stays because it is public and the benchmark tracer
+    (perfbench/tracing.py) reads it."""
 
     n: int
     a: int
@@ -215,111 +191,73 @@ class TwistedDOSpace(NamedTuple):
 
 
 def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
-    """Dimension of the global operator space, with the certifying test box:
-    the sum over the shift orbits m of count * C(N - |m| + n, n), each
-    block reaching that Euler-relation cap on lattice rows inside the box
-    N + |a| + |b| + 2 (see _certified_orbits); no matrix is ranked.  A
-    lattice row outside the box or a zero row scalar raises
-    InconsistencyError.  Input whose kernel_cost passes KERNEL_COST_LIMIT
-    is refused with PreconditionError before any work.
+    """Dimension of the global operator space, C(N + n, n) C(N + b - a + n, n)
+    and 0 when N < a - b (see do_dimensions), with the box N + |a| + |b| + 2
+    of its test rows.  Input whose kernel_cost passes KERNEL_COST_LIMIT is
+    refused with PreconditionError before any work.
     """
-    dim = _certified_orbits(n, a, b, order)[-1]
+    _check_cost(n, a, b, order)
+    dim = _dimension(n, b - a, order)
     box = order + abs(a) + abs(b) + 2
     return TwistedDOSpace(n, a, b, order, dim, box, ((box, dim),))
 
 
-def _certified_orbits(n: int, a: int, b: int, order: int) -> list[int]:
-    """global_do_dimension's pass: the Euler-relation bounds of the orders
-    K = 0..N, which are the dimensions.
-
-    The block of a shift s with negative part m has rows the test monomials
-    gamma, columns the beta >= m with |beta| <= N and entries prod_j
-    ff(gamma_j, beta_j).  Its rank is at most cap = C(N - |m| + n, n), what
-    the independent Euler relations phi (E - a) leave of its columns.  Take
-    the cap columns beta = m + (0, delta), |delta| <= K = N - |m|, and the
-    cap lattice rows gamma_i = m_i + t + q_i (i >= 1, q >= 0, |q| <= K, t
-    from _lattice_offset), gamma_0 = h - |q| with h = a - sum_{i >= 1}
-    (m_i + t).  As ff(g, e + r) = ff(g, e) ff(g - e, r), the block there is
-    the row scalars prod_j ff(gamma_j, m_j) times R[q, delta] =
-    prod_{j >= 1} ff(t + q_j, delta_j).  By the Vandermonde identity
-    ff(x + y, k) = sum_r C(k, r) ff(x, r) ff(y, k - r), R = A B with
-    A[q, r] = prod_j ff(q_j, r_j), zero unless r <= q, diagonal prod_j q_j!,
-    and B[r, delta] = prod_j C(delta_j, r_j) ff(t, delta_j - r_j), zero
-    unless r <= delta, diagonal 1.  The simplex |q| <= K is down-closed, so
-    both are triangular and det R = prod_q prod_j q_j! != 0 for every
-    integer t (unisolvence on the principal lattice, Chung and Yao 1977).
-    So every block reaches its cap, and the bound is the dimension, if the
-    rows are chart monomials in the box N + |a| + |b| + 2 with nonzero
-    scalars.
-
-    Those hypotheses are checked per orbit, in closed form, and raise
-    InconsistencyError: gamma_i >= 0 for i >= 1 by construction; the
-    extreme rows q = 0 and q = K e_n hold the largest |gamma_j|; for i >= 1,
-    ff(gamma_i, m_i) != 0 as t + q_i >= 0; and gamma_0 runs over [h - K, h],
-    so ff(gamma_0, m_0) != 0 on every row iff m_0 = 0 or that range misses
-    [0, m_0 - 1].  The bound of order K is sum_k S(k) C(K - k + n, n), S(k)
-    the count of the orbits with |m| = k: S summed n + 1 times cumulatively,
-    C(j + n, n) being the x^j coefficient of (1 - x)^-(n + 1).
-    """
-    _check_space(n, order)
-    cost = kernel_cost(n, a, b, order)
-    if cost > KERNEL_COST_LIMIT:
-        raise PreconditionError(
-            f"(n={n}, a={a}, b={b}, N={order}) has kernel cost at least "
-            f"{cost}, above the limit {KERNEL_COST_LIMIT}")
-    box = order + abs(a) + abs(b) + 2
-    where = f"for (n={n}, a={a}, b={b}, N={order})"
-    totals = [0] * (order + 1)
-    for m, count in _orbit_table(n, b - a, order).items():
-        size = order - sum(m)
-        t = _lattice_offset(n, b, m)
-        tail = [mi + t for mi in m[1:]]
-        h = a - sum(tail)
-        # t >= 0, so tail is nonnegative and non-decreasing
-        if max(abs(h), abs(h - size), tail[-1] + size) > box:
-            far = max((h, *tail), (h - size, *tail[:-1], tail[-1] + size),
-                      key=lambda gamma: max(map(abs, gamma)))
-            raise InconsistencyError(
-                f"lattice row {far} of the block {m} left the box {box} {where}")
-        if m[0] and h >= 0 and h - size < m[0]:
-            raise InconsistencyError(
-                f"lattice rows of the block {m} have gamma_0 in [{h - size}, {h}], "
-                f"which meets [0, {m[0] - 1}] where the row scalar is 0 {where}")
-        totals[order - size] += count
-    bounds = list(accumulate(totals))
-    for _ in range(n):
-        bounds = list(accumulate(bounds))
-    return bounds
-
-
-# (n, a, b) -> the longest sweep computed so far, dims for N = 0..top
-_SWEEPS: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-
 def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
-    """dim DO^N(O(a), O(b)) for N = 0..top, from one pass at order top.
+    """dim DO^K(O(a), O(b)) for K = 0..top: with d = b - a, that is
+    C(K + n, n) C(K + d + n, n), and 0 when K + d < 0.
 
-    The shift orbits of a lower order K are those of order top with
-    |m| <= K, with the same counts, and their square blocks are column
-    prefixes |delta| <= K - |m| of the top blocks (see _certified_orbits).
-    Every top square block is nonsingular on its lattice rows, so each
-    prefix has full column rank, its own cap: the rank of order K is its
-    Euler-relation bound, which the pass returns, and that is dim DO^K.
-    A stored sweep at least as long is read instead.
+    Fix the order N.  A candidate x^alpha d^beta has shift s = alpha - beta
+    and beta >= m(s) := max(0, -s), and it maps each chart monomial gamma
+    to prod_j ff(gamma_j, beta_j) x^(gamma + s).  So the action matrix is
+    block diagonal by shift: the block of s has rows the test monomials
+    gamma and columns the beta >= m with |beta| <= N, m = m(s).  Permuting
+    the slots permutes the blocks, so let m be non-decreasing.
+
+    1. Upper bound.  The relations phi (E - a) act as zero and are
+       independent, so the rank of the block of s is at most
+       cap(s) = C(N - |m| + n, n), what they leave of its columns, and the
+       dimension is at most sum_s cap(s).
+
+    2. Lower bound.  The dimension is at least the rank on any finite test
+       set.  Take the cap columns beta = m + (0, delta), |delta| <= K =
+       N - |m|, and the cap lattice rows gamma_i = m_i + t + q_i (i >= 1,
+       q >= 0, |q| <= K), gamma_0 = h - |q| with h = a - sum_{i >= 1}
+       (m_i + t), where t = 0 if m_0 = 0 and t = max(0, floor((b + m_0) / n)
+       + 1) otherwise.  As ff(g, e + r) = ff(g, e) ff(g - e, r), the block
+       there is the row scalars prod_j ff(gamma_j, m_j) times
+       R[q, delta] = prod_{j >= 1} ff(t + q_j, delta_j).  By the Vandermonde
+       identity ff(x + y, k) = sum_r C(k, r) ff(x, r) ff(y, k - r),
+       R = A B with A[q, r] = prod_j ff(q_j, r_j), zero unless r <= q,
+       diagonal prod_j q_j!, and B[r, delta] = prod_j C(delta_j, r_j)
+       ff(t, delta_j - r_j), zero unless r <= delta, diagonal 1.  The
+       simplex |q| <= K is down-closed, so both are triangular and
+       det R = prod_q prod_j q_j! != 0 for every integer t (unisolvence on
+       the principal lattice, Chung and Yao 1977).  So the block reaches
+       its cap if the rows are chart monomials in the box N + |a| + |b| + 2
+       with nonzero scalars.  They are, for every input: for i >= 1,
+       gamma_i >= m_i >= 0, so ff(gamma_i, m_i) != 0, and
+       - if m_0 = 0: t = 0 and h = a - |m|, the rows stay within |a| + N
+         of 0, and the gamma_0 factor of the scalar is ff(gamma_0, 0) = 1;
+       - if m_0 > 0: every slot of s is negative, so |m| = a - b >= n + 1,
+         and h = b + m_0 - n t lies in [-n, -1], or h = b + m_0 < 0 when
+         t = 0.  So gamma_0 < 0 on every row, ff(gamma_0, m_0) != 0, and
+         every row lies in the box.
+
+    3. The count.  cap(s) is the number of beta >= m(s) with |beta| = N,
+       and beta >= m(s) iff alpha = s + beta >= 0.  So sum_s cap(s) counts
+       the candidates x^alpha d^beta of exact order N: C(N + n, n) choices
+       of beta times C(N + d + n, n) of alpha, none when N + d < 0.
     """
-    _check_space(n, top)
-    dims = _SWEEPS.get((n, a, b), ())
-    if top < len(dims):
-        return dims[:top + 1]
-    dims = tuple(_certified_orbits(n, a, b, top))
-    _SWEEPS[(n, a, b)] = dims
-    return dims
+    _check_cost(n, a, b, top)
+    return tuple(_dimension(n, b - a, order) for order in range(top + 1))
 
 
+# The closed form needs no cache; perfbench/tracing.py reads cache_info().
 @lru_cache(maxsize=None)
 def do_dimension(n: int, a: int, b: int, order: int) -> int:
-    """Cached dimension of one order, read off do_dimensions' sweep."""
-    return do_dimensions(n, a, b, order)[order]
+    """dim DO^N(O(a), O(b)) (see do_dimensions)."""
+    _check_cost(n, a, b, order)
+    return _dimension(n, b - a, order)
 
 
 def euler_relation(n: int, a: int, phi: weyl.WeylElement) -> weyl.WeylElement:
@@ -353,8 +291,9 @@ class NegativeTwistResult(NamedTuple):
 def negative_twist_existence(n: int, d: int, n_max: int = 4) -> NegativeTwistResult:
     """Least order N <= n_max with dim DO^N(O, O(-d)) > 0 on P^n.
 
-    Exhausting the budget is reported as order None, which is a statement
-    about the searched range only, never about nonexistence.
+    By do_dimensions that order is exactly N = d, with dim C(d + n, n).
+    Exhausting the budget (n_max < d) is reported as order None, which is
+    a statement about the searched range only, never about nonexistence.
     """
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")

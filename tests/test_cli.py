@@ -1,6 +1,9 @@
 import json
+import math
 import re
 import shlex
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -353,6 +356,28 @@ def test_precondition_exit_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("precondition failed: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (("cohomology", "--n", "99999", "--k", "99999"),
+     lambda payload: payload["h"][0], lambda: math.comb(199998, 99999)),
+    (("jet", "--free-rank", "--m", "10000", "--r", "1", "--N", "10000"),
+     lambda payload: payload["rank"], lambda: math.comb(20000, 10000)),
+    # h0 = C(n + k, k) h0(O(j + k)) - C(n + k - 1, k - 1) h0(O(j + k - 1))
+    (("cohomology", "--n", "20000", "--k", "3", "--j", "20000"),
+     lambda payload: payload["h0"],
+     lambda: (math.comb(20003, 3) * math.comb(40003, 20000)
+              - math.comb(20002, 2) * math.comb(40002, 20000))),
+], ids=["cohomology", "jet-free-rank", "cohomology-sym-tangent"])
+def test_exact_result_past_the_int_digit_limit_is_printed(capsys, argv, key, want):
+    # each value has more than the 4300 digits that str(int) allows by
+    # default; the report prints it whole and the limit is restored
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # Decimal reads the digits exactly without passing through int()
+    assert key(json.loads(out, parse_int=Decimal)) == want()
 
 
 def test_output_to_missing_directory_or_directory_is_usage_error(tmp_path, capsys):

@@ -138,6 +138,27 @@ def test_threshold_past_chi_gap_for_negative_twists(n, a, b, threshold):
         assert report.polynomial.evaluate(row.order) == row.dim
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_threshold_is_the_first_order_where_dims_are_the_chi_product(n):
+    # the proof in the growth docstring: with M0 = max(0, a - b - n) < nmax
+    # the threshold is exactly M0 and the constant 0
+    for a in (-1, 0, 2):
+        for d in range(-(n + 9), 7):
+            start = max(0, -d - n)
+            for nmax in range(start + 1, start + 6):
+                report = verify_growth(n, a, a + d, nmax)
+                dims = [row.dim for row in report.table.rows]
+                for order in range(1, nmax + 1):
+                    if n > 1 or order + d >= 0:
+                        assert report.table.rows[order].match, (n, a, d, nmax, order)
+                for order in range(nmax + 1):
+                    product = chi_line(n, order) * chi_line(n, order + d)
+                    assert (dims[order] == product) == (order >= start), (n, d, order)
+                assert report.table.threshold == start, (n, a, d, nmax)
+                assert report.polynomial.constant == 0
+                assert report.verdict
+
+
 def test_insufficient_budget_raises():
     with pytest.raises(StabilizationError):
         stabilization_threshold(1, 0, -2, 1)

@@ -10,8 +10,8 @@ import pytest
 
 from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
-from jetspace.errors import InconsistencyError, PreconditionError
-from jetspace.growth import closed_form_dimension, verify_growth
+from jetspace.errors import PreconditionError
+from jetspace.growth import closed_form_dimension
 from jetspace import cli, linalg, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
@@ -24,8 +24,7 @@ from jetspace.projective import (BLOCK_OP_TEST_LIMIT, KERNEL_COST_LIMIT,
                                  global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
                                  kernel_cost,
-                                 negative_twist_existence, shift_orbits,
-                                 strictness_check)
+                                 negative_twist_existence, strictness_check)
 from jetspace.weyl import WeylElement, euler_operator, falling
 
 
@@ -144,11 +143,13 @@ def test_dimensions_nondecreasing_in_order():
 
 
 def test_global_do_dimension_reports_stable_box():
-    space = global_do_dimension(1, 0, 0, 1)
-    assert space.dim == 4
-    ranks = [r for _, r in space.rank_history]
-    assert ranks[-1] == space.dim == euler_bound(1, 0, 0, 1)
-    assert all(r1 <= r2 for r1, r2 in zip(ranks, ranks[1:]))
+    # the history is the one start box and its dimension
+    assert global_do_dimension(1, 0, 0, 1).dim == 4
+    for n, a, b, order in [(1, 0, 0, 1), (2, 0, -3, 4), (3, -2, 1, 3), (1, 0, -9, 4)]:
+        space = global_do_dimension(n, a, b, order)
+        assert space.box == order + abs(a) + abs(b) + 2
+        assert space.dim == euler_bound(n, a, b, order)
+        assert space.rank_history == ((space.box, space.dim),)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def euler_bound(n, a, b, order):
     """Sum over shift orbits of count * C(N - |m| + n, n): the candidate
     count minus the independent Euler relations, an upper bound on dim."""
     return sum(count * math.comb(order - sum(m) + n, n)
-               for m, count in shift_orbits(n, a, b, order).items())
+               for m, count in reference_shift_orbits(n, a, b, order).items())
 
 
 REFERENCE_BOX_STEP = 2
@@ -196,11 +197,12 @@ def test_block_kernel_matches_action_matrix(n, span, max_order):
 @pytest.mark.parametrize("n, a, b, order", [(3, 0, -30, 1), (1, 0, -40, 1),
                                              (2, 3, 0, 2)])
 def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
-    # b - a < -N leaves no candidate, so the bound is 0 at the start box
+    # b - a < -N leaves no candidate, so the bound is 0 with no binomial
+    # computed
     def refuse(*args):
-        raise AssertionError("test set built for a zero bound")
+        raise AssertionError("binomial computed for a zero bound")
 
-    monkeypatch.setattr(projective, "_lattice_offset", refuse)
+    monkeypatch.setattr(projective, "comb", refuse)
     space = global_do_dimension(n, a, b, order)
     box0 = order + abs(a) + abs(b) + 2
     assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))
@@ -231,6 +233,8 @@ def test_sweep_entries_are_the_cached_orders():
 def test_sweep_rejects_a_negative_top():
     with pytest.raises(PreconditionError, match="operator order must be >= 0"):
         do_dimensions(2, 0, 0, -1)
+    with pytest.raises(PreconditionError, match="operator order must be >= 0"):
+        do_dimension(1, 9, 8, -1)
 
 
 def lattice_offset(n, b, m):
@@ -253,28 +257,32 @@ def lattice_rows(n, a, m, order, t):
 
 @pytest.mark.parametrize("n, span, max_order", [(1, 5, 8), (2, 4, 6), (3, 3, 5), (4, 3, 5)])
 def test_start_box_holds_a_unisolvent_lattice_for_every_block(n, span, max_order):
-    # the lemma behind the single pass: every block reaches its cap on rows
-    # of the start box, including the all-negative shifts (b - a <= -(n + 1))
+    # the start-box lemma of the proof in do_dimensions: every block reaches
+    # its cap on rows of the start box, including the all-negative shifts
+    # (b - a <= -(n + 1))
     all_negative = 0
     full_ranks = {}  # the same rows recur for every b sharing an orbit
     for a in range(-span, span + 1):
         for b in range(-span, span + 1):
             for order in range(max_order + 1):
                 box = order + abs(a) + abs(b) + 2
-                for m in shift_orbits(n, a, b, order):
+                for m in reference_shift_orbits(n, a, b, order):
                     size = order - sum(m)
                     t = lattice_offset(n, b, m)
-                    assert projective._lattice_offset(n, b, m) == t
                     rows = lattice_rows(n, a, m, order, t)
                     assert len(set(rows)) == len(rows)
                     for gamma in rows:
                         assert sum(gamma) == a
                         assert sum(1 for g in gamma if g < 0) <= 1, (m, gamma)
                         assert falling(gamma[0], m[0]) != 0, (m, gamma)
-                    # the closed-form bound _certified_orbits checks
                     h = a - sum(mi + t for mi in m[1:])
-                    far = max(abs(h), abs(h - size), m[-1] + t + size)
-                    assert far == max(max(map(abs, gamma)) for gamma in rows) <= box
+                    far = max(max(map(abs, gamma)) for gamma in rows)
+                    assert far == max(abs(h), abs(h - size), m[-1] + t + size) <= box
+                    if m[0] == 0:
+                        assert (t, h) == (0, a - sum(m)) and far <= abs(a) + order
+                    else:
+                        assert sum(m) == a - b >= n + 1, (n, a, b, m)
+                        assert -n <= h <= -1 if t else h == b + m[0] < 0, (n, a, b, m)
                     cap = math.comb(size + n, n)
                     key = (m, order, tuple(rows))
                     if key not in full_ranks:
@@ -303,7 +311,6 @@ def test_dimension_pass_runs_no_elimination(monkeypatch, capsys, n, a, b, order)
     # clear every cache in projective, so the pass runs cold
     for cached in vars(projective).values():
         getattr(cached, "cache_clear", lambda: None)()
-    projective._SWEEPS.clear()
     dim = closed_form_dimension(n, b - a, order)
     assert global_do_dimension(n, a, b, order).dim == dim == euler_bound(n, a, b, order)
     assert do_dimensions(n, a, b, order)[-1] == dim
@@ -311,7 +318,7 @@ def test_dimension_pass_runs_no_elimination(monkeypatch, capsys, n, a, b, order)
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == dim
     if b - a <= -(n + 1):
-        assert any(min(m) > 0 for m in shift_orbits(n, a, b, order))
+        assert any(min(m) > 0 for m in reference_shift_orbits(n, a, b, order))
 
 
 def dense_block(n, size, t):
@@ -413,31 +420,6 @@ def test_sweeps_are_invariant_under_a_common_twist(n, top):
                     n, a + s, b + s, top), (n, a, b, s)
 
 
-def test_lattice_row_outside_the_box_is_inconsistent(monkeypatch, capsys):
-    # the box is a checked statement: a translate t pushed past it raises
-    # and names the extreme row q = K e_n, exit 3
-    monkeypatch.setattr(projective, "_lattice_offset", lambda *args: 20)
-    with pytest.raises(InconsistencyError, match=(
-            r"lattice row \(-30, 30\) of the block \(0, 0\) left the box 12 "
-            r"for \(n=1, a=0, b=0, N=10\)")):
-        global_do_dimension(1, 0, 0, 10)
-    assert cli.main(["dim-do", "--n", "1", "--a", "0", "--b", "0", "--N", "10"]) == 3
-    assert "left the box 12" in capsys.readouterr().err
-
-
-def test_zero_row_scalar_is_inconsistent(monkeypatch, capsys):
-    # the all-negative orbit (1, 1) of (n=1, a=1, b=-1) needs t = 1; at
-    # t = 0 its row (0, 1) has the row scalar ff(0, 1) = 0, exit 3
-    assert global_do_dimension(1, 1, -1, 2).dim == closed_form_dimension(1, -2, 2)
-    monkeypatch.setattr(projective, "_lattice_offset", lambda *args: 0)
-    with pytest.raises(InconsistencyError, match=(
-            r"lattice rows of the block \(1, 1\) have gamma_0 in \[0, 0\], which "
-            r"meets \[0, 0\] where the row scalar is 0 for \(n=1, a=1, b=-1, N=2\)")):
-        global_do_dimension(1, 1, -1, 2)
-    assert cli.main(["dim-do", "--n", "1", "--a", "1", "--b", "-1", "--N", "2"]) == 3
-    assert "row scalar is 0" in capsys.readouterr().err
-
-
 def full_block_rank(m, order, rows, square=False):
     """Rank of the full shift block of m at this order, every beta >= m with
     |beta| <= N a column, entries prod_j ff(gamma_j, beta_j); with square,
@@ -462,7 +444,7 @@ def test_square_block_rank_is_the_full_block_rank(n, a, b, top):
     # lower order; b - a <= -(n + 1) includes the all-negative shifts
     rng = random.Random(f"square:{n},{a},{b},{top}")
     pool = chart_test_monomials(n, a, 3 if n < 3 else 2)
-    orbits = list(shift_orbits(n, a, b, top))
+    orbits = list(reference_shift_orbits(n, a, b, top))
     if b - a <= -(n + 1):
         assert any(min(m) > 0 for m in orbits)
     for m in orbits:
@@ -489,47 +471,7 @@ def test_dims_boxes_and_histories_match_the_full_block_recording():
         else:
             assert space.dim == dim, (n, a, b, order, box0)
     for n, a, b, top, dims in grid["sweeps"]:
-        projective._SWEEPS.clear()
         assert do_dimensions(n, a, b, top) == tuple(dims), (n, a, b, top)
-
-
-def test_do_dimension_reads_a_longer_cached_sweep(monkeypatch):
-    projective._SWEEPS.clear()
-    sweep = do_dimensions(1, 9, 8, 4)
-    with pytest.raises(PreconditionError, match="operator order must be >= 0"):
-        do_dimension(1, 9, 8, -1)
-
-    def refuse(*args):
-        raise AssertionError("a cached order was computed again")
-
-    monkeypatch.setattr(projective, "_certified_orbits", refuse)
-    assert tuple(do_dimension.__wrapped__(1, 9, 8, k) for k in range(5)) == sweep
-    with pytest.raises(AssertionError, match="computed again"):
-        do_dimension.__wrapped__(1, 9, 8, 5)
-
-
-def test_lower_orders_after_a_sweep_run_no_pass(monkeypatch):
-    projective._SWEEPS.clear()
-    passes = []
-    certified_orbits = projective._certified_orbits
-    monkeypatch.setattr(projective, "_certified_orbits",
-                        lambda *args: passes.append(args) or certified_orbits(*args))
-    verify_growth(2, 0, -1)
-    assert passes == [(2, 0, -1, 4)]
-    assert strictness_check(2, 0, -1, 2)
-    assert do_dimensions(2, 0, -1, 3) == (0, 3, 18, 60)
-    assert passes == [(2, 0, -1, 4)]
-
-
-def test_negative_twist_search_reuses_the_growth_sweep(monkeypatch):
-    verify_growth(2, 0, -3)
-
-    def refuse(*args):
-        raise AssertionError("kernel pass after the sweep")
-
-    monkeypatch.setattr(projective, "_certified_orbits", refuse)
-    result = negative_twist_existence(2, 3)
-    assert (result.order, result.dim) == (3, 10)
 
 
 @pytest.mark.parametrize("n, a, b, order", [(2, 0, 0, 12), (6, 0, 0, 3),
@@ -541,9 +483,9 @@ def test_kernel_cost_accepts_the_anchor_inputs(n, a, b, order):
 
 def test_kernel_cost_refuses_oversized_input_before_any_work(monkeypatch):
     def refuse(*args):
-        raise AssertionError("shift orbits walked")
+        raise AssertionError("dimension computed")
 
-    monkeypatch.setattr(projective, "_orbit_table", refuse)
+    monkeypatch.setattr(projective, "_dimension", refuse)
     with pytest.raises(PreconditionError, match=r"\(n=50, a=0, b=0, N=6\) has kernel "
                                                 r"cost at least \d+, above the limit"):
         global_do_dimension(50, 0, 0, 6)
@@ -569,13 +511,16 @@ def test_shift_orbits_cover_every_candidate():
         for a, b in [(0, 0), (0, 2), (1, -1), (0, -n - 2)]:
             for order in range(4):
                 rows = sum(count * math.comb(order - sum(m) + n + 1, n + 1)
-                           for m, count in shift_orbits(n, a, b, order).items())
+                           for m, count in reference_shift_orbits(n, a, b, order).items())
                 assert rows == candidate_count(n, a, b, order)
 
 
 def reference_shift_orbits(n, a, b, order):
-    """shift_orbits by walking every negative part m, each monomial of each
-    size <= N, and keying its spreads by sorted(m)."""
+    """Shift orbits of the candidates, sorted negative part m -> shift
+    count: a candidate x^alpha d^beta has shift s = alpha - beta and
+    beta >= m(s) := max(0, -s), so walk every negative part m of each size
+    <= N, count the spreads of b - a + |m| over its zero slots, and key
+    them by sorted(m)."""
     orbits = {}
     for size in range(order + 1):
         rest = b - a + size
@@ -590,13 +535,20 @@ def reference_shift_orbits(n, a, b, order):
     return orbits
 
 
-def test_shift_orbits_match_the_monomial_walk():
-    for n in range(1, 6):
-        for d in range(-8, 5):
-            for order in range(8):
-                want = reference_shift_orbits(n, 0, d, order)
-                assert shift_orbits(n, 0, d, order) == want, (n, d, order)
-                assert shift_orbits(n, 3, 3 + d, order) == want, (n, d, order)
+def test_orbit_caps_sum_to_the_exact_order_candidates():
+    # step 3 of the proof in do_dimensions: cap(s) = C(N - |m| + n, n)
+    # counts the beta >= m(s) with |beta| = N, so the caps sum to the
+    # C(N + n, n) C(N + d + n, n) candidates of exact order N
+    top = 10
+    for n in range(1, 7):
+        for d in range(-(n + 8), 7):
+            orbits = reference_shift_orbits(n, 0, d, top)
+            for order in range(top + 1):
+                caps = sum(count * math.comb(order - sum(m) + n, n)
+                           for m, count in orbits.items() if sum(m) <= order)
+                want = (math.comb(order + n, n) * math.comb(order + d + n, n)
+                        if order + d >= 0 else 0)
+                assert caps == want, (n, d, order)
 
 
 def shift_count(n, d, k):
