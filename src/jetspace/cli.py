@@ -70,16 +70,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _render(payload: dict) -> str:
-    """_json_text with Python's limit on int-to-str digits lifted: exact
+def _unlimited_digits(fn, *args):
+    """fn(*args) with Python's limit on int-to-str digits lifted: exact
     results such as C(199998, 99999) pass it.  Parsing input keeps it."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
-        return _json_text(payload)
+        return fn(*args)
     old = sys.get_int_max_str_digits()
     set_limit(0)
     try:
-        return _json_text(payload)
+        return fn(*args)
     finally:
         set_limit(old)
 
@@ -134,6 +134,10 @@ def _cmd_growth_table(args) -> dict | str:
         if cap is not None:
             nmax = min(nmax, cap)
     report = growth.verify_growth(args.n, args.a, args.b, nmax)
+    return _unlimited_digits(_growth_report, args, nmax, report)
+
+
+def _growth_report(args, nmax: int, report) -> dict | str:
     footer = {
         "M": report.table.threshold,
         "P_coeffs": [_frac_str(c) for c in report.polynomial.coeffs],
@@ -421,7 +425,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         report = args.func(args)
         if not isinstance(report, str):
-            report = _render({"schema": SCHEMA, "command": args.command, **report})
+            report = _unlimited_digits(
+                _json_text, {"schema": SCHEMA, "command": args.command, **report})
         _emit(report, args.output)
         return 0
     except _UsageError as exc:

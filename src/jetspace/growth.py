@@ -7,12 +7,12 @@ increments against the Euler characteristic gives a closed polynomial
     P(N) = binom(n+N, N) * chi(O(b-a+N)) + C,
 
 of degree exactly 2n in N with leading coefficient 1/(n!)^2, whose constant
-C is pinned by matching the computed dimension at N = M.  This module finds
-the threshold empirically, builds P with exact rational coefficients, and
+C is pinned by matching the computed dimension at N = M.  This module takes
+M from the proof below, builds P with exact rational coefficients, and
 cross-checks every computed dimension against an independent closed form
 that counts candidate shifts.
 
-The search finds what the kernel's closed form proves.  With d = b - a,
+The threshold is a theorem.  With d = b - a,
 dims[N] = C(N + n, n) C(N + d + n, n), and 0 when N + d < 0
 (projective.do_dimensions).  So:
 
@@ -25,11 +25,9 @@ dims[N] = C(N + n, n) C(N + d + n, n), and 0 when N + d < 0
   dims[N] = chi(O(N)) chi(O(N + d)) for N >= M0 = max(0, a - b - n), and
   not below M0, where dims[N] = 0 and the product of the chis is not.
 
-Hence whenever M0 < n_max the threshold is exactly M0 and the constant C is
-0.  When n_max <= M0 every dimension in the budget is 0, and the search
-can accept a spurious window: growth-table --n 1 --a 0 --b -9 --nmax 4
-reports M = 3 and P(N) = N^2 - 7N + 12 with verdict true, yet P(9) = 30
-while dim DO^9 = 10.
+Hence the rule: the threshold M is M0 and the constant C is 0.  A budget
+n_max <= M0 holds only zero dimensions, from which neither can be read, so
+it raises StabilizationError.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import NamedTuple
 
 from .cohomology import _h0_sym_tangent, chi_line, h0_line
 from .errors import PreconditionError, StabilizationError
-from .projective import do_dimension, do_dimensions
+from .projective import _check_cost, do_dimension, do_dimensions
 
 
 def default_n_max(n: int) -> int:
@@ -112,7 +110,18 @@ def closed_form_dimension(n: int, d: int, order: int) -> int:
 
 
 def closed_form_dimensions(n: int, d: int, top: int) -> list[int]:
-    """closed_form_dimension for N = 0..top, each S(k) computed once."""
+    """closed_form_dimension for N = 0..top, each S(k) computed once.
+
+    Each equals C(N + n, n) C(N + d + n, n), the kernel's dimension: this
+    is step 3 of projective.do_dimensions with its shifts s grouped by the
+    size k = |m(s)| of their negative part m(s) = max(0, -s).  A shift with
+    k <= N has C(N - k + n, n) exponents beta >= m(s) with |beta| = N (the
+    other N - k spread over n + 1 slots), so sum_k S(k) C(N - k + n, n)
+    counts the pairs (s, beta) with |beta| = N and beta >= m(s); a shift
+    with k > N has none.  Now beta >= m(s) iff beta >= 0 and
+    alpha = s + beta >= 0, and s = alpha - beta.  So the pairs are the
+    (alpha, beta) >= 0 with |beta| = N and |alpha| = N + d: C(N + n, n)
+    times C(N + d + n, n), and none when N + d < 0."""
     counts = [comb(d + n, n) if d >= 0 else 0] + [0] * top
     for k in range(max(1, -d), top + 1):
         # i = n + 1 negative coordinates only when d + k = 0; i = 1..n leave
@@ -125,33 +134,21 @@ def closed_form_dimensions(n: int, d: int, top: int) -> list[int]:
             for order in range(top + 1)]
 
 
-def stabilization_threshold(n: int, a: int, b: int, n_max: int,
-                            dims: list[int] | None = None,
-                            expected: list[int] | None = None) -> int:
-    """Least M < n_max such that every later increment matches the symmetric
-    tangent prediction and P, pinned at M, reproduces dims[M..n_max].
-
-    The second condition matters for b - a <= -(n + 1): there the h^0
-    increments match from N = 1, but P steps by chi, which differs from h^0
-    at small N.  The vacuous M = n_max is rejected so a sweep with no
-    matching increments fails loudly.  expected, if given, holds
-    expected_delta(n, N, b - a) for N = 1..n_max."""
+def stabilization_threshold(n: int, a: int, b: int, n_max: int) -> int:
+    """M0 = max(0, a - b - n), the least M from which every increment
+    matches the symmetric tangent prediction and P, with constant 0,
+    reproduces every dimension (see the module docstring).  The budget must
+    reach past it: n_max <= M0 raises StabilizationError.  Input whose
+    kernel_cost at n_max passes KERNEL_COST_LIMIT is refused first."""
     if n_max < 1:
-        raise PreconditionError("threshold search needs n_max >= 1")
-    if dims is None:
-        dims = dimension_sweep(n, a, b, n_max)
-    d = b - a
-    if expected is None:
-        expected = [expected_delta(n, order, d) for order in range(1, n_max + 1)]
-    matches = [dims[order] - dims[order - 1] == expected[order - 1]
-               for order in range(1, n_max + 1)]
-    constants = [dims[order] - chi_line(n, order) * chi_line(n, order + d)
-                 for order in range(n_max + 1)]
-    for threshold in range(n_max):
-        if all(matches[threshold:]) and len(set(constants[threshold:])) == 1:
-            return threshold
-    raise StabilizationError(
-        f"no stabilization threshold below {n_max} for (n={n}, a={a}, b={b})")
+        raise PreconditionError("the growth threshold needs n_max >= 1")
+    _check_cost(n, a, b, n_max)
+    threshold = max(0, a - b - n)
+    if threshold >= n_max:
+        raise StabilizationError(
+            f"the stabilization threshold {threshold} of (n={n}, a={a}, b={b}) "
+            f"is not below the budget {n_max}")
+    return threshold
 
 
 def growth_polynomial(n: int, a: int, b: int, threshold: int,
@@ -180,26 +177,26 @@ class GrowthReport(NamedTuple):
 
 
 def verify_growth(n: int, a: int, b: int, n_max: int | None = None) -> GrowthReport:
-    """Sweep dimensions, locate the threshold, fit P(N), and cross-check.
+    """Sweep dimensions, take the threshold M0, build P(N), and cross-check.
 
-    P reproduces dims[M..n_max] by the choice of M, and has degree 2n and
-    leading coefficient 1/(n!)^2 by construction.  The independent check is
-    closed_form_dimensions: first_failure is the least N whose computed
-    dimension differs from it, and the verdict is that there is none.
+    P reproduces dims[M0..n_max] by the module docstring's proof, and has
+    degree 2n and leading coefficient 1/(n!)^2 by construction.  The
+    independent check is closed_form_dimensions: first_failure is the least
+    N whose computed dimension differs from it, and the verdict is that
+    there is none.
     """
     if n_max is None:
         n_max = default_n_max(n)
     dims = dimension_sweep(n, a, b, n_max)
-    d = b - a
-    expected = [expected_delta(n, order, d) for order in range(1, n_max + 1)]
-    threshold = stabilization_threshold(n, a, b, n_max, dims, expected)
+    threshold = stabilization_threshold(n, a, b, n_max)
     poly = growth_polynomial(n, a, b, threshold, dims[threshold])
+    d = b - a
     rows = [GrowthRow(order=0, dim=dims[0], delta=None, expected_delta=None, match=None)]
     for order in range(1, n_max + 1):
         delta = dims[order] - dims[order - 1]
+        expected = expected_delta(n, order, d)
         rows.append(GrowthRow(order=order, dim=dims[order], delta=delta,
-                              expected_delta=expected[order - 1],
-                              match=delta == expected[order - 1]))
+                              expected_delta=expected, match=delta == expected))
     closed = closed_form_dimensions(n, d, n_max)
     first_failure = next((order for order in range(n_max + 1)
                           if dims[order] != closed[order]), None)

@@ -291,9 +291,11 @@ class NegativeTwistResult(NamedTuple):
 def negative_twist_existence(n: int, d: int, n_max: int = 4) -> NegativeTwistResult:
     """Least order N <= n_max with dim DO^N(O, O(-d)) > 0 on P^n.
 
-    By do_dimensions that order is exactly N = d, with dim C(d + n, n).
-    Exhausting the budget (n_max < d) is reported as order None, which is
-    a statement about the searched range only, never about nonexistence.
+    By do_dimensions that order is exactly N = d, with dim C(d + n, n):
+    every lower order has dimension 0.  A budget n_max < d is reported as
+    order None, which is a statement about the budget only, never about
+    nonexistence.  Only order d is computed, so only its kernel_cost can
+    refuse the input.
     """
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
@@ -301,11 +303,10 @@ def negative_twist_existence(n: int, d: int, n_max: int = 4) -> NegativeTwistRes
         raise PreconditionError("the twist drop d must be >= 1")
     if n_max < 0:
         raise PreconditionError("search budget must be nonnegative")
-    for order in range(n_max + 1):
-        dim = do_dimension(n, 0, -d, order)
-        if dim > 0:
-            return NegativeTwistResult(n=n, d=d, order=order, dim=dim, searched_up_to=n_max)
-    return NegativeTwistResult(n=n, d=d, order=None, dim=0, searched_up_to=n_max)
+    if d > n_max:
+        return NegativeTwistResult(n=n, d=d, order=None, dim=0, searched_up_to=n_max)
+    return NegativeTwistResult(n=n, d=d, order=d, dim=do_dimension(n, 0, -d, d),
+                               searched_up_to=n_max)
 
 
 # ---- induced maps on cohomology ---------------------------------------

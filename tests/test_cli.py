@@ -380,6 +380,25 @@ def test_exact_result_past_the_int_digit_limit_is_printed(capsys, argv, key, wan
     assert key(json.loads(out, parse_int=Decimal)) == want()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_growth_table_past_the_int_digit_limit_is_printed(capsys, fmt):
+    # dims C(N + 200, 200) C(N + 10^30 + 200, 200) have over 5600 digits;
+    # growth-table formats them itself, under the same lifted limit
+    big = 10 ** 30
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rc, out, err = run(capsys, "growth-table", "--n", "200", "--a", "0",
+                       "--b", str(big), "--nmax", "1", "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    want = [math.comb(order + 200, 200) * math.comb(order + big + 200, 200)
+            for order in range(2)]
+    if fmt == "json":
+        dims = [row["dim"] for row in json.loads(out, parse_int=Decimal)["rows"]]
+    else:
+        dims = [Decimal(line.split(",")[1]) for line in out.splitlines()[1:3]]
+    assert dims == want
+
+
 def test_output_to_missing_directory_or_directory_is_usage_error(tmp_path, capsys):
     for target in (tmp_path / "missing" / "report.json", tmp_path):
         rc, out, err = run(capsys, "cohomology", "--n", "1", "--k", "3",

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from jetspace.cohomology import chi_line, chi_sym_tangent, h0_line, h0_sym_tangent
-from jetspace.errors import StabilizationError
-from jetspace import growth
+from jetspace.errors import PreconditionError, StabilizationError
+from jetspace import cli, growth
 from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
                              closed_form_dimensions, dimension_sweep,
                              expected_delta, growth_polynomial,
@@ -164,15 +164,35 @@ def test_insufficient_budget_raises():
         stabilization_threshold(1, 0, -2, 1)
 
 
-def test_stabilization_threshold_rejects_vacuous_match():
-    # a sequence matching only at the last step must not certify
-    with pytest.raises(StabilizationError):
-        stabilization_threshold(1, 0, 0, 4, [0, 0, 0, 0, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_budget_at_or_below_the_threshold_is_refused(capsys, n):
+    # with nmax <= M0 = max(0, a - b - n) every dimension in the budget is
+    # 0 and shows no threshold; the grid holds (1, 0, -9, 4), which once
+    # printed M = 3 and a P with P(9) = 30 while dim DO^9 = 10
+    for a in (-1, 0, 2):
+        for d in range(-(n + 9), -n):
+            for nmax in range(1, -d - n + 1):
+                with pytest.raises(StabilizationError):
+                    stabilization_threshold(n, a, a + d, nmax)
+                with pytest.raises(StabilizationError):
+                    verify_growth(n, a, a + d, nmax)
+                rc = cli.main(["growth-table", "--n", str(n), "--a", str(a),
+                               "--b", str(a + d), "--nmax", str(nmax)])
+                out, err = capsys.readouterr()
+                assert (rc, out) == (3, ""), (n, a, d, nmax)
+                assert err.startswith("internal inconsistency:")
 
 
 def test_stabilization_threshold_direct():
-    dims = [do_dimension(2, 0, -1, k) for k in range(5)]
-    assert stabilization_threshold(2, 0, -1, 4, dims) == 0
+    assert stabilization_threshold(2, 0, -1, 4) == 0
+    assert stabilization_threshold(3, 1, -5, 4) == 3
+    # the refusals keep their order: the budget, the space, the cost
+    with pytest.raises(PreconditionError, match="n_max >= 1"):
+        stabilization_threshold(0, 0, -9, 0)
+    with pytest.raises(PreconditionError, match="projective dimension"):
+        stabilization_threshold(0, 0, -9, 4)
+    with pytest.raises(PreconditionError, match="kernel cost"):
+        stabilization_threshold(1, 0, 0, 150)
 
 
 def test_growth_polynomial_container():

@@ -631,6 +631,28 @@ def test_negative_twist_gap_grows_with_degree():
     assert res.order == 2
 
 
+@pytest.mark.parametrize("n, drops, budgets", [
+    *[(n, range(1, 30), range(32)) for n in range(1, 7)],
+    # order 3000 on the plane costs 4 C(3002, 2) > KERNEL_COST_LIMIT
+    (2, [3000], [2999, 3000])])
+def test_negative_twist_is_the_closed_form(n, drops, budgets):
+    # the first order with DO^N(O, O(-d)) != 0 is d, with dim C(d + n, n);
+    # only order d is computed, so only its kernel cost refuses
+    for d in drops:
+        refused = kernel_cost(n, 0, -d, d) > KERNEL_COST_LIMIT
+        for n_max in budgets:
+            if d <= n_max and refused:
+                with pytest.raises(PreconditionError, match="kernel cost"):
+                    negative_twist_existence(n, d, n_max)
+                continue
+            res = negative_twist_existence(n, d, n_max)
+            assert res.searched_up_to == n_max
+            if d <= n_max:
+                assert (res.order, res.dim) == (d, math.comb(d + n, n)), (n, d, n_max)
+            else:
+                assert (res.order, res.dim, res.found) == (None, 0, False), (n, d, n_max)
+
+
 def test_negative_twist_rejects_bad_input():
     with pytest.raises(PreconditionError):
         negative_twist_existence(0, 1)
