@@ -41,7 +41,7 @@ def main(argv=None):
             report = verify_growth(args.n, a, b, nmax)
         except StabilizationError as exc:
             print(f"  no stabilization in budget: {exc}\n")
-            exit_code = 3
+            exit_code = 2
             continue
         print(f"  {'N':>3} {'dim':>8} {'delta':>8} {'expected':>8}  match")
         for row in report.table.rows:

@@ -27,8 +27,7 @@ _EXPORTS = {
                    "block_operator", "candidate_count", "candidate_monomials",
                    "chart_test_monomials", "do_dimension", "euler_relation",
                    "global_do_dimension", "h0_basis", "hn_basis",
-                   "induced_cohomology_map", "negative_twist_existence",
-                   "strictness_check"),
+                   "induced_cohomology_map", "negative_twist_existence"),
     "growth": ("GrowthPolynomial", "GrowthReport", "GrowthTable", "default_n_max",
                "expected_delta", "growth_polynomial", "stabilization_threshold",
                "verify_growth"),

@@ -1,10 +1,11 @@
 """Shared exception types.
 
 PreconditionError: the caller asked for something outside an operation's
-stated domain (bad bounds, wrong grading, order too high).  CLI exit code 2.
+stated domain (bad bounds, wrong grading, order too high, too much work).
+CLI exit code 2.  StabilizationError, a growth budget that does not reach
+past the stabilization threshold, is one: the input alone shows it.
 
-InconsistencyError: an internal cross-check failed or a guaranteed search
-exhausted its budget.  CLI exit code 3.
+InconsistencyError: an internal cross-check failed.  CLI exit code 3.
 """
 
 
@@ -16,5 +17,5 @@ class InconsistencyError(RuntimeError):
     pass
 
 
-class StabilizationError(InconsistencyError):
+class StabilizationError(PreconditionError):
     """No stabilization threshold within the allotted sweep."""

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .cohomology import _h0_sym_tangent, chi_line, h0_line
 from .errors import PreconditionError, StabilizationError
-from .projective import _check_cost, do_dimension, do_dimensions
+from .projective import _check_work, _dimension_bits, _step, do_dimension, do_dimensions
 
 
 def default_n_max(n: int) -> int:
@@ -93,13 +93,6 @@ class GrowthPolynomial(NamedTuple):
         return acc
 
 
-def dimension_sweep(n: int, a: int, b: int, n_max: int) -> list[int]:
-    """dim DO^N(O(a), O(b)) for N = 0..n_max, from one pass at order n_max."""
-    if n_max < 0:
-        raise PreconditionError("sweep budget must be nonnegative")
-    return list(do_dimensions(n, a, b, n_max))
-
-
 def closed_form_dimension(n: int, d: int, order: int) -> int:
     """dim DO^N(O(a), O(a + d)) on P^n without an action matrix:
     sum_{k=0..N} C(N - k + n, n) S(k), where S(k) counts the shifts in
@@ -138,11 +131,11 @@ def stabilization_threshold(n: int, a: int, b: int, n_max: int) -> int:
     """M0 = max(0, a - b - n), the least M from which every increment
     matches the symmetric tangent prediction and P, with constant 0,
     reproduces every dimension (see the module docstring).  The budget must
-    reach past it: n_max <= M0 raises StabilizationError.  Input whose
-    kernel_cost at n_max passes KERNEL_COST_LIMIT is refused first."""
+    reach past it: n_max <= M0 raises StabilizationError."""
     if n_max < 1:
         raise PreconditionError("the growth threshold needs n_max >= 1")
-    _check_cost(n, a, b, n_max)
+    if n < 1:
+        raise PreconditionError("projective dimension must be >= 1")
     threshold = max(0, a - b - n)
     if threshold >= n_max:
         raise StabilizationError(
@@ -169,6 +162,22 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
                             coeffs=tuple(Fraction(c, scale) for c in product))
 
 
+def _growth_work(n: int, d: int, top: int) -> int:
+    """Work estimate (projective._step) of verify_growth and its report:
+    per order its dimension and the four binomials of expected_delta,
+    n S(k) terms per order and the (top + 1)(top + 2) / 2 convolution
+    terms of closed_form_dimensions, then the 2n + 1 coefficients of P.
+    Those are integers over (n!)^2 < n^(2n), and each integer is at most
+    the product of the 1 + |r| over the 2n roots -r of P; reducing and
+    printing them costs about an eighth of a binomial per bit^2."""
+    b1, b2 = _dimension_bits(n, d, top)
+    pair = _step(b1) + _step(b2)
+    coeff_bits = n * (3 * (n + 1).bit_length() + (abs(d) + n + 1).bit_length())
+    return ((3 * top + 1) * pair + top * n * (_step(n + 1) + pair)
+            + (top + 1) * (top + 2) // 2 * _step(b1 + b2)
+            + (2 * n + 1) * _step(coeff_bits) // 8)
+
+
 class GrowthReport(NamedTuple):
     table: GrowthTable
     polynomial: GrowthPolynomial
@@ -177,20 +186,22 @@ class GrowthReport(NamedTuple):
 
 
 def verify_growth(n: int, a: int, b: int, n_max: int | None = None) -> GrowthReport:
-    """Sweep dimensions, take the threshold M0, build P(N), and cross-check.
+    """Take the threshold M0, sweep dimensions, build P(N), and cross-check.
 
     P reproduces dims[M0..n_max] by the module docstring's proof, and has
     degree 2n and leading coefficient 1/(n!)^2 by construction.  The
     independent check is closed_form_dimensions: first_failure is the least
     N whose computed dimension differs from it, and the verdict is that
-    there is none.
+    there is none.  Input whose work estimate passes projective.WORK_LIMIT
+    is refused with PreconditionError before any binomial.
     """
     if n_max is None:
         n_max = default_n_max(n)
-    dims = dimension_sweep(n, a, b, n_max)
     threshold = stabilization_threshold(n, a, b, n_max)
-    poly = growth_polynomial(n, a, b, threshold, dims[threshold])
     d = b - a
+    _check_work(n, a, b, n_max, _growth_work(n, d, n_max))
+    dims = do_dimensions(n, a, b, n_max)
+    poly = growth_polynomial(n, a, b, threshold, dims[threshold])
     rows = [GrowthRow(order=0, dim=dims[0], delta=None, expected_delta=None, match=None)]
     for order in range(1, n_max + 1):
         delta = dims[order] - dims[order - 1]

@@ -39,8 +39,9 @@ from .linalg import ExactMatrix
 
 Candidate = tuple[Exponent, Exponent]
 
-# kernel_cost above this is refused up front (kernel_cost says why it stays)
-KERNEL_COST_LIMIT = 10 ** 7
+# a request whose work estimate (see _step) passes this is refused up front:
+# about 1-3 s on a 2-core Xeon with Python 3.11 (CHANGES.md has the timings)
+WORK_LIMIT = 2 ** 37
 
 # induced_cohomology_map refuses a dense matrix with more cells than this
 INDUCED_MAP_CELL_LIMIT = 10 ** 6
@@ -72,11 +73,9 @@ def candidate_monomials(n: int, a: int, b: int, order: int) -> list[Candidate]:
 
 
 def candidate_count(n: int, a: int, b: int, order: int) -> int:
-    """Closed form for len(candidate_monomials(n, a, b, N))."""
-    total = 0
-    for k in range(max(0, a - b), order + 1):
-        total += comb(k + n, n) * comb(k + b - a + n, n)
-    return total
+    """Closed form for len(candidate_monomials(n, a, b, N)): the candidates
+    of exact order K, summed over K <= N."""
+    return sum(_dimension(n, b - a, k) for k in range(max(0, a - b), order + 1))
 
 
 def chart_test_monomials(n: int, a: int, box: int) -> list[Exponent]:
@@ -138,34 +137,39 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
     return ExactMatrix(len(candidates), len(col_index), entries)
 
 
-def kernel_cost(n: int, a: int, b: int, order: int) -> int:
-    """Closed-form cost estimate of a certifying pass at order N,
-
-        sum_{k = max(0, a - b)..N} C(k + n, n) (n + 1 + C(N - k + n, n)^2),
-
-    one term per negative part m of size k: its n + 1 entries plus the
-    cap^2 cells of a square block.  Nothing it models runs any more: the
-    dimension is a product of two binomials (see do_dimensions), so
-    (1, 0, 0, 150) and (2, 0, 0, 24) are refused though they cost nothing
-    (the FOUND line on kernel_cost in CHANGES.md).  The formula and
-    KERNEL_COST_LIMIT are kept only so that no exit code moves.  The sum
-    stops as soon as it passes KERNEL_COST_LIMIT, so a huge N costs
-    nothing."""
-    total = 0
-    for k in range(max(0, a - b), order + 1):
-        total += comb(k + n, n) * (n + 1 + comb(order - k + n, n) ** 2)
-        if total > KERNEL_COST_LIMIT:
-            break
-    return total
+def _binomial_bits(m: int, j: int) -> int:
+    """A bound on the bit length of C(m, j) that computes no binomial:
+    C(m, j) < 2^m and C(m, j) <= (e m / j)^j < (3 m / j)^j for 0 < j < m,
+    and C(m, j) <= 1 for every other j >= 0 (0 when j > m)."""
+    j = m - j if 2 * j > m else j
+    return min(m, j * (3 * m // j).bit_length()) if j > 0 else 1
 
 
-def _check_cost(n: int, a: int, b: int, order: int) -> None:
+def _dimension_bits(n: int, d: int, order: int) -> tuple[int, int]:
+    """Bit bounds on the factors C(N + n, n) and C(N + d + n, n) of
+    _dimension, which bound those of every lower order."""
+    return _binomial_bits(order + n, n), _binomial_bits(order + d + n, n)
+
+
+def _step(bits: int) -> int:
+    """Work units of one step that makes an integer of the given bit size:
+    math.comb takes about bits^2 units, and a step about 64^2 besides."""
+    return (bits + 64) ** 2
+
+
+def _dim_do_work(n: int, d: int, order: int) -> int:
+    """Work estimate of a dim-do request: its dimension and the nonzero
+    terms of candidate_count, two binomials each."""
+    b1, b2 = _dimension_bits(n, d, order)
+    return (max(0, order + 1 - max(0, -d)) + 1) * (_step(b1) + _step(b2))
+
+
+def _check_work(n: int, a: int, b: int, order: int, work: int) -> None:
     _check_space(n, order)
-    cost = kernel_cost(n, a, b, order)
-    if cost > KERNEL_COST_LIMIT:
+    if work > WORK_LIMIT:
         raise PreconditionError(
-            f"(n={n}, a={a}, b={b}, N={order}) has kernel cost at least "
-            f"{cost}, above the limit {KERNEL_COST_LIMIT}")
+            f"(n={n}, a={a}, b={b}, N={order}) has a work estimate of 2^{work.bit_length() - 1}"
+            f" or more, above the limit 2^{WORK_LIMIT.bit_length() - 1}")
 
 
 def _dimension(n: int, d: int, order: int) -> int:
@@ -193,10 +197,11 @@ class TwistedDOSpace(NamedTuple):
 def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
     """Dimension of the global operator space, C(N + n, n) C(N + b - a + n, n)
     and 0 when N < a - b (see do_dimensions), with the box N + |a| + |b| + 2
-    of its test rows.  Input whose kernel_cost passes KERNEL_COST_LIMIT is
-    refused with PreconditionError before any work.
+    of its test rows.  dim-do also sums the nonzero terms of candidate_count,
+    so input whose work estimate for those and this dimension passes
+    WORK_LIMIT is refused with PreconditionError before any binomial.
     """
-    _check_cost(n, a, b, order)
+    _check_work(n, a, b, order, _dim_do_work(n, b - a, order))
     dim = _dimension(n, b - a, order)
     box = order + abs(a) + abs(b) + 2
     return TwistedDOSpace(n, a, b, order, dim, box, ((box, dim),))
@@ -247,16 +252,21 @@ def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
        and beta >= m(s) iff alpha = s + beta >= 0.  So sum_s cap(s) counts
        the candidates x^alpha d^beta of exact order N: C(N + n, n) choices
        of beta times C(N + d + n, n) of alpha, none when N + d < 0.
+
+    It checks no work estimate: growth.verify_growth, which sweeps, checks
+    the work of its whole request once.
     """
-    _check_cost(n, a, b, top)
+    _check_space(n, top)
     return tuple(_dimension(n, b - a, order) for order in range(top + 1))
 
 
 # The closed form needs no cache; perfbench/tracing.py reads cache_info().
 @lru_cache(maxsize=None)
 def do_dimension(n: int, a: int, b: int, order: int) -> int:
-    """dim DO^N(O(a), O(b)) (see do_dimensions)."""
-    _check_cost(n, a, b, order)
+    """dim DO^N(O(a), O(b)) (see do_dimensions); input whose work estimate
+    passes WORK_LIMIT is refused before any binomial."""
+    b1, b2 = _dimension_bits(n, b - a, order)
+    _check_work(n, a, b, order, _step(b1) + _step(b2))
     return _dimension(n, b - a, order)
 
 
@@ -264,14 +274,6 @@ def euler_relation(n: int, a: int, phi: weyl.WeylElement) -> weyl.WeylElement:
     """phi composed with (E - a); annihilates every degree-a section."""
     shifted = weyl.euler_operator(n + 1) - weyl.WeylElement.one(n + 1) * a
     return phi * shifted
-
-
-def strictness_check(n: int, a: int, b: int, order: int) -> bool:
-    """True iff raising the order bound from N-1 to N enlarges the space."""
-    if order < 1:
-        raise PreconditionError("strictness compares N with N - 1, so N >= 1")
-    dims = do_dimensions(n, a, b, order)
-    return dims[order] > dims[order - 1]
 
 
 class NegativeTwistResult(NamedTuple):
@@ -294,7 +296,7 @@ def negative_twist_existence(n: int, d: int, n_max: int = 4) -> NegativeTwistRes
     By do_dimensions that order is exactly N = d, with dim C(d + n, n):
     every lower order has dimension 0.  A budget n_max < d is reported as
     order None, which is a statement about the budget only, never about
-    nonexistence.  Only order d is computed, so only its kernel_cost can
+    nonexistence.  Only order d is computed, so only its work estimate can
     refuse the input.
     """
     if n < 1:

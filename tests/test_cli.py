@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from jetspace import growth, projective
 from jetspace.cli import main
+from jetspace.errors import InconsistencyError
 from jetspace.growth import default_n_max
-from jetspace.projective import KERNEL_COST_LIMIT, kernel_cost
 
 
 def run(capsys, *argv):
@@ -65,7 +66,7 @@ def test_growth_table_negative_budget_is_refused_first(capsys, n):
     rc, out, err = run(capsys, "growth-table", "--n", n, "--a", "0", "--b", "0",
                        "--nmax", "-1")
     assert (rc, out) == (2, "")
-    assert err.splitlines()[0] == "precondition failed: sweep budget must be nonnegative"
+    assert err.splitlines()[0] == "precondition failed: the growth threshold needs n_max >= 1"
 
 
 def test_growth_table_json(capsys):
@@ -416,31 +417,61 @@ def test_precondition_cech_out_of_range(capsys):
     assert rc == 2
 
 
-def test_inconsistency_exit(capsys):
-    # sweep budget too small to see the growth law stabilize
+def test_inconsistency_exit(monkeypatch, capsys):
+    # a budget at or below the threshold, nmax <= M0 = max(0, a - b - n),
+    # is a precondition: the input alone shows the shortfall
     rc, out, err = run(capsys, "growth-table", "--n", "1", "--a", "0",
                        "--b", "-2", "--nmax", "1")
-    assert rc == 3
-    assert "internal inconsistency" in err
+    assert (rc, out, err) == (2, "", "precondition failed: the stabilization threshold 1 "
+                                     "of (n=1, a=0, b=-2) is not below the budget 1\n")
+
+    # a failed internal cross-check exits 3
+    def fail(*args):
+        raise InconsistencyError("cross-check failed")
+
+    monkeypatch.setattr(growth, "verify_growth", fail)
+    rc, out, err = run(capsys, "growth-table", "--n", "1", "--a", "0",
+                       "--b", "0", "--nmax", "2")
+    assert (rc, out, err) == (3, "", "internal inconsistency: cross-check failed\n")
 
 
 # ---------------------------------------------------------------------------
-# kernel cost limit
+# work limit
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
-    ("dim-do", "--n", "50", "--a", "0", "--b", "0", "--N", "6"),
+    ("dim-do", "--n", "5000", "--a", "0", "--b", "0", "--N", "5000"),
+    ("dim-do", "--n", "1000000", "--a", "0", "--b", "0", "--N", "1000000"),
     ("dim-do", "--n", "1", "--a", "0", "--b", "0", "--N", "1000000000"),
-    ("growth-table", "--n", "40", "--a", "0", "--b", "0", "--nmax", "5"),
+    ("growth-table", "--n", "2234", "--a", "0", "--b", "0", "--nmax", "1"),
 ])
 def test_oversized_input_is_refused_up_front(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
-    assert re.fullmatch(r"precondition failed: \(n=\d+, a=0, b=0, N=\d+\) has kernel "
-                        r"cost at least \d+, above the limit 10000000\n", err)
+    assert re.fullmatch(r"precondition failed: \(n=\d+, a=0, b=0, N=\d+\) has a work "
+                        r"estimate of 2\^\d+ or more, above the limit 2\^37\n", err)
 
 
-def test_every_golden_kernel_input_is_within_the_cost_limit():
+@pytest.mark.parametrize("argv", [
+    ("dim-do", "--n", "50", "--a", "0", "--b", "0", "--N", "6"),
+    ("dim-do", "--n", "1", "--a", "0", "--b", "0", "--N", "150"),
+    ("growth-table", "--n", "40", "--a", "0", "--b", "0", "--nmax", "5"),
+    ("dim-do", "--n", "1000000", "--a", "0", "--b", "0", "--N", "0"),
+])
+def test_cheap_input_is_accepted(capsys, argv):
+    # a few small binomials each, so the work estimate accepts them; dim-do
+    # --n 50 --N 6 prints dim C(56, 6)^2 = 1054199336286096
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    if argv[0] == "dim-do":
+        payload = json.loads(out)
+        n, order = payload["n"], payload["N"]
+        assert payload["dim"] == math.comb(order + n, n) ** 2
+    else:
+        assert out.splitlines()[-1].endswith('"verdict": true}')
+
+
+def test_every_golden_dimension_input_is_within_the_work_limit():
     for name in ("dim_do_golden.json", "growth_table_golden.json",
                  "readme_cli_golden.json"):
         for case in json.loads((Path(__file__).parent / "data" / name).read_text()):
@@ -448,10 +479,12 @@ def test_every_golden_kernel_input_is_within_the_cost_limit():
             if argv[0] not in ("dim-do", "growth-table") or case["exit"] != 0:
                 continue
             opts = dict(zip(argv[1::2], argv[2::2]))
-            n = int(opts["--n"])
-            order = int(opts.get("--N", opts.get("--nmax", default_n_max(n))))
-            assert kernel_cost(n, int(opts["--a"]), int(opts["--b"]), order) \
-                <= KERNEL_COST_LIMIT, argv
+            n, d = int(opts["--n"]), int(opts["--b"]) - int(opts["--a"])
+            if argv[0] == "dim-do":
+                work = projective._dim_do_work(n, d, int(opts["--N"]))
+            else:
+                work = growth._growth_work(n, d, int(opts.get("--nmax", default_n_max(n))))
+            assert work <= projective.WORK_LIMIT, argv
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +560,7 @@ def test_dim_do_golden_bytes(capsys, case):
 
 # ---------------------------------------------------------------------------
 # golden bytes: growth-table at the default budget, n 1..3, a -2..2,
-# b - a -6..3, csv and json (the b - a <= -(n + 1) cases exit 3)
+# b - a -6..3, csv and json (the cases with nmax <= M0 exit 2)
 # ---------------------------------------------------------------------------
 
 GROWTH_GOLDEN = json.loads(

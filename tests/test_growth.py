@@ -8,11 +8,12 @@ from jetspace.cohomology import chi_line, chi_sym_tangent, h0_line, h0_sym_tange
 from jetspace.errors import PreconditionError, StabilizationError
 from jetspace import cli, growth
 from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
-                             closed_form_dimensions, dimension_sweep,
-                             expected_delta, growth_polynomial,
-                             stabilization_threshold, verify_growth)
+                             closed_form_dimensions, expected_delta,
+                             growth_polynomial, stabilization_threshold,
+                             verify_growth)
 from jetspace.presented import UniPoly
-from jetspace.projective import do_dimension
+from jetspace import projective
+from jetspace.projective import do_dimension, do_dimensions
 
 
 def _binomial_factor(n, shift):
@@ -41,7 +42,7 @@ def test_expected_delta_is_the_integer_h0():
 
 
 def test_dimension_sweep_values():
-    assert dimension_sweep(2, 0, 0, 4) == [1, 9, 36, 100, 225]
+    assert do_dimensions(2, 0, 0, 4) == (1, 9, 36, 100, 225)
 
 
 def test_growth_table_rows():
@@ -115,7 +116,7 @@ def test_polynomial_predicts_next_value():
 
 def test_nonzero_threshold_pair():
     # O -> O(-2) on the line: no operators below order 2, so M = 1
-    assert dimension_sweep(1, 0, -2, 4) == [0, 0, 3, 8, 15]
+    assert do_dimensions(1, 0, -2, 4) == (0, 0, 3, 8, 15)
     report = verify_growth(1, 0, -2, 4)
     assert report.table.threshold == 1
     assert report.verdict
@@ -162,6 +163,8 @@ def test_threshold_is_the_first_order_where_dims_are_the_chi_product(n):
 def test_insufficient_budget_raises():
     with pytest.raises(StabilizationError):
         stabilization_threshold(1, 0, -2, 1)
+    # the input alone shows the shortfall, so it is a precondition
+    assert issubclass(StabilizationError, PreconditionError)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -179,20 +182,57 @@ def test_budget_at_or_below_the_threshold_is_refused(capsys, n):
                 rc = cli.main(["growth-table", "--n", str(n), "--a", str(a),
                                "--b", str(a + d), "--nmax", str(nmax)])
                 out, err = capsys.readouterr()
-                assert (rc, out) == (3, ""), (n, a, d, nmax)
-                assert err.startswith("internal inconsistency:")
+                assert (rc, out) == (2, ""), (n, a, d, nmax)
+                assert err.startswith("precondition failed: the stabilization threshold")
 
 
 def test_stabilization_threshold_direct():
     assert stabilization_threshold(2, 0, -1, 4) == 0
     assert stabilization_threshold(3, 1, -5, 4) == 3
-    # the refusals keep their order: the budget, the space, the cost
+    # it computes nothing, so it checks no work estimate
+    assert stabilization_threshold(1, 0, 0, 150) == 0
+    assert stabilization_threshold(2234, 0, 0, 1) == 0
+    # the refusals keep their order: the budget, the space, the threshold;
+    # verify_growth refuses oversized work only after them
     with pytest.raises(PreconditionError, match="n_max >= 1"):
         stabilization_threshold(0, 0, -9, 0)
+    with pytest.raises(PreconditionError, match="n_max >= 1"):
+        verify_growth(0, 0, -9, -1)
     with pytest.raises(PreconditionError, match="projective dimension"):
-        stabilization_threshold(0, 0, -9, 4)
-    with pytest.raises(PreconditionError, match="kernel cost"):
-        stabilization_threshold(1, 0, 0, 150)
+        verify_growth(0, 0, -9, 4)
+    with pytest.raises(StabilizationError):
+        verify_growth(2234, 0, -2300, 1)
+    with pytest.raises(PreconditionError, match="work estimate"):
+        verify_growth(2234, 0, 0, 1)
+
+
+def test_verify_growth_checks_its_work_once(monkeypatch):
+    calls = []
+    check = projective._check_work
+
+    def counted(*args):
+        calls.append(args[:4])
+        check(*args)
+
+    monkeypatch.setattr(projective, "_check_work", counted)
+    monkeypatch.setattr(growth, "_check_work", counted)
+    verify_growth(2, 0, 1, 4)
+    assert calls == [(2, 0, 1, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_growth_work_bounds_the_polynomial_sizes(n):
+    # the estimate's coefficient bound covers the printed numerators and
+    # denominators of P, and the dimension bounds cover every dimension
+    for d in (-n - 3, -1, 0, 2, 10 ** 6):
+        top = max(1, -d - n + 1)
+        coeff_bits = n * (3 * (n + 1).bit_length() + (abs(d) + n + 1).bit_length())
+        report = verify_growth(n, 0, d, top)
+        for c in report.polynomial.coeffs:
+            assert c.numerator.bit_length() + c.denominator.bit_length() <= coeff_bits
+        dim_bits = projective._dimension_bits(n, d, top)
+        for row in report.table.rows:
+            assert row.dim.bit_length() <= sum(dim_bits), (n, d, row)
 
 
 def test_growth_polynomial_container():

@@ -15,7 +15,8 @@ from jetspace.growth import closed_form_dimension
 from jetspace import cli, linalg, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
-from jetspace.projective import (BLOCK_OP_TEST_LIMIT, KERNEL_COST_LIMIT,
+from jetspace.growth import verify_growth
+from jetspace.projective import (BLOCK_OP_TEST_LIMIT, WORK_LIMIT,
                                  BlockOperator, action_matrix, block_operator,
                                  candidate_count, candidate_monomials,
                                  chart_test_count, chart_test_monomials,
@@ -23,8 +24,7 @@ from jetspace.projective import (BLOCK_OP_TEST_LIMIT, KERNEL_COST_LIMIT,
                                  do_dimensions, euler_relation,
                                  global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
-                                 kernel_cost,
-                                 negative_twist_existence, strictness_check)
+                                 negative_twist_existence)
 from jetspace.weyl import WeylElement, euler_operator, falling
 
 
@@ -477,24 +477,36 @@ def test_dims_boxes_and_histories_match_the_full_block_recording():
 @pytest.mark.parametrize("n, a, b, order", [(2, 0, 0, 12), (6, 0, 0, 3),
                                              (2, 0, 0, 5), (3, 0, 0, 3),
                                              (2, 0, 0, 8), (5, 0, 0, 3)])
-def test_kernel_cost_accepts_the_anchor_inputs(n, a, b, order):
-    assert kernel_cost(n, a, b, order) <= KERNEL_COST_LIMIT
+def test_work_estimate_accepts_the_anchor_inputs(n, a, b, order):
+    assert projective._dim_do_work(n, b - a, order) <= WORK_LIMIT
+    assert global_do_dimension(n, a, b, order).dim == math.comb(order + n, n) ** 2
 
 
-def test_kernel_cost_refuses_oversized_input_before_any_work(monkeypatch):
+def test_binomial_bits_bound_every_binomial():
+    for m in range(80):
+        for j in range(m + 1):
+            assert math.comb(m, j).bit_length() <= projective._binomial_bits(m, j), (m, j)
+    for m, j in [(2 * 10 ** 4, 10 ** 4), (10 ** 30, 5), (10 ** 4, 7)]:
+        assert math.comb(m, j).bit_length() <= projective._binomial_bits(m, j), (m, j)
+
+
+def test_work_check_evaluates_no_binomial(monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError("dimension computed")
+        raise AssertionError("binomial computed")
 
-    monkeypatch.setattr(projective, "_dimension", refuse)
-    with pytest.raises(PreconditionError, match=r"\(n=50, a=0, b=0, N=6\) has kernel "
-                                                r"cost at least \d+, above the limit"):
-        global_do_dimension(50, 0, 0, 6)
-    # the sum stops once past the limit, so a huge order is refused at once
-    assert KERNEL_COST_LIMIT < kernel_cost(1, 0, 0, 10 ** 12) < 10 ** 30
-    # it counts the walked tuples and the square-block cells exactly
-    assert kernel_cost(2, 0, 0, 1) == 1 * (3 + 3 ** 2) + 3 * (3 + 1)
-    assert kernel_cost(2, 0, -1, 1) == 3 * (3 + 1)
-    assert kernel_cost(2, 0, -2, 1) == 0
+    monkeypatch.setattr(projective, "comb", refuse)
+    big = 10 ** 6
+    for call in (lambda: global_do_dimension(big, 0, 0, big),
+                 lambda: do_dimension(big, 0, 0, big),
+                 lambda: negative_twist_existence(big, big, big),
+                 lambda: verify_growth(big, 0, 0, big)):
+        with pytest.raises(PreconditionError, match=r"has a work estimate of 2\^\d+ or more"):
+            call()
+    rc = cli.main(["dim-do", "--n", str(big), "--a", "0", "--b", "0", "--N", str(big)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == (f"precondition failed: (n={big}, a=0, b=0, N={big}) has a work "
+                   "estimate of 2^62 or more, above the limit 2^37\n")
 
 
 def test_negative_twist_script_replays_its_recording(capsys):
@@ -607,10 +619,12 @@ def test_euler_scaling():
 
 
 def test_strictness_of_order_filtration():
-    # candidate count strictly exceeds dimension at each order >= 1
+    # raising the order bound enlarges the space, and the candidate count
+    # strictly exceeds the dimension at each order >= 1
     for n, a, b in [(1, 0, 0), (2, 0, 1)]:
+        dims = do_dimensions(n, a, b, 2)
         for order in (1, 2):
-            assert strictness_check(n, a, b, order)
+            assert dims[order] > dims[order - 1]
             assert candidate_count(n, a, b, order) > do_dimension(n, a, b, order)
 
 
@@ -633,18 +647,14 @@ def test_negative_twist_gap_grows_with_degree():
 
 @pytest.mark.parametrize("n, drops, budgets", [
     *[(n, range(1, 30), range(32)) for n in range(1, 7)],
-    # order 3000 on the plane costs 4 C(3002, 2) > KERNEL_COST_LIMIT
+    # order 3000 on the plane is one pair of small binomials
     (2, [3000], [2999, 3000])])
 def test_negative_twist_is_the_closed_form(n, drops, budgets):
     # the first order with DO^N(O, O(-d)) != 0 is d, with dim C(d + n, n);
-    # only order d is computed, so only its kernel cost refuses
+    # only order d is computed (test_work_check_evaluates_no_binomial has
+    # a refused one)
     for d in drops:
-        refused = kernel_cost(n, 0, -d, d) > KERNEL_COST_LIMIT
         for n_max in budgets:
-            if d <= n_max and refused:
-                with pytest.raises(PreconditionError, match="kernel cost"):
-                    negative_twist_existence(n, d, n_max)
-                continue
             res = negative_twist_existence(n, d, n_max)
             assert res.searched_up_to == n_max
             if d <= n_max:

@@ -39,7 +39,7 @@ PUBLIC = {
     "projective": "BlockOperator NegativeTwistResult TwistedDOSpace block_operator "
                   "candidate_count candidate_monomials chart_test_monomials do_dimension "
                   "euler_relation global_do_dimension h0_basis hn_basis "
-                  "induced_cohomology_map negative_twist_existence strictness_check",
+                  "induced_cohomology_map negative_twist_existence",
     "growth": "GrowthPolynomial GrowthReport GrowthTable default_n_max expected_delta "
               "growth_polynomial stabilization_threshold verify_growth",
     "symbols": "EllipticityVerdict SymbolMatrix Witness classify elliptic_algebraic "
@@ -104,7 +104,7 @@ def test_survey_reads_execute_every_module_their_calls_need():
 
 def test_public_names_are_their_defining_modules_objects():
     names = [(module, name) for module, text in PUBLIC.items() for name in text.split()]
-    assert len(names) == 57
+    assert len(names) == 56
     listed = dir(jetspace)
     for module, name in names:
         home = importlib.import_module(f"jetspace.{module}")
