@@ -290,10 +290,7 @@ def _cmd_jet(args) -> dict:
 
 
 def _cmd_induced_map(args) -> dict:
-    ops = _parse_operator(args)
-    if len(ops) != 1:
-        raise _UsageError("induced-map works on a single operator")
-    op = ops[0][0]
+    op = _parse_operator(args)[0][0]
     matrix = projective.induced_cohomology_map(args.n, args.a, args.b, op, args.i)
     if args.i == 0:
         source = projective.h0_basis(args.n, args.a)
@@ -312,10 +309,7 @@ def _cmd_induced_map(args) -> dict:
 
 
 def _cmd_block_op(args) -> dict:
-    ops = _parse_operator(args)
-    if len(ops) != 1:
-        raise _UsageError("block-op takes the off-diagonal operator only")
-    block = projective.block_operator(args.n, args.m, args.d, ops[0][0])
+    block = projective.block_operator(args.n, args.m, args.d, _parse_operator(args)[0][0])
     report = block.verify()
     return {
         "n": args.n, "m": args.m, "d": args.d,

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .cohomology import _h0_sym_tangent, chi_line, h0_line
 from .errors import PreconditionError, StabilizationError
-from .projective import _check_work, _dimension_bits, _step, do_dimension, do_dimensions
+from .projective import _check_work, _dimension_bits, _step, do_dimensions
 
 
 def default_n_max(n: int) -> int:
@@ -145,9 +145,7 @@ def stabilization_threshold(n: int, a: int, b: int, n_max: int) -> int:
 
 
 def growth_polynomial(n: int, a: int, b: int, threshold: int,
-                      dim_at_threshold: int | None = None) -> GrowthPolynomial:
-    if dim_at_threshold is None:
-        dim_at_threshold = do_dimension(n, a, b, threshold)
+                      dim_at_threshold: int) -> GrowthPolynomial:
     constant = dim_at_threshold - chi_line(n, threshold) * chi_line(n, threshold + b - a)
     # (n!)^2 (binom(N + n, n) binom(N + b - a + n, n) + C) is the product of
     # the N + r below plus (n!)^2 C: ascending integer coefficients, divided

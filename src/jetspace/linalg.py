@@ -3,13 +3,14 @@
 ExactMatrix stores only nonzero entries, keyed by (row, col).  rank() runs a
 fraction-free sparse row elimination over the integers (each incoming row is
 scaled to integer entries, pivot rows are kept primitive), so results are
-exact regardless of conditioning.  kernel_basis() uses a rational RREF and
-back-substitution; together they satisfy rank + nullity = cols exactly.
+exact regardless of conditioning.  rref() runs the same elimination, then
+divides each pivot row by its lead and back-substitutes; kernel_basis()
+reads the kernel off it, so rank + nullity = cols exactly.
 
 Row elimination picks each row's minimal column as pivot position, so rows
 with disjoint column supports never interact; on block-structured input the
 cost is the sum of the block costs.  add_pivot_row() is one elimination
-step on integer rows, the step rank() takes for each row.
+step on integer rows, the step rank() and rref() take for each row.
 """
 
 from __future__ import annotations
@@ -110,17 +111,11 @@ class ExactMatrix:
 
     def rref(self) -> tuple[list[dict[int, Fraction]], list[int]]:
         """Reduced row echelon form as sparse rows, plus sorted pivot columns."""
-        pivots: dict[int, dict[int, Fraction]] = {}
-        for row in self.row_dicts():
-            while row:
-                c = min(row)
-                piv = pivots.get(c)
-                if piv is None:
-                    lead = row[c]
-                    pivots[c] = {j: v / lead for j, v in row.items()}
-                    break
-                factor = row[c]
-                add_terms(row, ((j, -factor * v) for j, v in piv.items()))
+        integer_pivots: dict[int, dict[int, int]] = {}
+        for row in self._integer_rows():
+            add_pivot_row(integer_pivots, row)
+        pivots = {c: {j: Fraction(v, row[c]) for j, v in row.items()}
+                  for c, row in integer_pivots.items()}
         cols_sorted = sorted(pivots)
         # back-substitute so each pivot column appears in exactly one row
         for c in reversed(cols_sorted):

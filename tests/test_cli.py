@@ -200,6 +200,15 @@ def test_block_op(capsys):
     assert payload["report"]["preserves_second_summand"] is True
 
 
+def test_block_op_euler_coupling_has_no_witness(capsys):
+    # the top-order part of D12 = E kills every degree-0 section
+    payload = run_json(capsys, "block-op", "--n", "1", "--m", "0", "--d", "0",
+                       "--op", "1 * x^(1,0) d^(1,0) + 1 * x^(0,1) d^(0,1)")
+    assert payload["order"] == 1
+    assert payload["report"]["order_witness"] is None
+    assert payload["report"]["ok"] is False
+
+
 # ---------------------------------------------------------------------------
 # output handling and determinism
 # ---------------------------------------------------------------------------
@@ -250,6 +259,16 @@ def test_usage_error_bad_operator_text(capsys):
     rc, out, err = run(capsys, "symbol", "--op", "nonsense", "--N", "1")
     assert rc == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("induced-map", "--n", "1", "--a", "0", "--b", "0", "--i", "0"),
+    ("block-op", "--n", "1", "--m", "0", "--d", "0"),
+])
+def test_usage_error_empty_operator(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--op", "")
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: one of --op or --matrix is required\n")
 
 
 def test_usage_error_nonsquare_matrix(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetspace.laurent import add_terms
 from jetspace.linalg import ExactMatrix, primitive_integers
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -63,6 +64,48 @@ def test_rref_normalized():
     assert pivot_cols == [0, 2]
     assert rows[0] == {0: Fraction(1), 1: Fraction(2)}
     assert rows[1] == {2: Fraction(1)}
+
+
+def _fraction_rref(m):
+    """Reference for rref(): Fraction elimination against pivots keyed by
+    their minimal column, each normalized at once, then back-substitution.
+    RREF is unique, so both must return equal rows."""
+    pivots = {}
+    for row in m.row_dicts():
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = {j: v / row[c] for j, v in row.items()}
+                break
+            factor = row[c]
+            add_terms(row, ((j, -factor * v) for j, v in piv.items()))
+    cols_sorted = sorted(pivots)
+    for c in reversed(cols_sorted):
+        for c2 in cols_sorted:
+            if c2 >= c:
+                break
+            factor = pivots[c2].get(c)
+            if factor:
+                add_terms(pivots[c2], ((j, -factor * v) for j, v in pivots[c].items()))
+    return [pivots[c] for c in cols_sorted], cols_sorted
+
+
+def test_rref_equals_the_fraction_elimination():
+    rng = random.Random(24)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+
+    for _ in range(200):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        m = ExactMatrix.from_rows([[rational() for _ in range(cols)] for _ in range(rows)])
+        # a product through a narrow middle has dependent rows
+        inner = rng.randint(1, 3)
+        low = (ExactMatrix.from_rows([[rational() for _ in range(inner)] for _ in range(rows)])
+               @ ExactMatrix.from_rows([[rational() for _ in range(cols)] for _ in range(inner)]))
+        for matrix in (m, low):
+            assert matrix.rref() == _fraction_rref(matrix)
 
 
 def test_matmul():

@@ -820,10 +820,75 @@ def test_block_operator_refuses_oversized_test_sets_before_any_work(monkeypatch)
     x0 = WeylElement.monomial((1, 0, 0), (0, 0, 0))
     monkeypatch.setattr(projective, "chart_test_monomials", refuse)
     with pytest.raises(PreconditionError, match=(
-            r"O\(160\) \+ O\(161\) on P\^2 has 500574 chart test monomials in box "
-            r"324, above the limit 200000")):
+            r"O\(160\) \+ O\(161\) on P\^2 has 250203 chart test monomials of O\(160\) "
+            r"in box 324, above the limit 200000")):
         block_operator(2, 160, 161, x0).verify()
-    # M = 80 stays within the limit
-    box = 0 + 80 + 81 + 3  # order + |m| + |d| + 3
-    assert chart_test_count(2, 81, box) + chart_test_count(2, 80, box) == 128734
-    assert 128734 <= BLOCK_OP_TEST_LIMIT
+    # only the O(m) set counts: M = 125 stays within the limit, though the
+    # O(d) set of the same box would pass it
+    box = 0 + 125 + 126 + 3  # order + |m| + |d| + 3
+    assert chart_test_count(2, 125, box) <= BLOCK_OP_TEST_LIMIT
+    assert chart_test_count(2, 125, box) + chart_test_count(2, 126, box) > BLOCK_OP_TEST_LIMIT
+
+
+def _reference_verify(block: BlockOperator) -> tuple:
+    """Reference for verify(): every chart monomial of O(d) and of O(m) in
+    the box, each identity checked by apply_pair, the witness the first
+    O(m) monomial that the top-order part of D12 does not kill."""
+    n, m, d = block.n, block.m, block.d
+    box = block.order() + abs(m) + abs(d) + 3
+    zero = LaurentPoly.zero(n + 1)
+    preserves = sub_ok = quot_ok = True
+    for gamma in chart_test_monomials(n, d, box):
+        t = LaurentPoly.monomial(gamma)
+        s_out, t_out = block.apply_pair(zero, t)
+        preserves = preserves and s_out.is_zero()
+        sub_ok = sub_ok and t_out == t
+    top = None if block.d12.is_zero() else block.d12.order_part(block.order())
+    witness = None
+    for gamma in chart_test_monomials(n, m, box):
+        s = LaurentPoly.monomial(gamma)
+        quot_ok = quot_ok and block.apply_pair(s, zero)[0] == s
+        if witness is None and top is not None and top.apply_monomial(gamma):
+            witness = gamma
+    return preserves, sub_ok, quot_ok, block.order(), witness
+
+
+def _block_grid_couplings():
+    rng = random.Random(24)
+    for n in (1, 2):
+        for m in range(-2, 3):
+            for delta in range(-2, 3):
+                couplings = [WeylElement.zero(n + 1)]
+                couplings += [random_graded_operator(rng, n + 1, delta, 2) for _ in range(3)]
+                if delta >= 0:   # an order-0 coupling: multiplication by x0^delta
+                    couplings.append(WeylElement.monomial((delta,) + (0,) * n, (0,) * (n + 1)))
+                for d12 in couplings:
+                    yield n, m, m + delta, d12
+
+
+def test_block_operator_verify_matches_the_full_walk():
+    for n, m, d, d12 in _block_grid_couplings():
+        block = block_operator(n, m, d, d12)
+        assert block.verify() == _reference_verify(block), (n, m, d, d12)
+    # D12 = E on O(0): its top-order part kills every degree-0 section
+    euler = block_operator(1, 0, 0, euler_operator(2))
+    report = euler.verify()
+    assert report == _reference_verify(euler)
+    assert report.order == 1 and report.order_witness is None and not report.ok
+
+
+def test_block_operator_builds_at_most_the_o_m_test_set(monkeypatch):
+    calls = []
+    original = chart_test_monomials
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(projective, "chart_test_monomials", record)
+    for n, m, d, d12 in _block_grid_couplings():
+        calls.clear()
+        block = block_operator(n, m, d, d12)
+        block.verify()
+        box = block.order() + abs(m) + abs(d) + 3
+        assert calls == ([] if d12.is_zero() else [(n, m, box)]), (n, m, d, d12)
