@@ -3,10 +3,12 @@
 UniPoly is a dense univariate polynomial with Fraction coefficients.  Q[t]
 is a principal ideal domain, so every finitely presented module splits as a
 free part plus cyclic torsion summands Q[t]/(d_i); the invariant factors
-d_1 | d_2 | ... are computed by an exact Smith reduction (pivot on a
-minimal-degree entry, clear its row and column by polynomial division,
-restart the block when a division leaves a remainder, and fold in a row
-the pivot does not divide, so each pivot divides the next).
+d_1 | d_2 | ... are computed by an exact Smith reduction in two stages.
+Euclid's algorithm on rows and columns reduces the matrix to a diagonal
+(pivot on a least-degree entry; clear its column by polynomial division,
+then its row, and start the position over on any remainder).  Then
+divisibility_chain replaces each pair of diagonal entries by their gcd and
+lcm, so that each divides the next.
 
 A PresentedModule is coker of a g x r relation matrix.  It is torsion
 exactly when the relation matrix has full row rank g, and then its length
@@ -48,10 +50,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c) -> "UniPoly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "UniPoly":
-        return cls((0,) * k + (c,))
 
     # ---- structure ----------------------------------------------------
 
@@ -238,112 +236,63 @@ class UniPoly:
         return " + ".join(parts)
 
 
-PolyMatrix = list[list[UniPoly]]
-
-
 def smith_normal_form(matrix: Sequence[Sequence[UniPoly]]) -> list[UniPoly]:
     """Monic invariant factors d_1 | d_2 | ... of a matrix over Q[t].
 
     Returns only the nonzero invariants; their count is the rank of the
-    matrix over the fraction field Q(t).
+    matrix over the fraction field Q(t).  Each pivot position takes an entry
+    of least degree in the remaining block.  Row operations divide the rest
+    of the pivot column by it; a remainder moves a lower degree into the
+    block, and the position starts over.  Only with the column clean is the
+    rest of the pivot row replaced by its remainders, a column operation that
+    changes no other row.  When both are clean the pivot is a diagonal entry,
+    and divisibility_chain turns the diagonal into the invariants.
     """
-    work = [[p for p in row] for row in matrix]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    invariants: list[UniPoly] = []
+    work = [list(row) for row in matrix]
+    cols = len(work[0]) if work else 0
+    diagonal: list[UniPoly] = []
     top = 0
-    while top < min(rows, cols):
-        pr, pc = _minimal_degree_entry(work, top)
-        if pr is None:
+    while top < min(len(work), cols):
+        block = [(p.degree(), i, j) for i in range(top, len(work))
+                 for j in range(top, cols) if (p := work[i][j])]
+        if not block:
             break
-        _swap(work, top, pr, pc)
-        while True:
-            _clear_column(work, top)
-            if _clear_row(work, top):
-                continue
-            # pivot must also divide the remaining block for a clean chain
-            offender = _undivided_entry(work, top)
-            if offender is None:
-                break
-            oi, _ = offender
-            for j in range(top, cols):
-                work[top][j] = work[top][j] + work[oi][j]
-        invariants.append(work[top][top].monic())
-        top += 1
-    return invariants
-
-
-def _minimal_degree_entry(work: PolyMatrix, top: int):
-    best = (None, None)
-    best_deg = None
-    for i in range(top, len(work)):
-        for j in range(top, len(work[0])):
-            p = work[i][j]
-            if p and (best_deg is None or p.degree() < best_deg):
-                best = (i, j)
-                best_deg = p.degree()
-    return best
-
-
-def _swap(work: PolyMatrix, top: int, pr: int, pc: int) -> None:
-    if pr != top:
+        _, pr, pc = min(block)
         work[top], work[pr] = work[pr], work[top]
-    if pc != top:
         for row in work:
             row[top], row[pc] = row[pc], row[top]
-
-
-def _clear_column(work: PolyMatrix, top: int) -> None:
-    """Eliminate below the pivot, re-pivoting whenever a remainder shows up."""
-    rows = len(work)
-    cols = len(work[0])
-    i = top + 1
-    while i < rows:
-        p = work[i][top]
-        if not p:
-            i += 1
+        pivot_row = work[top]
+        piv = pivot_row[top]
+        clean = True
+        for row in work[top + 1:]:
+            if row[top]:
+                q = row[top] // piv
+                row[top:] = [p - q * r for p, r in zip(row[top:], pivot_row[top:])]
+                clean = clean and not row[top]
+        if not clean:
             continue
-        q, r = divmod(p, work[top][top])
-        for j in range(top, cols):
-            work[i][j] = work[i][j] - q * work[top][j]
-        if r:
-            work[top], work[i] = work[i], work[top]
-            i = top + 1
-        else:
-            i += 1
+        pivot_row[top + 1:] = [p % piv for p in pivot_row[top + 1:]]
+        if not any(pivot_row[top + 1:]):
+            diagonal.append(piv)
+            top += 1
+    return divisibility_chain(diagonal)
 
 
-def _clear_row(work: PolyMatrix, top: int) -> bool:
-    """Eliminate right of the pivot; True if a remainder forced a re-pivot."""
-    rows = len(work)
-    cols = len(work[0])
-    changed = False
-    j = top + 1
-    while j < cols:
-        p = work[top][j]
-        if not p:
-            j += 1
-            continue
-        q, r = divmod(p, work[top][top])
-        for i in range(top, rows):
-            work[i][j] = work[i][j] - q * work[i][top]
-        if r:
-            for i in range(top, rows):
-                work[i][top], work[i][j] = work[i][j], work[i][top]
-            changed = True
-            j = top + 1
-        else:
-            j += 1
-    return changed
+def divisibility_chain(diagonal: Iterable[UniPoly]) -> list[UniPoly]:
+    """Monic d_1 | d_2 | ... with diag(d) equivalent to diag(diagonal) over Q[t].
 
-
-def _undivided_entry(work: PolyMatrix, top: int):
-    piv = work[top][top]
-    for i in range(top + 1, len(work)):
-        for j in range(top + 1, len(work[0])):
-            if work[i][j] and not piv.divides(work[i][j]):
-                return (i, j)
-    return None
+    The entries must be nonzero.  Over a principal ideal domain diag(p, q) is
+    equivalent to diag(gcd(p, q), lcm(p, q)) (Newman, Integral Matrices,
+    ch. II).  Merging d_i with every later d_j leaves d_i the gcd of all of
+    them, and the later merges keep to multiples of it, so one pass over the
+    pairs i < j gives the chain.
+    """
+    d = [p.monic() for p in diagonal]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = d[i].gcd(d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 class PresentedModule:
@@ -376,18 +325,13 @@ class PresentedModule:
     def relation_count(self) -> int:
         return len(self.relations[0]) if self.gens else 0
 
-    def smith_invariants(self) -> list[UniPoly]:
-        if self.gens == 0 or self.relation_count == 0:
-            return []
-        return smith_normal_form(self.relations)
-
     def invariants(self) -> tuple[int, tuple[UniPoly, ...]]:
         """(free rank, nonunit invariant factors); a complete isomorphism invariant.
 
         Computed once: the module is immutable.
         """
         if self._invariants is None:
-            inv = self.smith_invariants()
+            inv = smith_normal_form(self.relations)
             self._invariants = (self.gens - len(inv),
                                 tuple(d for d in inv if not d.is_unit()))
         return self._invariants

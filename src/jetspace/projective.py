@@ -102,11 +102,23 @@ def _bounded_monomials(k: int, total: int, cap: int) -> list[Exponent]:
 
 
 def chart_test_count(n: int, a: int, box: int) -> int:
-    """Closed form for len(chart_test_monomials(n, a, box))."""
+    """Closed form for len(chart_test_monomials(n, a, box)): O(n)
+    binomials, whatever the box.
+
+    The monomials with a slot at -v number (n + 1)·_bounded_count(n, a + v,
+    box).  Summed over v = 1..box, inclusion-exclusion term i counts the
+    n-tuples of total u = a + v - i·(box + 1) over u in [lower, upper],
+    which is C(upper + n, n) - C(lower - 1 + n, n) by the hockey-stick
+    identity."""
     if box < 0:
         raise PreconditionError("box must be nonnegative")
-    return _bounded_count(n + 1, a, box) + (n + 1) * sum(
-        _bounded_count(n, a + v, box) for v in range(1, box + 1))
+    shifted = 0
+    for i in range(n + 1):
+        upper = a + box - i * (box + 1)
+        lower = max(0, a + 1 - i * (box + 1))
+        if upper >= lower:
+            shifted += (-1) ** i * comb(n, i) * (comb(upper + n, n) - comb(lower - 1 + n, n))
+    return _bounded_count(n + 1, a, box) + (n + 1) * shifted
 
 
 def _bounded_count(k: int, total: int, cap: int) -> int:

@@ -15,7 +15,7 @@ from jetspace.jets import (JetElement, cyclic_jet_invariants,
                            operator_to_jet_map, symbol_quotient_check,
                            universal_derivation)
 from jetspace.laurent import LaurentPoly
-from jetspace.presented import PresentedModule, UniPoly
+from jetspace.presented import PresentedModule, UniPoly, divisibility_chain
 from jetspace.weyl import WeylElement
 
 t = UniPoly.t()
@@ -228,6 +228,30 @@ def test_cyclic_jet_invariants_refuse_a_length_over_the_limit():
         cyclic_jet_invariants(t * t + t, limit // 2)
     with pytest.raises(PreconditionError, match="length 100000001, above the limit"):
         cyclic_jet_invariants(t + UniPoly.one(), 10 ** 8)
+
+
+def _jets_by_additivity(module, order):
+    """(free rank, nonunit invariants) of the order-N jets of a module, from
+    its own invariants: J^N of a direct sum is the direct sum of the J^N,
+    so the cyclic closed forms merge by gcd/lcm into one chain."""
+    free_rank, torsion = module.invariants()
+    merged = divisibility_chain(d for p in torsion for d in cyclic_jet_invariants(p, order))
+    return free_rank * (order + 1), tuple(d for d in merged if not d.is_unit())
+
+
+def test_jets_of_presented_modules_by_additivity():
+    one = UniPoly.one()
+    coupled = PresentedModule(2, [[t, one + t], [one + t * t, t ** 3]])
+    cases = [(coupled, order) for order in range(7)]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        gens, rels = rng.randint(1, 3), rng.randint(0, 3)
+        rows = [[UniPoly(Fraction(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3)))
+                 for _ in range(rels)] for _ in range(gens)]
+        cases += [(PresentedModule(gens, rows), order) for order in range(4)]
+    for module, order in cases:
+        assert (jet_of_presented(module, order).invariants()
+                == _jets_by_additivity(module, order)), (module.relations, order)
 
 
 # ---------------------------------------------------------------------------

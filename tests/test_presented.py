@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import jetspace.presented as presented
-from jetspace.presented import PresentedModule, UniPoly, smith_normal_form
+from jetspace.presented import (PresentedModule, UniPoly, divisibility_chain,
+                                smith_normal_form)
 
 t = UniPoly.t()
 one = UniPoly.one()
@@ -174,8 +175,8 @@ def test_snf_invariant_under_unimodular_moves():
 
 
 def test_snf_divisibility_chain():
-    # each pivot divides the rest of its block, so d_1 | d_2 | ... holds
-    # without a gcd/lcm fix-up pass
+    # the diagonal the reduction leaves need not be a chain; the gcd/lcm
+    # merge must make d_1 | d_2 | ... hold
     rng = random.Random(17)
     shapes = [(3, 4)] * 20 + [(nr, nc) for nr in range(1, 5) for nc in range(1, 5)
                                for _ in range(8)]
@@ -190,6 +191,18 @@ def test_snf_divisibility_chain():
         for a, b in zip(facs, facs[1:]):
             assert a.divides(b), rows
         assert all(f.lead() == 1 for f in facs)
+
+
+def test_snf_of_a_matrix_without_rows_or_columns():
+    assert smith_normal_form([]) == []
+    assert smith_normal_form([[], []]) == []
+
+
+def test_divisibility_chain_merges_by_gcd_and_lcm():
+    assert divisibility_chain([t, t + one]) == [one, t * t + t]
+    assert divisibility_chain([t * t, t]) == [t, t * t]
+    assert divisibility_chain([poly(2), poly(0, 3)]) == [one, t]
+    assert divisibility_chain([]) == []
 
 
 def test_squarefree_parts_of_units():

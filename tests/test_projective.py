@@ -93,6 +93,20 @@ def test_chart_test_count_is_the_test_set_size(n):
                 n, a, box)
 
 
+def _reference_chart_test_count(n, a, box):
+    """The count as summed one v at a time, before the hockey-stick form."""
+    return projective._bounded_count(n + 1, a, box) + (n + 1) * sum(
+        projective._bounded_count(n, a + v, box) for v in range(1, box + 1))
+
+
+def test_chart_test_count_equals_the_sum_over_v():
+    for n in range(1, 6):
+        for a in range(-30, 31):
+            for box in range(25):
+                assert chart_test_count(n, a, box) == _reference_chart_test_count(n, a, box), (
+                    n, a, box)
+
+
 def test_negative_box_rejected_by_every_entry_point():
     for entry in (chart_test_monomials, chart_test_count):
         with pytest.raises(PreconditionError, match="box must be nonnegative"):
