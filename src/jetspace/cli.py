@@ -4,8 +4,7 @@ Subcommands: dim-do, growth-table, cohomology, symbol, elliptic-check, jet,
 induced-map, block-op.  Reports are JSON with sorted keys (growth-table
 defaults to CSV with a JSON footer); identical invocations produce identical
 bytes.  Exit codes: 0 success, 1 malformed usage, 2 precondition failure,
-3 internal inconsistency.  The environment variable JETSPACE_NMAX_OVERRIDE,
-when set, caps every order budget accepted by the CLI.
+3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,7 +21,6 @@ from . import cohomology, growth, jets, laurent, presented, projective, symbols,
 from .errors import InconsistencyError, PreconditionError
 
 SCHEMA = "jetspace/1"
-NMAX_ENV = "JETSPACE_NMAX_OVERRIDE"
 
 
 class _UsageError(Exception):
@@ -33,26 +30,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _nmax_cap() -> int | None:
-    raw = os.environ.get(NMAX_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"{NMAX_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise _UsageError(f"{NMAX_ENV} must be nonnegative")
-    return cap
-
-
-def _enforce_cap(value: int, what: str) -> None:
-    cap = _nmax_cap()
-    if cap is not None and value > cap:
-        raise PreconditionError(
-            f"{what} {value} exceeds the {NMAX_ENV} budget cap {cap}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -115,7 +92,6 @@ def _parse_operator(args) -> list[list[weyl.WeylElement]]:
 
 
 def _cmd_dim_do(args) -> dict:
-    _enforce_cap(args.N, "--N")
     space = projective.global_do_dimension(args.n, args.a, args.b, args.N)
     return {
         "n": args.n, "a": args.a, "b": args.b, "N": args.N,
@@ -125,14 +101,7 @@ def _cmd_dim_do(args) -> dict:
 
 
 def _cmd_growth_table(args) -> dict | str:
-    cap = _nmax_cap()
-    if args.nmax is not None:
-        nmax = args.nmax
-        _enforce_cap(nmax, "--nmax")
-    else:
-        nmax = growth.default_n_max(args.n)
-        if cap is not None:
-            nmax = min(nmax, cap)
+    nmax = growth.default_n_max(args.n) if args.nmax is None else args.nmax
     report = growth.verify_growth(args.n, args.a, args.b, nmax)
     return _unlimited_digits(_growth_report, args, nmax, report)
 
@@ -225,8 +194,7 @@ def _cmd_elliptic_check(args) -> dict:
             "reason": res.reason,
         })
     else:
-        depth = symbols.DEFAULT_GRID_DEPTH if args.depth is None else args.depth
-        res = symbols.elliptic_real(sym, depth=depth)
+        res = symbols.elliptic_real(sym)
         payload.update({
             "verdict": res.verdict,
             "witness": res.witness.as_strings() if res.witness else None,
@@ -258,7 +226,6 @@ def _cmd_jet(args) -> dict:
     actions = [args.derive is not None, args.free_rank, args.cyclic is not None]
     if sum(actions) != 1:
         raise _UsageError("choose exactly one of --derive, --free-rank, --cyclic")
-    _enforce_cap(args.N, "--N")
     if args.free_rank:
         if args.m is None or args.r is None:
             raise _UsageError("--free-rank needs --m and --r")
@@ -378,8 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--op")
     p.add_argument("--matrix")
     p.add_argument("--N", type=int, required=True)
-    # None, not symbols.DEFAULT_GRID_DEPTH: parsing must not load symbols
-    p.add_argument("--depth", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_elliptic_check)
 

@@ -37,8 +37,8 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .cohomology import _h0_sym_tangent, chi_line, h0_line
-from .errors import PreconditionError, StabilizationError
-from .projective import _check_work, _dimension_bits, _step, do_dimensions
+from .errors import PreconditionError, StabilizationError, _step
+from .projective import _check_work, _dimension_bits, do_dimensions
 
 
 def default_n_max(n: int) -> int:
@@ -161,7 +161,7 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
 
 
 def _growth_work(n: int, d: int, top: int) -> int:
-    """Work estimate (projective._step) of verify_growth and its report:
+    """Work estimate (errors._step) of verify_growth and its report:
     per order its dimension and the four binomials of expected_delta,
     n S(k) terms per order and the (top + 1)(top + 2) / 2 convolution
     terms of closed_form_dimensions, then the 2n + 1 coefficients of P.
@@ -190,7 +190,7 @@ def verify_growth(n: int, a: int, b: int, n_max: int | None = None) -> GrowthRep
     degree 2n and leading coefficient 1/(n!)^2 by construction.  The
     independent check is closed_form_dimensions: first_failure is the least
     N whose computed dimension differs from it, and the verdict is that
-    there is none.  Input whose work estimate passes projective.WORK_LIMIT
+    there is none.  Input whose work estimate passes errors.WORK_LIMIT
     is refused with PreconditionError before any binomial.
     """
     if n_max is None:

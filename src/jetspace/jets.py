@@ -25,13 +25,17 @@ from math import comb, factorial, prod
 from typing import NamedTuple
 
 from . import linalg, weyl
-from .errors import PreconditionError
+from .errors import PreconditionError, _binomial_bits, _step, check_work
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
 from .presented import PresentedModule, UniPoly
 
 # a cyclic jet length deg(p) * (N + 1) above this is refused up front: `jet
 # --cyclic` took up to 3.6 s at length 500, 25 s at 1000 (2-core Xeon, Py 3.11)
 CYCLIC_JET_LENGTH_LIMIT = 500
+
+# besides the _step of its coefficient, an output term of universal_derivation
+# takes about 2^20 work units to build and print: 16 us (2-core Xeon, Py 3.11)
+_TERM_WORK = 2 ** 20
 
 
 class JetElement:
@@ -98,14 +102,31 @@ def _truncate(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
 
 
 def universal_derivation(f: LaurentPoly, order: int) -> JetElement:
-    """f |-> f(x + dx) truncated past dx-order N; multiplicative by design."""
+    """f |-> f(x + dx) truncated past dx-order N; multiplicative by design.
+
+    A term c x^gamma of f gives at most prod_i (min(gamma_i, N) + 1) terms,
+    with coefficients c prod_i C(gamma_i, k_i).  Input whose work estimate for
+    those passes errors.WORK_LIMIT is refused with PreconditionError before
+    any binomial."""
     if f.has_negative_exponent():
         raise PreconditionError("universal derivation is defined for polynomials only")
     if order < 0:
         raise PreconditionError("jet order must be nonnegative")
+    check_work(f"(m={f.nvars}, N={order}, terms={len(f.terms)})", _derivation_work(f, order))
     return JetElement(f.nvars, order, LaurentPoly(2 * f.nvars, (
         (tuple(g - kj for g, kj in zip(gamma, k)) + k, c * prod(map(comb, gamma, k)))
         for gamma, c in f.terms.items() for k in _sub_multiindices(gamma, order))))
+
+
+def _derivation_work(f: LaurentPoly, order: int) -> int:
+    """Work estimate of universal_derivation(f, N): each output term of
+    c x^gamma makes a coefficient of at most the bits of c plus
+    sum_i bits(C(gamma_i, min(gamma_i // 2, N))), as k_i <= N."""
+    return sum(prod(min(g, order) + 1 for g in gamma)
+               * (_step(c.numerator.bit_length() + c.denominator.bit_length()
+                        + sum(_binomial_bits(g, min(g // 2, order)) for g in gamma))
+                  + _TERM_WORK)
+               for gamma, c in f.terms.items())
 
 
 def _sub_multiindices(gamma: Exponent, cap: int):
@@ -123,9 +144,12 @@ def _sub_multiindices(gamma: Exponent, cap: int):
 
 
 def jet_free_rank(m: int, order: int, rank: int = 1) -> int:
-    """Rank of the order-N jet module of a free rank-r module over m variables."""
+    """Rank of the order-N jet module of a free rank-r module over m variables,
+    r C(m + N, N).  Input whose binomial's work estimate passes
+    errors.WORK_LIMIT is refused with PreconditionError before computing it."""
     if m < 0 or order < 0 or rank < 0:
         raise PreconditionError("jet_free_rank arguments must be nonnegative")
+    check_work(f"(m={m}, N={order})", _step(_binomial_bits(m + order, order)))
     return rank * comb(m + order, order)
 
 

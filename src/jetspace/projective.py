@@ -33,15 +33,12 @@ from math import comb
 from typing import NamedTuple
 
 from . import cohomology, weyl
-from .errors import InconsistencyError, PreconditionError
+from .errors import WORK_LIMIT  # noqa: F401 -- read as projective.WORK_LIMIT
+from .errors import InconsistencyError, PreconditionError, _binomial_bits, _step, check_work
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
 from .linalg import ExactMatrix
 
 Candidate = tuple[Exponent, Exponent]
-
-# a request whose work estimate (see _step) passes this is refused up front:
-# about 1-3 s on a 2-core Xeon with Python 3.11 (CHANGES.md has the timings)
-WORK_LIMIT = 2 ** 37
 
 # induced_cohomology_map refuses a dense matrix with more cells than this
 INDUCED_MAP_CELL_LIMIT = 10 ** 6
@@ -158,24 +155,10 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
     return ExactMatrix(len(candidates), len(col_index), entries)
 
 
-def _binomial_bits(m: int, j: int) -> int:
-    """A bound on the bit length of C(m, j) that computes no binomial:
-    C(m, j) < 2^m and C(m, j) <= (e m / j)^j < (3 m / j)^j for 0 < j < m,
-    and C(m, j) <= 1 for every other j >= 0 (0 when j > m)."""
-    j = m - j if 2 * j > m else j
-    return min(m, j * (3 * m // j).bit_length()) if j > 0 else 1
-
-
 def _dimension_bits(n: int, d: int, order: int) -> tuple[int, int]:
     """Bit bounds on the factors C(N + n, n) and C(N + d + n, n) of
     _dimension, which bound those of every lower order."""
     return _binomial_bits(order + n, n), _binomial_bits(order + d + n, n)
-
-
-def _step(bits: int) -> int:
-    """Work units of one step that makes an integer of the given bit size:
-    math.comb takes about bits^2 units, and a step about 64^2 besides."""
-    return (bits + 64) ** 2
 
 
 def _dim_do_work(n: int, d: int, order: int) -> int:
@@ -187,10 +170,7 @@ def _dim_do_work(n: int, d: int, order: int) -> int:
 
 def _check_work(n: int, a: int, b: int, order: int, work: int) -> None:
     _check_space(n, order)
-    if work > WORK_LIMIT:
-        raise PreconditionError(
-            f"(n={n}, a={a}, b={b}, N={order}) has a work estimate of 2^{work.bit_length() - 1}"
-            f" or more, above the limit 2^{WORK_LIMIT.bit_length() - 1}")
+    check_work(f"(n={n}, a={a}, b={b}, N={order})", work)
 
 
 def _dimension(n: int, d: int, order: int) -> int:

@@ -33,8 +33,8 @@ from .laurent import LaurentPoly
 from .linalg import primitive_integers
 from .weyl import WeylElement
 
-DEFAULT_GRID_DEPTH = 12
 _GRID_TICKS = 4  # the search grid has step 1 / _GRID_TICKS
+_BISECT_STEPS = 12  # a sign change is narrowed by this many halvings
 
 
 # ---- symbol extraction -------------------------------------------------
@@ -211,26 +211,26 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(sign * v) for v in ints)
 
 
+def _settled(det: LaurentPoly, m: int) -> tuple[bool, Witness | None, str] | None:
+    """(elliptic, witness, reason) when det is zero, a nonzero constant or in
+    one variable, where the closure and the reals agree; else None."""
+    if det.is_zero():
+        return False, Witness(components=_unit(m, 0)), "determinant vanishes identically"
+    if det.homogeneous_degree() == 0:
+        return True, None, "nonzero constant determinant"
+    if m == 1:
+        return True, None, "single cotangent variable: only root is the origin"
+    return None
+
+
 def elliptic_algebraic(S: SymbolMatrix) -> AlgebraicEllipticity:
     """Can det sigma vanish on a nonzero cotangent vector over the closure?"""
     det = _require_constant(S)
-    m = S.m
-    if det.is_zero():
-        return AlgebraicEllipticity(
-            elliptic=False,
-            witness=Witness(components=_unit(m, 0)),
-            reason="determinant vanishes identically")
-    deg = det.homogeneous_degree()
-    if deg == 0:
-        return AlgebraicEllipticity(elliptic=True, witness=None,
-                                    reason="nonzero constant determinant")
-    if m == 1:
-        return AlgebraicEllipticity(
-            elliptic=True, witness=None,
-            reason="single cotangent variable: only root is the origin")
-    witness = _closure_witness(det, m)
+    settled = _settled(det, S.m)
+    if settled is not None:
+        return AlgebraicEllipticity(*settled)
     return AlgebraicEllipticity(
-        elliptic=False, witness=witness,
+        elliptic=False, witness=_closure_witness(det, S.m),
         reason="positive-degree form in several variables vanishes on the closure")
 
 
@@ -313,26 +313,16 @@ def _integer_binomial(c_hi: Fraction, c_lo: Fraction, p: int) -> tuple[int, ...]
 # ---- real ellipticity --------------------------------------------------
 
 
-def elliptic_real(S: SymbolMatrix, depth: int = DEFAULT_GRID_DEPTH) -> RealEllipticity:
-    if depth < 0:
-        raise PreconditionError(f"grid depth must be nonnegative, got {depth}")
+def elliptic_real(S: SymbolMatrix) -> RealEllipticity:
     det = _require_constant(S)
-    m = S.m
-    if det.is_zero():
-        return RealEllipticity(verdict="false",
-                               witness=Witness(components=_unit(m, 0)),
-                               sign_points=None,
-                               reason="determinant vanishes identically")
-    deg = det.homogeneous_degree()
-    if deg == 0:
-        return RealEllipticity(verdict="true", witness=None, sign_points=None,
-                               reason="nonzero constant determinant")
-    if m == 1:
-        return RealEllipticity(verdict="true", witness=None, sign_points=None,
-                               reason="single cotangent variable: only root is the origin")
-    if deg == 2:
-        return _quadratic_form_verdict(det, m)
-    return _grid_search_verdict(det, m, depth)
+    settled = _settled(det, S.m)
+    if settled is not None:
+        elliptic, witness, reason = settled
+        return RealEllipticity(verdict="true" if elliptic else "false", witness=witness,
+                               sign_points=None, reason=reason)
+    if det.homogeneous_degree() == 2:
+        return _quadratic_form_verdict(det, S.m)
+    return _grid_search_verdict(det, S.m)
 
 
 def _gram_matrix(det: LaurentPoly, m: int) -> list[list[Fraction]]:
@@ -424,7 +414,7 @@ def _quadratic_form_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
                "along the diagonalizing pairs")
 
 
-def _grid_search_verdict(det: LaurentPoly, m: int, depth: int) -> RealEllipticity:
+def _grid_search_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
     """Deterministic dyadic search on the max-norm unit sphere.
 
     The grid points are q / 4 with q in {-4..4}^m and some |q_i| = 4.  det
@@ -475,7 +465,7 @@ def _grid_search_verdict(det: LaurentPoly, m: int, depth: int) -> RealEllipticit
             other = values.get(neighbour)
             if other is not None and (value < 0) != (other < 0):
                 lo, hi = (q, neighbour) if value < 0 else (neighbour, q)
-                refined = _bisect_zero(det, (point(lo), point(hi)), depth)
+                refined = _bisect_zero(det, (point(lo), point(hi)))
                 if isinstance(refined, Witness):
                     return RealEllipticity(verdict="false", witness=refined,
                                            sign_points=None,
@@ -489,9 +479,9 @@ def _grid_search_verdict(det: LaurentPoly, m: int, depth: int) -> RealEllipticit
                "on the unit sphere")
 
 
-def _bisect_zero(det: LaurentPoly, pair, depth: int):
+def _bisect_zero(det: LaurentPoly, pair):
     neg_pt, pos_pt = pair
-    for _ in range(depth):
+    for _ in range(_BISECT_STEPS):
         mid = tuple((a + b) / 2 for a, b in zip(neg_pt, pos_pt))
         value = det.evaluate(mid)
         if value == 0:
@@ -503,10 +493,10 @@ def _bisect_zero(det: LaurentPoly, pair, depth: int):
     return (neg_pt, pos_pt)
 
 
-def classify(S: SymbolMatrix, depth: int = DEFAULT_GRID_DEPTH) -> EllipticityVerdict:
+def classify(S: SymbolMatrix) -> EllipticityVerdict:
     """Combined verdict; prefers a real witness when both routes found one."""
     alg = elliptic_algebraic(S)
-    real = elliptic_real(S, depth=depth)
+    real = elliptic_real(S)
     witness = real.witness if real.witness is not None else alg.witness
     return EllipticityVerdict(algebraic=alg.elliptic, real=real.verdict,
                               witness=witness)

@@ -315,6 +315,15 @@ def test_usage_error_jet_needs_exactly_one_action(capsys):
     assert rc == 1
 
 
+def test_usage_error_elliptic_check_has_no_depth_option(capsys):
+    # the real search narrows a sign change by a fixed 12 halvings
+    rc, out, err = run(capsys, "elliptic-check", "--mode", "real", "--op",
+                       "1 * x^(0,0) d^(4,0) + 1 * x^(0,0) d^(0,4)", "--N", "4",
+                       "--depth", "3")
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: unrecognized arguments: --depth 3\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("symbol", "--op", "1/0 * x^(1,0) d^(0,0)", "--N", "0"),
     ("symbol", "--matrix", '[["1/0 * x^(0,0) d^(0,0)"]]', "--N", "0"),
@@ -363,12 +372,17 @@ def test_precondition_exit(capsys):
      "--op", "1 * x^(0) d^(0)"),
     ("block-op", "--n", "0", "--m", "0", "--d", "0", "--op", "1 * x^(0) d^(0)"),
     ("block-op", "--n", "2", "--m", "160", "--d", "161", "--op", "1 * x^(1,0,0) d^(0,0,0)"),
-    ("elliptic-check", "--mode", "real", "--op",
-     "1 * x^(0,0) d^(4,0) + 1 * x^(0,0) d^(0,4)", "--N", "4", "--depth", "-5"),
-    ("elliptic-check", "--mode", "real", "--op",
-     "1 * x^(0,0) d^(2,0) + 1 * x^(0,0) d^(0,2)", "--N", "2", "--depth", "-5"),
     ("induced-map", "--n", "2", "--a", "120", "--b", "121", "--i", "0",
      "--op", "1 * x^(1,0,0) d^(0,0,0)"),
+    # work estimates past errors.WORK_LIMIT: each ran 5 s to minutes
+    ("jet", "--free-rank", "--m", "300000", "--r", "1", "--N", "300000"),
+    ("jet", "--free-rank", "--m", "1000000", "--r", "1", "--N", "1000000"),
+    ("jet", "--derive", "1 * x^(20000)", "--N", "20000"),
+    ("jet", "--derive", "1 * x^(100,100,100)", "--N", "300"),
+    ("cohomology", "--n", "200000", "--k", "200000"),
+    ("cohomology", "--n", "1000000", "--k", "1000000"),
+    ("cohomology", "--n", "10000000", "--k", "1"),
+    ("cohomology", "--n", "100000", "--k", "100000", "--j", "100000"),
 ])
 def test_precondition_exit_without_traceback(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -506,44 +520,17 @@ def test_every_golden_dimension_input_is_within_the_work_limit():
             assert work <= projective.WORK_LIMIT, argv
 
 
-# ---------------------------------------------------------------------------
-# environment budget cap
-# ---------------------------------------------------------------------------
-
-def test_env_cap_rejects_large_order(monkeypatch, capsys):
-    monkeypatch.setenv("JETSPACE_NMAX_OVERRIDE", "1")
-    rc, out, err = run(capsys, "dim-do", "--n", "1", "--a", "0", "--b", "0",
-                       "--N", "2")
-    assert rc == 2
-    assert "budget cap" in err
-
-
-def test_env_cap_allows_within_budget(monkeypatch, capsys):
-    monkeypatch.setenv("JETSPACE_NMAX_OVERRIDE", "1")
-    payload = run_json(capsys, "dim-do", "--n", "1", "--a", "0", "--b", "0",
-                       "--N", "1")
-    assert payload["dim"] == 4
-
-
-def test_env_cap_clamps_default_sweep(monkeypatch, capsys):
-    monkeypatch.setenv("JETSPACE_NMAX_OVERRIDE", "1")
-    rc, out, err = run(capsys, "growth-table", "--n", "1", "--a", "0",
-                       "--b", "0")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[-2].startswith("1,")       # sweep stopped at N = 1
-    rc2 = main(["growth-table", "--n", "1", "--a", "0", "--b", "0",
-                "--nmax", "3"])
-    capsys.readouterr()
-    assert rc2 == 2
-
-
-def test_env_cap_invalid_value(monkeypatch, capsys):
-    monkeypatch.setenv("JETSPACE_NMAX_OVERRIDE", "many")
-    rc, out, err = run(capsys, "dim-do", "--n", "1", "--a", "0", "--b", "0",
-                       "--N", "1")
-    assert rc == 1
-    assert "JETSPACE_NMAX_OVERRIDE" in err
+def test_retired_order_cap_variable_changes_nothing(monkeypatch, capsys):
+    # JETSPACE_NMAX_OVERRIDE once capped --N and --nmax; the work estimate
+    # is the one budget now, so any value leaves every output as it is
+    requests = [("dim-do", "--n", "1", "--a", "0", "--b", "0", "--N", "2"),
+                ("growth-table", "--n", "1", "--a", "0", "--b", "0")]
+    monkeypatch.delenv("JETSPACE_NMAX_OVERRIDE", raising=False)
+    unset = [run(capsys, *argv) for argv in requests]
+    assert [rc for rc, _, _ in unset] == [0, 0]
+    for value in ("1", "many"):
+        monkeypatch.setenv("JETSPACE_NMAX_OVERRIDE", value)
+        assert [run(capsys, *argv) for argv in requests] == unset, value
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +575,7 @@ GROWTH_GOLDEN = json.loads(
 
 @pytest.mark.parametrize("case", GROWTH_GOLDEN,
                          ids=[" ".join(c["argv"][1:]) for c in GROWTH_GOLDEN])
-def test_growth_table_golden_bytes(monkeypatch, capsys, case):
-    monkeypatch.delenv("JETSPACE_NMAX_OVERRIDE", raising=False)
+def test_growth_table_golden_bytes(capsys, case):
     rc, out, err = run(capsys, *case["argv"])
     assert (rc, out) == (case["exit"], case["stdout"]), err
 
@@ -655,7 +641,6 @@ def test_readme_examples_have_golden_entries():
 @pytest.mark.parametrize("case", README_GOLDEN,
                          ids=[shlex.join(c["argv"]) for c in README_GOLDEN])
 def test_readme_cli_golden_bytes(monkeypatch, capsys, case):
-    monkeypatch.delenv("JETSPACE_NMAX_OVERRIDE", raising=False)
     for name, value in case["env"].items():
         monkeypatch.setenv(name, value)
     rc, out, err = run(capsys, *case["argv"])

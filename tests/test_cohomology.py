@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetspace import cohomology
 from jetspace.cohomology import (cech_line_oracle, chi_line, chi_sym_tangent,
                                  h0_line, h0_sym_tangent, hn_line,
                                  line_cohomology)
@@ -132,6 +133,23 @@ def test_sym_tangent_closed_form_matches_matrix_corank(n, k_max):
     for k in range(k_max + 1):
         for j in range(-9, 5):
             assert h0_sym_tangent(n, k, j).h0 == _euler_map_corank(n, k, j), (n, k, j)
+
+
+def test_work_estimates_decide_before_any_binomial(monkeypatch):
+    # n = k = 2*10^5 took 5.2 s, n = 10^7 at k = 1 6.8 s, and n = k = j =
+    # 10^5 is past the limit; n = k = 120000 takes 1.6 s, so it is accepted
+    # (2-core Xeon, Python 3.11)
+    def refuse(*args):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(cohomology, "comb", refuse)
+    for call in (lambda: line_cohomology(2 * 10 ** 5, 2 * 10 ** 5),
+                 lambda: line_cohomology(10 ** 7, 1),
+                 lambda: h0_sym_tangent(10 ** 5, 10 ** 5, 10 ** 5)):
+        with pytest.raises(PreconditionError, match=r"has a work estimate of 2\^\d+ or more"):
+            call()
+    monkeypatch.setattr(cohomology, "comb", lambda *args: 1)
+    assert line_cohomology(120000, 120000).dims[0] == 1
 
 
 def test_sym_tangent_rejects_projective_line():

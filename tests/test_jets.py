@@ -74,6 +74,26 @@ def test_universal_derivation_rejects_laurent():
         universal_derivation(f, 2)
 
 
+def test_work_estimates_decide_before_any_binomial(monkeypatch):
+    # x^20000 at N = 20000 ran for over a minute, x^(100,100,100) at N = 300
+    # 17.5 s, m = N = 10^6 47.6 s; x^5000 at N = 5000 takes 2.2 s and
+    # m = N = 10^5 0.8 s, so those are accepted (2-core Xeon, Py 3.11), as
+    # is x^(10^9) at N = 1, whose coefficients are at most C(10^9, 1)
+    def refuse(*args):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(jets, "comb", refuse)
+    for call in (lambda: universal_derivation(lp(1, {(20000,): 1}), 20000),
+                 lambda: universal_derivation(lp(3, {(100, 100, 100): 1}), 300),
+                 lambda: jet_free_rank(10 ** 6, 10 ** 6)):
+        with pytest.raises(PreconditionError, match=r"has a work estimate of 2\^\d+ or more"):
+            call()
+    monkeypatch.setattr(jets, "comb", lambda *args: 1)
+    assert len(universal_derivation(lp(1, {(5000,): 1}), 5000).poly.terms) == 5001
+    assert len(universal_derivation(lp(1, {(10 ** 9,): 1}), 1).poly.terms) == 2
+    assert jet_free_rank(10 ** 5, 10 ** 5) == 1
+
+
 @given(st.integers(0, 3), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_universal_derivation_multiplicative(order, rng):

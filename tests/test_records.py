@@ -86,7 +86,9 @@ def test_executing_every_module_loads_no_dataclasses_or_inspect():
      {"cli", "errors", "laurent", "linalg", "projective"}),
     (["jet", "--cyclic=3,-1,2,5", "--N", "12"],
      {"cli", "errors", "laurent", "presented", "jets"}),
-], ids=["dim-do", "jet-cyclic"])
+    (["jet", "--derive", "1/2 * x^(1,1) + -3/4 * x^(2,0) + 5 * x^(0,0)", "--N", "2"],
+     {"cli", "errors", "laurent", "presented", "jets"}),
+], ids=["dim-do", "jet-cyclic", "jet-derive"])
 def test_subcommand_executes_only_the_modules_it_needs(argv, expected):
     _, executed = run_fresh(f"import jetspace.cli\njetspace.cli.main({argv!r})")
     assert executed == expected

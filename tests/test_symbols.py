@@ -6,9 +6,9 @@ import pytest
 
 from jetspace.errors import InconsistencyError, PreconditionError
 from jetspace.laurent import LaurentPoly, format_terms, monomials_of_degree
-from jetspace.symbols import (DEFAULT_GRID_DEPTH, SymbolMatrix, _bisect_zero,
-                              _integer_root, classify, elliptic_algebraic,
-                              elliptic_real, symbol_of, torus_operator_check)
+from jetspace.symbols import (SymbolMatrix, _bisect_zero, _integer_root, classify,
+                              elliptic_algebraic, elliptic_real, symbol_of,
+                              torus_operator_check)
 from jetspace.weyl import WeylElement
 
 
@@ -232,7 +232,7 @@ def test_integer_grid_matches_fraction_grid():
         if kind == "zero":
             assert (res.verdict, res.witness.components) == ("false", found)
         elif kind == "pair":
-            refined = _bisect_zero(f, found, DEFAULT_GRID_DEPTH)
+            refined = _bisect_zero(f, found)
             got = res.witness if res.witness is not None else res.sign_points
             assert (res.verdict, got) == ("false", refined)
         else:
@@ -249,14 +249,6 @@ def test_grid_search_needs_a_homogeneous_polynomial_determinant():
                            entries=((xi_poly(2, {(4, -1): 1, (0, 3): 1}),),))
     with pytest.raises(PreconditionError, match="polynomial determinant"):
         elliptic_real(laurent)
-
-
-@pytest.mark.parametrize("power", [2, 4])
-def test_real_negative_depth_rejected(power):
-    # the quadratic route ignores depth, the grid route would search nothing
-    op = d(0) ** power + d(1) ** power
-    with pytest.raises(PreconditionError):
-        elliptic_real(symbol_of(op, power), depth=-1)
 
 
 def test_real_single_variable_true():
