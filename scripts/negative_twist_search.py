@@ -13,7 +13,7 @@ Example:
 import argparse
 import sys
 
-from jetspace.projective import do_dimensions, negative_twist_existence
+from jetspace.dimensions import do_dimensions, negative_twist_existence
 
 
 def main(argv=None):

@@ -23,11 +23,11 @@ _EXPORTS = {
              "universal_derivation"),
     "cohomology": ("cech_line_oracle", "chi_line", "chi_sym_tangent", "h0_line",
                    "h0_sym_tangent", "hn_line", "line_cohomology"),
-    "projective": ("BlockOperator", "NegativeTwistResult", "TwistedDOSpace",
-                   "block_operator", "candidate_count", "candidate_monomials",
-                   "chart_test_monomials", "do_dimension", "euler_relation",
-                   "global_do_dimension", "h0_basis", "hn_basis",
-                   "induced_cohomology_map", "negative_twist_existence"),
+    "dimensions": ("NegativeTwistResult", "TwistedDOSpace", "candidate_count",
+                   "do_dimension", "global_do_dimension", "negative_twist_existence"),
+    "projective": ("BlockOperator", "block_operator", "candidate_monomials",
+                   "chart_test_monomials", "euler_relation", "h0_basis", "hn_basis",
+                   "induced_cohomology_map"),
     "growth": ("GrowthPolynomial", "GrowthReport", "GrowthTable", "default_n_max",
                "expected_delta", "growth_polynomial", "stabilization_threshold",
                "verify_growth"),

@@ -13,12 +13,16 @@ import argparse
 import io
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 # Modules, not names: a module's body runs only when a subcommand first reads
 # from it (see __init__), so each subcommand pays for the modules it uses.
-from . import cohomology, growth, jets, laurent, presented, projective, symbols, weyl
+from . import (cohomology, dimensions, growth, jets, laurent, presented, projective,
+               symbols, weyl)
 from .errors import InconsistencyError, PreconditionError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCHEMA = "jetspace/1"
 
@@ -62,6 +66,10 @@ def _unlimited_digits(fn, *args):
 
 
 def _frac_str(x) -> str:
+    # imported here, as in _coefficient: dim-do and cohomology print no
+    # fraction, so they need not load fractions (and decimal)
+    from fractions import Fraction
+
     return str(Fraction(x))
 
 
@@ -92,11 +100,11 @@ def _parse_operator(args) -> list[list[weyl.WeylElement]]:
 
 
 def _cmd_dim_do(args) -> dict:
-    space = projective.global_do_dimension(args.n, args.a, args.b, args.N)
+    space = dimensions.global_do_dimension(args.n, args.a, args.b, args.N)
     return {
         "n": args.n, "a": args.a, "b": args.b, "N": args.N,
         "dim": space.dim, "box": space.box,
-        "candidates": projective.candidate_count(args.n, args.a, args.b, args.N),
+        "candidates": dimensions.candidate_count(args.n, args.a, args.b, args.N),
     }
 
 
@@ -149,10 +157,11 @@ def _cmd_cohomology(args) -> dict:
         if method == "cech":
             h = cohomology.cech_line_oracle(args.n, args.k, args.i)
         else:
-            full = cohomology.line_cohomology(args.n, args.k)
-            if not (0 <= args.i <= args.n):
+            # the range first, so a bad --i costs no binomial; n < 1 stays
+            # line_cohomology's refusal
+            if args.n >= 1 and not 0 <= args.i <= args.n:
                 raise PreconditionError(f"i must lie in [0, {args.n}]")
-            h = full.dims[args.i]
+            h = cohomology.line_cohomology(args.n, args.k).dims[args.i]
         return {
             "n": args.n, "k": args.k, "i": args.i,
             "h": h, "method": method,
@@ -206,6 +215,8 @@ def _cmd_elliptic_check(args) -> dict:
 
 
 def _coefficient(text: str, where: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ValueError:

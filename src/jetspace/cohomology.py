@@ -20,8 +20,8 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
+from . import laurent
 from .errors import PreconditionError, _binomial_bits, _step, check_work
-from .laurent import monomials_of_degree
 
 CECH_MAX_N = 4
 CECH_MAX_TWIST = 12
@@ -57,9 +57,9 @@ class LineBundleCohomology(NamedTuple):
 
 def line_cohomology(n: int, k: int) -> LineBundleCohomology:
     """All cohomology dimensions h^0..h^n of O(k) on P^n, with chi.  Input
-    whose work estimate for the n + 1 entries and the binomial of h^0 or h^n
-    and chi passes errors.WORK_LIMIT is refused with PreconditionError
-    before any binomial."""
+    whose work estimate for the n + 1 entries and twice the binomial of h^0
+    or h^n passes errors.WORK_LIMIT is refused with PreconditionError
+    before any binomial; chi is read off that binomial."""
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
     bits = _binomial_bits(n + k, n) if k >= 0 else _binomial_bits(-k - 1, n)
@@ -67,8 +67,8 @@ def line_cohomology(n: int, k: int) -> LineBundleCohomology:
     dims = [0] * (n + 1)
     dims[0] = h0_line(n, k)
     dims[n] = hn_line(n, k)
-    chi = chi_line(n, k)
-    assert chi == dims[0] + ((-1) ** n) * dims[n]
+    # chi_line's binomial is whichever of the two is nonzero
+    chi = dims[0] + (-1) ** n * dims[n]
     return LineBundleCohomology(n, k, tuple(dims), chi)
 
 
@@ -84,11 +84,11 @@ def cech_line_oracle(n: int, k: int, i: int) -> int:
     if abs(k) > CECH_MAX_TWIST:
         raise PreconditionError(f"cech oracle bounded to |k| <= {CECH_MAX_TWIST}")
     if i == 0:
-        return len(monomials_of_degree(n + 1, k)) if k >= 0 else 0
+        return len(laurent.monomials_of_degree(n + 1, k)) if k >= 0 else 0
     if i == n:
         # shift gamma_j = -1 - e_j turns the all-negative count into a
         # nonnegative count of total degree -k - (n+1)
-        return len(monomials_of_degree(n + 1, -k - (n + 1)))
+        return len(laurent.monomials_of_degree(n + 1, -k - (n + 1)))
     raise PreconditionError("cech oracle only covers i = 0 and i = n")
 
 
@@ -132,7 +132,16 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
         raise PreconditionError("symmetric power must be nonnegative")
     bits = _binomial_bits(n + k, k) + _binomial_bits(n + abs(j + k), n)
     check_work(f"(n={n}, k={k}, j={j})", 2 * _step(bits))
-    return SymTangentH0(n, k, j, _h0_sym_tangent(n, k, j), chi_sym_tangent(n, k, j))
+    # chi_sym_tangent's terms, each computed once; h^0(O(m)) = chi(O(m)) for
+    # m >= 0, and 0 below
+    chi = comb(n + k, k) * chi_line(n, j + k)
+    h0 = chi if j + k >= 0 else 0
+    if k >= 1:
+        tail = comb(n + k - 1, k - 1) * chi_line(n, j + k - 1)
+        chi -= tail
+        if j + k >= 1:
+            h0 -= tail
+    return SymTangentH0(n, k, j, h0, chi)
 
 
 def _h0_sym_tangent(n: int, k: int, j: int) -> int:

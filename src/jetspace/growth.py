@@ -14,7 +14,7 @@ that counts candidate shifts.
 
 The threshold is a theorem.  With d = b - a,
 dims[N] = C(N + n, n) C(N + d + n, n), and 0 when N + d < 0
-(projective.do_dimensions).  So:
+(dimensions.do_dimensions).  So:
 
 - dims[N] - dims[N - 1] = C(N + n, n) h0(O(N + d)) - C(N - 1 + n, n)
   h0(O(N - 1 + d)), which is expected_delta(n, N, d) for every N >= 1 when
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .cohomology import _h0_sym_tangent, chi_line, h0_line
 from .errors import PreconditionError, StabilizationError, _step
-from .projective import _check_work, _dimension_bits, do_dimensions
+from .dimensions import _check_work, _dimension_bits, do_dimensions
 
 
 def default_n_max(n: int) -> int:
@@ -106,7 +106,7 @@ def closed_form_dimensions(n: int, d: int, top: int) -> list[int]:
     """closed_form_dimension for N = 0..top, each S(k) computed once.
 
     Each equals C(N + n, n) C(N + d + n, n), the kernel's dimension: this
-    is step 3 of projective.do_dimensions with its shifts s grouped by the
+    is step 3 of dimensions.do_dimensions with its shifts s grouped by the
     size k = |m(s)| of their negative part m(s) = max(0, -s).  A shift with
     k <= N has C(N - k + n, n) exponents beta >= m(s) with |beta| = N (the
     other N - k spread over n + 1 slots), so sum_k S(k) C(N - k + n, n)

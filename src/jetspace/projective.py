@@ -17,41 +17,37 @@ minus these relations, and at least the rank on any finite test set; on
 a lattice of test rows per shift block, all inside one box, each block is
 a product of two nonsingular triangular matrices, so the two meet.
 Counted, the bound is C(N + n, n) C(N + b - a + n, n), the number of
-candidates of exact order N (do_dimensions has the proof), and no matrix
-is built.
+candidates of exact order N, and no matrix is built: the counting lives in
+dimensions (dimensions.do_dimensions has the proof) and is re-exported here.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
-the minimal order at which operators into a negative twist appear, and the
-unipotent block construction pairing a twist with a shifted twist.
+and the unipotent block construction pairing a twist with a shifted twist.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from . import cohomology, weyl
+# Modules, not names: reading projective executes neither laurent nor linalg
+# until a function here first calls into them (see __init__).
+from . import cohomology, laurent, linalg, weyl
+from .dimensions import (  # noqa: F401 -- the counting names, read here as before
+    NegativeTwistResult, TwistedDOSpace, _check_space, _check_work, _dim_do_work,
+    _dimension, _dimension_bits, candidate_count, do_dimension, do_dimensions,
+    global_do_dimension, negative_twist_existence)
 from .errors import WORK_LIMIT  # noqa: F401 -- read as projective.WORK_LIMIT
-from .errors import InconsistencyError, PreconditionError, _binomial_bits, _step, check_work
-from .laurent import Exponent, LaurentPoly, monomials_of_degree
-from .linalg import ExactMatrix
+from .errors import InconsistencyError, PreconditionError
 
-Candidate = tuple[Exponent, Exponent]
+# strings, so that defining the alias reads nothing from laurent
+Candidate = tuple["laurent.Exponent", "laurent.Exponent"]
 
 # induced_cohomology_map refuses a dense matrix with more cells than this
 INDUCED_MAP_CELL_LIMIT = 10 ** 6
 
 # BlockOperator.verify refuses an O(m) test set of more monomials than this
 BLOCK_OP_TEST_LIMIT = 2 * 10 ** 5
-
-
-def _check_space(n: int, order: int) -> None:
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
-    if order < 0:
-        raise PreconditionError("operator order must be >= 0")
 
 
 def candidate_monomials(n: int, a: int, b: int, order: int) -> list[Candidate]:
@@ -61,21 +57,15 @@ def candidate_monomials(n: int, a: int, b: int, order: int) -> list[Candidate]:
     nvars = n + 1
     out: list[Candidate] = []
     for k in range(max(0, a - b), order + 1):
-        betas = monomials_of_degree(nvars, k)
-        alphas = monomials_of_degree(nvars, k + b - a)
+        betas = laurent.monomials_of_degree(nvars, k)
+        alphas = laurent.monomials_of_degree(nvars, k + b - a)
         for beta in betas:
             for alpha in alphas:
                 out.append((alpha, beta))
     return out
 
 
-def candidate_count(n: int, a: int, b: int, order: int) -> int:
-    """Closed form for len(candidate_monomials(n, a, b, N)): the candidates
-    of exact order K, summed over K <= N."""
-    return sum(_dimension(n, b - a, k) for k in range(max(0, a - b), order + 1))
-
-
-def chart_test_monomials(n: int, a: int, box: int) -> list[Exponent]:
+def chart_test_monomials(n: int, a: int, box: int) -> list[laurent.Exponent]:
     """Degree-a Laurent monomials with at most one negative exponent and all
     exponents in [-box, box], sorted: the nonnegative ones, and those with
     one slot at -v for v = 1..box."""
@@ -88,7 +78,7 @@ def chart_test_monomials(n: int, a: int, box: int) -> list[Exponent]:
     return sorted(out)
 
 
-def _bounded_monomials(k: int, total: int, cap: int) -> list[Exponent]:
+def _bounded_monomials(k: int, total: int, cap: int) -> list[laurent.Exponent]:
     """The k-tuples (k >= 1) of integers in [0, cap] summing to total, which
     _bounded_count counts: each first entry leaves a total the other k - 1
     can reach, so the work is proportional to the output."""
@@ -125,10 +115,11 @@ def _bounded_count(k: int, total: int, cap: int) -> int:
                for i in range(k + 1) if total >= i * (cap + 1))
 
 
-def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> ExactMatrix:
+def action_matrix(candidates: list[Candidate],
+                  testset: list[laurent.Exponent]) -> linalg.ExactMatrix:
     """Rows: candidates; columns: (test monomial, image monomial) slots."""
     ff_cache: dict[tuple[int, int], int] = {}
-    col_index: dict[tuple[Exponent, Exponent], int] = {}
+    col_index: dict[tuple[laurent.Exponent, laurent.Exponent], int] = {}
     entries: dict[tuple[int, int], Fraction] = {}
     for row, (alpha, beta) in enumerate(candidates):
         for gamma in testset:
@@ -152,123 +143,7 @@ def action_matrix(candidates: list[Candidate], testset: list[Exponent]) -> Exact
                 j = len(col_index)
                 col_index[slot] = j
             entries[(row, j)] = Fraction(coeff)
-    return ExactMatrix(len(candidates), len(col_index), entries)
-
-
-def _dimension_bits(n: int, d: int, order: int) -> tuple[int, int]:
-    """Bit bounds on the factors C(N + n, n) and C(N + d + n, n) of
-    _dimension, which bound those of every lower order."""
-    return _binomial_bits(order + n, n), _binomial_bits(order + d + n, n)
-
-
-def _dim_do_work(n: int, d: int, order: int) -> int:
-    """Work estimate of a dim-do request: its dimension and the nonzero
-    terms of candidate_count, two binomials each."""
-    b1, b2 = _dimension_bits(n, d, order)
-    return (max(0, order + 1 - max(0, -d)) + 1) * (_step(b1) + _step(b2))
-
-
-def _check_work(n: int, a: int, b: int, order: int, work: int) -> None:
-    _check_space(n, order)
-    check_work(f"(n={n}, a={a}, b={b}, N={order})", work)
-
-
-def _dimension(n: int, d: int, order: int) -> int:
-    """dim DO^N(O(a), O(a + d)), proved in do_dimensions' docstring."""
-    return comb(order + n, n) * comb(order + d + n, n) if order + d >= 0 else 0
-
-
-class TwistedDOSpace(NamedTuple):
-    """The space of order <= N global operators O(a) -> O(b) on P^n.
-
-    box is N + |a| + |b| + 2, which holds the test rows on which every
-    shift block is nonsingular (see do_dimensions).  rank_history is always
-    ((box, dim),); it stays because it is public and the benchmark tracer
-    (perfbench/tracing.py) reads it."""
-
-    n: int
-    a: int
-    b: int
-    order: int
-    dim: int
-    box: int
-    rank_history: tuple[tuple[int, int], ...]
-
-
-def global_do_dimension(n: int, a: int, b: int, order: int) -> TwistedDOSpace:
-    """Dimension of the global operator space, C(N + n, n) C(N + b - a + n, n)
-    and 0 when N < a - b (see do_dimensions), with the box N + |a| + |b| + 2
-    of its test rows.  dim-do also sums the nonzero terms of candidate_count,
-    so input whose work estimate for those and this dimension passes
-    WORK_LIMIT is refused with PreconditionError before any binomial.
-    """
-    _check_work(n, a, b, order, _dim_do_work(n, b - a, order))
-    dim = _dimension(n, b - a, order)
-    box = order + abs(a) + abs(b) + 2
-    return TwistedDOSpace(n, a, b, order, dim, box, ((box, dim),))
-
-
-def do_dimensions(n: int, a: int, b: int, top: int) -> tuple[int, ...]:
-    """dim DO^K(O(a), O(b)) for K = 0..top: with d = b - a, that is
-    C(K + n, n) C(K + d + n, n), and 0 when K + d < 0.
-
-    Fix the order N.  A candidate x^alpha d^beta has shift s = alpha - beta
-    and beta >= m(s) := max(0, -s), and it maps each chart monomial gamma
-    to prod_j ff(gamma_j, beta_j) x^(gamma + s).  So the action matrix is
-    block diagonal by shift: the block of s has rows the test monomials
-    gamma and columns the beta >= m with |beta| <= N, m = m(s).  Permuting
-    the slots permutes the blocks, so let m be non-decreasing.
-
-    1. Upper bound.  The relations phi (E - a) act as zero and are
-       independent, so the rank of the block of s is at most
-       cap(s) = C(N - |m| + n, n), what they leave of its columns, and the
-       dimension is at most sum_s cap(s).
-
-    2. Lower bound.  The dimension is at least the rank on any finite test
-       set.  Take the cap columns beta = m + (0, delta), |delta| <= K =
-       N - |m|, and the cap lattice rows gamma_i = m_i + t + q_i (i >= 1,
-       q >= 0, |q| <= K), gamma_0 = h - |q| with h = a - sum_{i >= 1}
-       (m_i + t), where t = 0 if m_0 = 0 and t = max(0, floor((b + m_0) / n)
-       + 1) otherwise.  As ff(g, e + r) = ff(g, e) ff(g - e, r), the block
-       there is the row scalars prod_j ff(gamma_j, m_j) times
-       R[q, delta] = prod_{j >= 1} ff(t + q_j, delta_j).  By the Vandermonde
-       identity ff(x + y, k) = sum_r C(k, r) ff(x, r) ff(y, k - r),
-       R = A B with A[q, r] = prod_j ff(q_j, r_j), zero unless r <= q,
-       diagonal prod_j q_j!, and B[r, delta] = prod_j C(delta_j, r_j)
-       ff(t, delta_j - r_j), zero unless r <= delta, diagonal 1.  The
-       simplex |q| <= K is down-closed, so both are triangular and
-       det R = prod_q prod_j q_j! != 0 for every integer t (unisolvence on
-       the principal lattice, Chung and Yao 1977).  So the block reaches
-       its cap if the rows are chart monomials in the box N + |a| + |b| + 2
-       with nonzero scalars.  They are, for every input: for i >= 1,
-       gamma_i >= m_i >= 0, so ff(gamma_i, m_i) != 0, and
-       - if m_0 = 0: t = 0 and h = a - |m|, the rows stay within |a| + N
-         of 0, and the gamma_0 factor of the scalar is ff(gamma_0, 0) = 1;
-       - if m_0 > 0: every slot of s is negative, so |m| = a - b >= n + 1,
-         and h = b + m_0 - n t lies in [-n, -1], or h = b + m_0 < 0 when
-         t = 0.  So gamma_0 < 0 on every row, ff(gamma_0, m_0) != 0, and
-         every row lies in the box.
-
-    3. The count.  cap(s) is the number of beta >= m(s) with |beta| = N,
-       and beta >= m(s) iff alpha = s + beta >= 0.  So sum_s cap(s) counts
-       the candidates x^alpha d^beta of exact order N: C(N + n, n) choices
-       of beta times C(N + d + n, n) of alpha, none when N + d < 0.
-
-    It checks no work estimate: growth.verify_growth, which sweeps, checks
-    the work of its whole request once.
-    """
-    _check_space(n, top)
-    return tuple(_dimension(n, b - a, order) for order in range(top + 1))
-
-
-# The closed form needs no cache; perfbench/tracing.py reads cache_info().
-@lru_cache(maxsize=None)
-def do_dimension(n: int, a: int, b: int, order: int) -> int:
-    """dim DO^N(O(a), O(b)) (see do_dimensions); input whose work estimate
-    passes WORK_LIMIT is refused before any binomial."""
-    b1, b2 = _dimension_bits(n, b - a, order)
-    _check_work(n, a, b, order, _step(b1) + _step(b2))
-    return _dimension(n, b - a, order)
+    return linalg.ExactMatrix(len(candidates), len(col_index), entries)
 
 
 def euler_relation(n: int, a: int, phi: weyl.WeylElement) -> weyl.WeylElement:
@@ -277,57 +152,22 @@ def euler_relation(n: int, a: int, phi: weyl.WeylElement) -> weyl.WeylElement:
     return phi * shifted
 
 
-class NegativeTwistResult(NamedTuple):
-    """Outcome of searching for operators O -> O(-d) by increasing order."""
-
-    n: int
-    d: int
-    order: int | None
-    dim: int
-    searched_up_to: int
-
-    @property
-    def found(self) -> bool:
-        return self.order is not None
-
-
-def negative_twist_existence(n: int, d: int, n_max: int = 4) -> NegativeTwistResult:
-    """Least order N <= n_max with dim DO^N(O, O(-d)) > 0 on P^n.
-
-    By do_dimensions that order is exactly N = d, with dim C(d + n, n):
-    every lower order has dimension 0.  A budget n_max < d is reported as
-    order None, which is a statement about the budget only, never about
-    nonexistence.  Only order d is computed, so only its work estimate can
-    refuse the input.
-    """
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
-    if d < 1:
-        raise PreconditionError("the twist drop d must be >= 1")
-    if n_max < 0:
-        raise PreconditionError("search budget must be nonnegative")
-    if d > n_max:
-        return NegativeTwistResult(n=n, d=d, order=None, dim=0, searched_up_to=n_max)
-    return NegativeTwistResult(n=n, d=d, order=d, dim=do_dimension(n, 0, -d, d),
-                               searched_up_to=n_max)
-
-
 # ---- induced maps on cohomology ---------------------------------------
 
 
-def h0_basis(n: int, k: int) -> list[Exponent]:
+def h0_basis(n: int, k: int) -> list[laurent.Exponent]:
     """Monomial basis of the degree-0 cohomology of O(k)."""
-    return monomials_of_degree(n + 1, k)
+    return laurent.monomials_of_degree(n + 1, k)
 
 
-def hn_basis(n: int, k: int) -> list[Exponent]:
+def hn_basis(n: int, k: int) -> list[laurent.Exponent]:
     """All-negative-exponent monomials of degree k (top Cech cohomology)."""
-    inner = monomials_of_degree(n + 1, -k - (n + 1))
+    inner = laurent.monomials_of_degree(n + 1, -k - (n + 1))
     return sorted(tuple(-1 - v for v in e) for e in inner)
 
 
 def induced_cohomology_map(n: int, a: int, b: int, op: weyl.WeylElement,
-                           i: int) -> ExactMatrix:
+                           i: int) -> linalg.ExactMatrix:
     """Matrix of the map induced by op on H^i of the twists, i in {0, n}.
 
     For i = n the image is projected back onto the all-negative monomial
@@ -362,7 +202,7 @@ def induced_cohomology_map(n: int, a: int, b: int, op: weyl.WeylElement,
                 raise InconsistencyError(
                     f"image monomial {image} escaped the H^{i} basis")
             entries[(row, j)] = c
-    return ExactMatrix(len(target), len(source), entries)
+    return linalg.ExactMatrix(len(target), len(source), entries)
 
 
 # ---- unipotent block operators ----------------------------------------
@@ -377,7 +217,7 @@ class BlockOperatorReport(NamedTuple):
     identity_on_sub: bool
     identity_on_quotient: bool
     order: int
-    order_witness: Exponent | None
+    order_witness: laurent.Exponent | None
 
     @property
     def ok(self) -> bool:
@@ -403,7 +243,8 @@ class BlockOperator:
             raise PreconditionError(f"D12 must be homogeneous of x-degree {d - m}")
         self.n, self.m, self.d, self.d12 = n, m, d, d12
 
-    def apply_pair(self, s: LaurentPoly, t: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    def apply_pair(self, s: laurent.LaurentPoly,
+                   t: laurent.LaurentPoly) -> tuple[laurent.LaurentPoly, laurent.LaurentPoly]:
         return s, self.d12.apply(s) + t
 
     def order(self) -> int:

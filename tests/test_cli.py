@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jetspace import growth, projective
+from jetspace import cohomology, growth, projective
 from jetspace.cli import main
 from jetspace.errors import InconsistencyError
 from jetspace.growth import default_n_max
@@ -448,6 +448,24 @@ def test_precondition_cech_out_of_range(capsys):
     rc, out, err = run(capsys, "cohomology", "--n", "2", "--k", "40",
                        "--i", "0", "--method", "cech")
     assert rc == 2
+
+
+def test_cohomology_checks_i_before_any_binomial(monkeypatch, capsys):
+    # n = k = 120000 with i = 999999 took 2.2 s to refuse; an input both out
+    # of range and over the work limit is refused for its range
+    def refuse(*args):
+        raise AssertionError("line_cohomology called")
+
+    monkeypatch.setattr(cohomology, "line_cohomology", refuse)
+    for n, k, i in [(2, 3, 3), (2, 3, -1), (120000, 120000, 999999),
+                    (10 ** 6, 10 ** 6, -1)]:
+        rc, out, err = run(capsys, "cohomology", "--n", str(n), "--k", str(k),
+                           "--i", str(i))
+        assert (rc, out, err) == (2, "", f"precondition failed: i must lie in [0, {n}]\n")
+    monkeypatch.undo()
+    # n < 1 is still refused for n, whatever i is
+    rc, out, err = run(capsys, "cohomology", "--n", "0", "--k", "1", "--i", "5")
+    assert (rc, out, err) == (2, "", "precondition failed: projective dimension must be >= 1\n")
 
 
 def test_inconsistency_exit(monkeypatch, capsys):

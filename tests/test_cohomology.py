@@ -152,6 +152,31 @@ def test_work_estimates_decide_before_any_binomial(monkeypatch):
     assert line_cohomology(120000, 120000).dims[0] == 1
 
 
+def test_each_binomial_is_computed_once(monkeypatch):
+    # line_cohomology computes the binomial of h^0 or h^n and reads chi off
+    # it; h0_sym_tangent computes each factor of its Euler terms once
+    calls = []
+
+    def counted(m, j):
+        calls.append((m, j))
+        return math.comb(m, j)
+
+    monkeypatch.setattr(cohomology, "comb", counted)
+    for n in (1, 2, 3):
+        for k in range(-8, 9):
+            calls.clear()
+            line_cohomology(n, k)
+            assert len(calls) == (1 if k >= 0 or k <= -n - 1 else 0), (n, k)
+    for n in (2, 3):
+        for k in range(4):
+            for j in range(-8, 4):
+                calls.clear()
+                res = h0_sym_tangent(n, k, j)
+                assert len(calls) == (2 if k == 0 else 4), (n, k, j)
+                assert res.h0 == cohomology._h0_sym_tangent(n, k, j), (n, k, j)
+                assert res.chi == chi_sym_tangent(n, k, j), (n, k, j)
+
+
 def test_sym_tangent_rejects_projective_line():
     with pytest.raises(PreconditionError):
         h0_sym_tangent(1, 2, 0)

@@ -12,7 +12,7 @@ from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
                              growth_polynomial, stabilization_threshold,
                              verify_growth)
 from jetspace.presented import UniPoly
-from jetspace import projective
+from jetspace import dimensions, projective
 from jetspace.projective import do_dimension, do_dimensions
 
 
@@ -208,13 +208,13 @@ def test_stabilization_threshold_direct():
 
 def test_verify_growth_checks_its_work_once(monkeypatch):
     calls = []
-    check = projective._check_work
+    check = dimensions._check_work
 
     def counted(*args):
         calls.append(args[:4])
         check(*args)
 
-    monkeypatch.setattr(projective, "_check_work", counted)
+    monkeypatch.setattr(dimensions, "_check_work", counted)
     monkeypatch.setattr(growth, "_check_work", counted)
     verify_growth(2, 0, 1, 4)
     assert calls == [(2, 0, 1, 4)]

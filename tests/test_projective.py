@@ -12,7 +12,7 @@ from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
 from jetspace.errors import PreconditionError
 from jetspace.growth import closed_form_dimension
-from jetspace import cli, linalg, projective
+from jetspace import cli, dimensions, errors, linalg, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
 from jetspace.growth import verify_growth
@@ -216,7 +216,7 @@ def test_zero_bound_builds_no_test_set(monkeypatch, n, a, b, order):
     def refuse(*args):
         raise AssertionError("binomial computed for a zero bound")
 
-    monkeypatch.setattr(projective, "comb", refuse)
+    monkeypatch.setattr(dimensions, "comb", refuse)
     space = global_do_dimension(n, a, b, order)
     box0 = order + abs(a) + abs(b) + 2
     assert (space.dim, space.box, space.rank_history) == (0, box0, ((box0, 0),))
@@ -499,16 +499,16 @@ def test_work_estimate_accepts_the_anchor_inputs(n, a, b, order):
 def test_binomial_bits_bound_every_binomial():
     for m in range(80):
         for j in range(m + 1):
-            assert math.comb(m, j).bit_length() <= projective._binomial_bits(m, j), (m, j)
+            assert math.comb(m, j).bit_length() <= errors._binomial_bits(m, j), (m, j)
     for m, j in [(2 * 10 ** 4, 10 ** 4), (10 ** 30, 5), (10 ** 4, 7)]:
-        assert math.comb(m, j).bit_length() <= projective._binomial_bits(m, j), (m, j)
+        assert math.comb(m, j).bit_length() <= errors._binomial_bits(m, j), (m, j)
 
 
 def test_work_check_evaluates_no_binomial(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("binomial computed")
 
-    monkeypatch.setattr(projective, "comb", refuse)
+    monkeypatch.setattr(dimensions, "comb", refuse)
     big = 10 ** 6
     for call in (lambda: global_do_dimension(big, 0, 0, big),
                  lambda: do_dimension(big, 0, 0, big),

@@ -22,7 +22,7 @@ from jetspace.symbols import Witness
 ROOT = Path(__file__).resolve().parent.parent
 
 # every module the benchmark's tracer patches after `import jetspace.cli`
-TRACED_MODULES = ("cli", "projective", "linalg", "cohomology", "growth",
+TRACED_MODULES = ("cli", "dimensions", "projective", "linalg", "cohomology", "growth",
                   "presented", "jets", "weyl", "symbols", "laurent")
 
 # every name `jetspace` exported when it imported its modules eagerly
@@ -83,15 +83,24 @@ def test_executing_every_module_loads_no_dataclasses_or_inspect():
 
 @pytest.mark.parametrize("argv, expected", [
     (["dim-do", "--n", "2", "--a", "0", "--b", "0", "--N", "5"],
-     {"cli", "errors", "laurent", "linalg", "projective"}),
+     {"cli", "errors", "dimensions"}),
+    (["growth-table", "--n", "2", "--a", "0", "--b", "0"],
+     {"cli", "errors", "dimensions", "cohomology", "growth"}),
+    (["cohomology", "--n", "2", "--k", "3"], {"cli", "errors", "cohomology"}),
     (["jet", "--cyclic=3,-1,2,5", "--N", "12"],
      {"cli", "errors", "laurent", "presented", "jets"}),
     (["jet", "--derive", "1/2 * x^(1,1) + -3/4 * x^(2,0) + 5 * x^(0,0)", "--N", "2"],
      {"cli", "errors", "laurent", "presented", "jets"}),
-], ids=["dim-do", "jet-cyclic", "jet-derive"])
+], ids=["dim-do", "growth-table", "cohomology", "jet-cyclic", "jet-derive"])
 def test_subcommand_executes_only_the_modules_it_needs(argv, expected):
     _, executed = run_fresh(f"import jetspace.cli\njetspace.cli.main({argv!r})")
     assert executed == expected
+
+
+def test_dim_do_imports_no_fractions_or_decimal():
+    argv = ["dim-do", "--n", "2", "--a", "0", "--b", "0", "--N", "5"]
+    loaded, _ = run_fresh(f"import jetspace.cli\njetspace.cli.main({argv!r})")
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_survey_reads_execute_every_module_their_calls_need():
@@ -100,7 +109,7 @@ def test_survey_reads_execute_every_module_their_calls_need():
              "fns = growth.verify_growth, projective.negative_twist_existence")
     _, before_calls = run_fresh(reads)
     _, after_calls = run_fresh(reads + "\nfns[0](2, 0, -3, 4)\nfns[1](2, 2)")
-    assert not before_calls & {"symbols", "presented", "jets"}
+    assert not before_calls & {"symbols", "presented", "jets", "laurent", "linalg", "weyl"}
     assert after_calls == before_calls
 
 
@@ -115,6 +124,25 @@ def test_public_names_are_their_defining_modules_objects():
     namespace = {}
     exec("from jetspace import *", namespace)
     assert {name for _, name in names} <= namespace.keys()
+
+
+def test_counting_names_are_one_object_in_dimensions_and_projective():
+    from jetspace import dimensions, projective
+    for name in ("NegativeTwistResult TwistedDOSpace _check_space _check_work _dim_do_work "
+                 "_dimension _dimension_bits candidate_count do_dimension do_dimensions "
+                 "global_do_dimension negative_twist_existence").split():
+        assert getattr(projective, name) is getattr(dimensions, name), name
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("jetspace.global_do_dimension", {"errors", "dimensions"}),
+    ("from jetspace import projective\nprojective.global_do_dimension",
+     {"errors", "dimensions", "projective"}),
+    ("from jetspace import cohomology\ncohomology.line_cohomology", {"errors", "cohomology"}),
+], ids=["package", "projective", "cohomology"])
+def test_reading_a_counting_name_executes_no_matrix_code(code, expected):
+    _, executed = run_fresh(f"import jetspace\n{code}")
+    assert executed == expected
 
 
 def test_unknown_package_attribute_raises_attribute_error():
