@@ -65,14 +65,6 @@ def _unlimited_digits(fn, *args):
         set_limit(old)
 
 
-def _frac_str(x) -> str:
-    # imported here, as in _coefficient: dim-do and cohomology print no
-    # fraction, so they need not load fractions (and decimal)
-    from fractions import Fraction
-
-    return str(Fraction(x))
-
-
 def _parse_operator(args) -> list[list[weyl.WeylElement]]:
     """Either a single --op string or a --matrix JSON array of strings."""
     if getattr(args, "matrix", None):
@@ -117,7 +109,7 @@ def _cmd_growth_table(args) -> dict | str:
 def _growth_report(args, nmax: int, report) -> dict | str:
     footer = {
         "M": report.table.threshold,
-        "P_coeffs": [_frac_str(c) for c in report.polynomial.coeffs],
+        "P_coeffs": [str(c) for c in report.polynomial.coeffs],
         "verdict": report.verdict,
     }
     if args.format == "json":
@@ -128,7 +120,7 @@ def _growth_report(args, nmax: int, report) -> dict | str:
                  "expected_delta": r.expected_delta, "match": r.match}
                 for r in report.table.rows
             ],
-            "constant": _frac_str(report.polynomial.constant),
+            "constant": str(report.polynomial.constant),
             "first_failure": report.first_failure,
             **footer,
         }
@@ -207,7 +199,7 @@ def _cmd_elliptic_check(args) -> dict:
         payload.update({
             "verdict": res.verdict,
             "witness": res.witness.as_strings() if res.witness else None,
-            "sign_points": ([[_frac_str(v) for v in pt] for pt in res.sign_points]
+            "sign_points": ([[str(v) for v in pt] for pt in res.sign_points]
                             if res.sign_points else None),
             "reason": res.reason,
         })
@@ -215,6 +207,8 @@ def _cmd_elliptic_check(args) -> dict:
 
 
 def _coefficient(text: str, where: str) -> Fraction:
+    # imported here: dim-do and cohomology read no fraction, so they need
+    # not load fractions (and decimal)
     from fractions import Fraction
 
     try:
@@ -281,7 +275,7 @@ def _cmd_induced_map(args) -> dict:
         "source_dim": matrix.cols, "target_dim": matrix.rows,
         "source_basis": [list(e) for e in source],
         "target_basis": [list(e) for e in target],
-        "matrix": [[_frac_str(c) for c in row] for row in matrix.to_rows()],
+        "matrix": [[str(c) for c in row] for row in matrix.to_rows()],
         "rank": matrix.rank(),
     }
 

@@ -8,6 +8,11 @@ So counting needs two binomials per order and no matrix; this module holds
 that counting, the work estimates that refuse oversized input, and the
 search for operators into a negative twist.  It imports no other jetspace
 module but errors, so dim-do and growth-table load no matrix code.
+
+The count is that of the Weyl image: the operators induced by Weyl elements
+on the homogeneous coordinates.  For n >= 2 that is the whole space.  On P^1
+it misses operators that no Weyl element induces, such as the exterior
+derivative d: O -> O(-2), so `dim-do --n 1 --a 0 --b -2 --N 1` prints 0.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ Operators, polynomials, symbols and jets are all finitely supported maps from
 exponent blocks to Q.  ``add_terms`` is the one accumulator that sums such
 maps, and ``format_terms``/``parse_terms`` the one text codec: terms
 "c * x^(..) d^(..)" joined by " + ", one labelled block per exponent block.
+``primitive_integers`` clears a vector of such coefficients to coprime
+integers, for the integer routes of linalg and symbols.
 ``TermMap`` holds the arithmetic that polynomials and operators share;
 ``LaurentPoly`` and ``weyl.WeylElement`` state only their keys and products.
 """
@@ -20,6 +22,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from operator import add
 
 Exponent = tuple[int, ...]
@@ -51,6 +54,16 @@ def _coerce(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def primitive_integers(values: Iterable[Fraction]) -> list[int]:
+    """Coprime integers proportional to the given rationals, same signs:
+    scaled by the lcm of the denominators, then divided by the gcd."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def add_terms(out: dict, pairs: Iterable) -> dict:
@@ -254,10 +267,6 @@ class LaurentPoly(TermMap):
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
 
-    @classmethod
-    def constant(cls, c, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: _coerce(c)})
-
     # ---- queries ------------------------------------------------------
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
@@ -298,16 +307,4 @@ class LaurentPoly(TermMap):
     # ---- display ------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            factors = [str(c)]
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e != 0:
-                    factors.append(f"x{i}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return f"LaurentPoly({format_terms(self.terms, ('x',), self.nvars)})"

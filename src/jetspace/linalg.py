@@ -16,10 +16,10 @@ step on integer rows, the step rank() and rref() take for each row.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
-from .laurent import _coerce, add_terms
+from .laurent import _coerce, add_terms, primitive_integers
 
 
 class ExactMatrix:
@@ -148,16 +148,6 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def primitive_integers(values: Iterable[Fraction]) -> list[int]:
-    """Coprime integers proportional to the given rationals, same signs:
-    scaled by the lcm of the denominators, then divided by the gcd."""
-    values = list(values)
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
 
 
 def add_pivot_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:

@@ -4,11 +4,12 @@ Sections of O(a) over the chart x_j != 0 are spanned by degree-a Laurent
 monomials whose only negative exponent sits in slot j.  A homogeneous Weyl
 element of x-degree b - a maps each such monomial to degree-b monomials that
 are again chart sections, so it induces maps O(a) -> O(b) on every chart
-simultaneously; the space of global operators of order <= N is realized as
-the span of these induced maps.  Concretely: rows of the action matrix are
-the candidate monomials x^alpha d^beta with |beta| <= N and
-|alpha| - |beta| = b - a, and columns are (test monomial, image monomial)
-coefficient slots over a finite test set of chart monomials.
+simultaneously; for n >= 2 the space of global operators of order <= N is
+the span of these induced maps (on P^1 it is larger, see below).
+Concretely: rows of the action matrix are the candidate monomials
+x^alpha d^beta with |beta| <= N and |alpha| - |beta| = b - a, and columns
+are (test monomial, image monomial) coefficient slots over a finite test
+set of chart monomials.
 
 The structural rank deficiency comes from the Euler operator E = sum x_i d_i:
 E - a annihilates every degree-a monomial, so phi (E - a) acts as zero for
@@ -19,6 +20,8 @@ a product of two nonsingular triangular matrices, so the two meet.
 Counted, the bound is C(N + n, n) C(N + b - a + n, n), the number of
 candidates of exact order N, and no matrix is built: the counting lives in
 dimensions (dimensions.do_dimensions has the proof) and is re-exported here.
+On P^1 the span of the induced maps is smaller than the space of global
+operators: no Weyl element induces d: O -> O(-2), so the count misses it.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
 and the unipotent block construction pairing a twist with a shifted twist.
@@ -34,9 +37,8 @@ from typing import NamedTuple
 # until a function here first calls into them (see __init__).
 from . import cohomology, laurent, linalg, weyl
 from .dimensions import (  # noqa: F401 -- the counting names, read here as before
-    NegativeTwistResult, TwistedDOSpace, _check_space, _check_work, _dim_do_work,
-    _dimension, _dimension_bits, candidate_count, do_dimension, do_dimensions,
-    global_do_dimension, negative_twist_existence)
+    NegativeTwistResult, TwistedDOSpace, _check_space, candidate_count, do_dimension,
+    do_dimensions, global_do_dimension, negative_twist_existence)
 from .errors import WORK_LIMIT  # noqa: F401 -- read as projective.WORK_LIMIT
 from .errors import InconsistencyError, PreconditionError
 

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
-from .laurent import LaurentPoly
-from .linalg import primitive_integers
+from .laurent import LaurentPoly, primitive_integers
 from .weyl import WeylElement
 
 _GRID_TICKS = 4  # the search grid has step 1 / _GRID_TICKS
@@ -289,16 +287,13 @@ def _integer_root(v: int, p: int) -> int | None:
     """The integer r >= 0 with r^p = v (v >= 0), if one exists."""
     if v == 0:
         return 0
-    if p == 2:
-        r = isqrt(v)
-    else:
-        # Newton's iteration on integers, from above: stops at floor(v^(1/p))
-        r = 1 << -(-v.bit_length() // p)
-        while True:
-            nxt = ((p - 1) * r + v // r ** (p - 1)) // p
-            if nxt >= r:
-                break
-            r = nxt
+    # Newton's iteration on integers, from above: stops at floor(v^(1/p))
+    r = 1 << -(-v.bit_length() // p)
+    while True:
+        nxt = ((p - 1) * r + v // r ** (p - 1)) // p
+        if nxt >= r:
+            break
+        r = nxt
     return r if r ** p == v else None
 
 
@@ -340,46 +335,35 @@ def _gram_matrix(det: LaurentPoly, m: int) -> list[list[Fraction]]:
 
 
 def _congruence_diagonal(G: list[list[Fraction]]):
-    """Exact symmetric reduction: returns (diag, T) with Q(T_i) = diag[i]
-    and the T_i pairwise Q-orthogonal."""
+    """Exact symmetric reduction: returns (diag, T) with q(T_i) = diag[i]
+    and the T_i pairwise q-orthogonal, where q(u, v) = u^T G v."""
     m = len(G)
-    A = [row[:] for row in G]
     T = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
 
-    def swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        T[i], T[j] = T[j], T[i]
+    def q(i, j):
+        return sum(a * g * b for a, row in zip(T[i], G) for g, b in zip(row, T[j]))
 
     def add_into(i, j, f):
         # basis vector i += f * basis vector j
-        for k in range(m):
-            A[i][k] += f * A[j][k]
-        for k in range(m):
-            A[k][i] += f * A[k][j]
-        for k in range(m):
-            T[i][k] += f * T[j][k]
+        T[i] = [a + f * b for a, b in zip(T[i], T[j])]
 
     for step in range(m):
-        if A[step][step] == 0:
-            found = next((j for j in range(step + 1, m) if A[j][j] != 0), None)
-            if found is not None:
-                swap(step, found)
-            else:
+        if q(step, step) == 0:
+            found = next((j for j in range(step + 1, m) if q(j, j) != 0), None)
+            if found is None:
                 pair = next(((j, k) for j in range(step, m)
-                             for k in range(j + 1, m) if A[j][k] != 0), None)
+                             for k in range(j + 1, m) if q(j, k) != 0), None)
                 if pair is None:
                     break
-                j, k = pair
-                add_into(j, k, Fraction(1))
-                if j != step:
-                    swap(step, j)
-        piv = A[step][step]
+                found, k = pair
+                add_into(found, k, 1)
+            T[step], T[found] = T[found], T[step]
+        piv = q(step, step)
         for j in range(step + 1, m):
-            if A[j][step]:
-                add_into(j, step, -A[j][step] / piv)
-    diag = [A[i][i] for i in range(m)]
+            c = q(j, step)
+            if c:
+                add_into(j, step, -c / piv)
+    diag = [q(i, i) for i in range(m)]
     return diag, [tuple(row) for row in T]
 
 
@@ -420,16 +404,15 @@ def _grid_search_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
     The grid points are q / 4 with q in {-4..4}^m and some |q_i| = 4.  det
     is homogeneous, so det(q / 4) = det(q) / 4^deg has the sign and the zeros
     of det(q), which is evaluated in integers once the coefficients are
-    scaled by the lcm of their denominators.  Witnesses and sign points are
-    the Fraction grid points q / 4.
+    cleared to coprime integers.  Witnesses and sign points are the
+    Fraction grid points q / 4.
     """
     deg = det.homogeneous_degree()
     if deg is None:
         raise InconsistencyError("the symbol determinant is not homogeneous")
     if det.has_negative_exponent():
         raise PreconditionError("the real grid search needs a polynomial determinant")
-    scale = lcm(*(c.denominator for c in det.terms.values()))
-    terms = [(exps, int(c * scale)) for exps, c in det.terms.items()]
+    terms = list(zip(det.terms, primitive_integers(det.terms.values())))
     ticks = range(-_GRID_TICKS, _GRID_TICKS + 1)
     powers = {t: [t ** k for k in range(deg + 1)] for t in ticks}
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from jetspace import cohomology, growth, projective
+from jetspace import cohomology, dimensions, growth, projective
 from jetspace.cli import main
 from jetspace.errors import InconsistencyError
 from jetspace.growth import default_n_max
@@ -159,6 +160,38 @@ def test_elliptic_check_algebraic(capsys):
     assert payload["elliptic"] is False
     assert payload["witness_defining_poly"] == [1, 0, 1]
     assert payload["witness_real"] is False
+
+
+def _ops(*terms):
+    m = len(terms[0][1])
+    return " + ".join(f"{c} * x^({','.join('0' * m)}) d^({','.join(map(str, e))})"
+                      for c, e in terms)
+
+
+# one request per branch of the quadratic, closure and grid routes
+@pytest.mark.parametrize("mode, terms, N, want", [
+    ("real", [(1, (2, 0)), (-2, (0, 2))], 2,
+     {"verdict": "false", "witness": None, "sign_points": [["0", "1"], ["1", "0"]],
+      "reason": "indefinite quadratic form (exact signature); no rational zero "
+                "along the diagonalizing pairs"}),
+    ("real", [(1, (1, 1)), (1, (0, 2))], 2,  # zero first pivot: a swap
+     {"verdict": "false", "witness": ["1", "0"], "sign_points": None}),
+    ("real", [(8, (3, 0)), (-1, (2, 1)), (8, (1, 2)), (-1, (0, 3))], 3,
+     {"verdict": "false", "witness": ["1/8", "1"], "sign_points": None,
+      "reason": "dyadic refinement hit an exact zero"}),
+    ("algebraic", [(1, (3, 0))], 3,
+     {"elliptic": False, "witness": ["0", "1"], "witness_defining_poly": None}),
+    ("algebraic", [(1, (3, 0)), (-2, (0, 3))], 3,
+     {"elliptic": False, "witness": ["t", "1"], "witness_defining_poly": [-2, 0, 0, 1],
+      "witness_real": True}),
+    ("algebraic", [(1, (1, 2)), (1, (2, 1))], 3,  # both terms divisible by s0
+     {"elliptic": False, "witness": ["0", "1"], "witness_defining_poly": None}),
+], ids=["real-no-rational-zero", "real-pivot-swap", "real-bisection-zero",
+        "algebraic-monomial", "algebraic-cube-root", "algebraic-common-factor"])
+def test_elliptic_check_branches(capsys, mode, terms, N, want):
+    payload = run_json(capsys, "elliptic-check", "--mode", mode,
+                       "--op", _ops(*terms), "--N", str(N))
+    assert {key: payload[key] for key in want} == want
 
 
 def test_jet_derive(capsys):
@@ -532,7 +565,7 @@ def test_every_golden_dimension_input_is_within_the_work_limit():
             opts = dict(zip(argv[1::2], argv[2::2]))
             n, d = int(opts["--n"]), int(opts["--b"]) - int(opts["--a"])
             if argv[0] == "dim-do":
-                work = projective._dim_do_work(n, d, int(opts["--N"]))
+                work = dimensions._dim_do_work(n, d, int(opts["--N"]))
             else:
                 work = growth._growth_work(n, d, int(opts.get("--nmax", default_n_max(n))))
             assert work <= projective.WORK_LIMIT, argv
@@ -646,6 +679,26 @@ def readme_invocations():
     for span in re.findall(r"`(jetspace [^`]+)`", README.read_text()):
         found.append(_invocation(shlex.split(span)))
     return found
+
+
+def _script(name):
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the arguments CI runs the scripts with
+@pytest.mark.parametrize("name, args, golden", [
+    ("ellipticity_gallery", None, "ellipticity_gallery.txt"),
+    ("negative_twist_search", ["--n", "2", "--max-drop", "3", "--budget", "4"],
+     "negative_twist_search.txt"),
+])
+def test_script_output_matches_golden(capsys, name, args, golden):
+    main = _script(name).main
+    assert (main() if args is None else main(args)) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "data" / golden).read_text()
 
 
 def test_readme_examples_have_golden_entries():

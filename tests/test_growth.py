@@ -12,7 +12,7 @@ from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
                              growth_polynomial, stabilization_threshold,
                              verify_growth)
 from jetspace.presented import UniPoly
-from jetspace import dimensions, projective
+from jetspace import dimensions
 from jetspace.projective import do_dimension, do_dimensions
 
 
@@ -230,7 +230,7 @@ def test_growth_work_bounds_the_polynomial_sizes(n):
         report = verify_growth(n, 0, d, top)
         for c in report.polynomial.coeffs:
             assert c.numerator.bit_length() + c.denominator.bit_length() <= coeff_bits
-        dim_bits = projective._dimension_bits(n, d, top)
+        dim_bits = dimensions._dimension_bits(n, d, top)
         for row in report.table.rows:
             assert row.dim.bit_length() <= sum(dim_bits), (n, d, row)
 

@@ -492,7 +492,7 @@ def test_dims_boxes_and_histories_match_the_full_block_recording():
                                              (2, 0, 0, 5), (3, 0, 0, 3),
                                              (2, 0, 0, 8), (5, 0, 0, 3)])
 def test_work_estimate_accepts_the_anchor_inputs(n, a, b, order):
-    assert projective._dim_do_work(n, b - a, order) <= WORK_LIMIT
+    assert dimensions._dim_do_work(n, b - a, order) <= WORK_LIMIT
     assert global_do_dimension(n, a, b, order).dim == math.comb(order + n, n) ** 2
 
 

@@ -91,7 +91,13 @@ def test_executing_every_module_loads_no_dataclasses_or_inspect():
      {"cli", "errors", "laurent", "presented", "jets"}),
     (["jet", "--derive", "1/2 * x^(1,1) + -3/4 * x^(2,0) + 5 * x^(0,0)", "--N", "2"],
      {"cli", "errors", "laurent", "presented", "jets"}),
-], ids=["dim-do", "growth-table", "cohomology", "jet-cyclic", "jet-derive"])
+    (["symbol", "--op", "1 * x^(1,0) d^(2,0) + -3 * x^(0,0) d^(1,1)", "--N", "2"],
+     {"cli", "errors", "laurent", "weyl", "symbols"}),
+    (["elliptic-check", "--mode", "real", "--op",
+      "1 * x^(0,0) d^(4,0) + -2 * x^(0,0) d^(0,4)", "--N", "4"],
+     {"cli", "errors", "laurent", "weyl", "symbols"}),
+], ids=["dim-do", "growth-table", "cohomology", "jet-cyclic", "jet-derive", "symbol",
+        "elliptic-check"])
 def test_subcommand_executes_only_the_modules_it_needs(argv, expected):
     _, executed = run_fresh(f"import jetspace.cli\njetspace.cli.main({argv!r})")
     assert executed == expected
@@ -128,9 +134,9 @@ def test_public_names_are_their_defining_modules_objects():
 
 def test_counting_names_are_one_object_in_dimensions_and_projective():
     from jetspace import dimensions, projective
-    for name in ("NegativeTwistResult TwistedDOSpace _check_space _check_work _dim_do_work "
-                 "_dimension _dimension_bits candidate_count do_dimension do_dimensions "
-                 "global_do_dimension negative_twist_existence").split():
+    for name in ("NegativeTwistResult TwistedDOSpace _check_space candidate_count "
+                 "do_dimension do_dimensions global_do_dimension "
+                 "negative_twist_existence").split():
         assert getattr(projective, name) is getattr(dimensions, name), name
 
 

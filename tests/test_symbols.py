@@ -311,3 +311,56 @@ def test_integer_root_small_values():
         for r in range(2, 40):
             assert _integer_root(r ** p, p) == r
             assert _integer_root(r ** p + 1, p) is None
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms against Sylvester's criterion
+# ---------------------------------------------------------------------------
+
+def _det(M):
+    """Leibniz expansion: fine for the 4 x 4 matrices used here."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(M))):
+        term = Fraction(-1) ** sum(i > j for i, j in itertools.combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+def test_quadratic_verdicts_follow_sylvesters_criterion():
+    rng = random.Random(28)
+    definite_seen = indefinite_seen = 0
+    for _ in range(400):
+        m = rng.choice((2, 3, 4))
+        G = [[Fraction(0)] * m for _ in range(m)]
+        terms = {}
+        for u in range(m):
+            for v in range(u, m):
+                c = Fraction(rng.choice((0, 0, 1, -1, 2, -3, 4)), rng.choice((1, 1, 2, 3)))
+                if u == v and rng.random() < 0.7:
+                    c = abs(c) + 1  # lean towards definite forms
+                e = [0] * m
+                e[u] += 1
+                e[v] += 1
+                terms[tuple(e)] = c
+                G[u][v] += c if u == v else c / 2
+                G[v][u] += 0 if u == v else c / 2
+        minors = [_det([row[:k] for row in G[:k]]) for k in range(1, m + 1)]
+        definite = (all(d > 0 for d in minors)
+                    or all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)))
+        f = LaurentPoly(m, terms)
+        res = elliptic_real(SymbolMatrix(m=m, order=2, entries=((xi_poly(m, terms),),)))
+        assert (res.verdict == "true") == definite, (terms, res)
+        if definite:
+            definite_seen += 1
+            continue
+        indefinite_seen += 1
+        assert res.verdict == "false"
+        if res.witness is not None:
+            assert any(res.witness.components)
+            assert f.evaluate(res.witness.components) == 0
+        else:
+            lo, hi = res.sign_points
+            assert f.evaluate(lo) * f.evaluate(hi) < 0
+    assert definite_seen > 50 and indefinite_seen > 50
