@@ -63,7 +63,7 @@ def line_cohomology(n: int, k: int) -> LineBundleCohomology:
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
     bits = _binomial_bits(n + k, n) if k >= 0 else _binomial_bits(-k - 1, n)
-    check_work(f"(n={n}, k={k})", 2 * _step(bits) + (n + 1) * _ENTRY_WORK)
+    check_work(2 * _step(bits) + (n + 1) * _ENTRY_WORK, "(n={}, k={})", n, k)
     dims = [0] * (n + 1)
     dims[0] = h0_line(n, k)
     dims[n] = hn_line(n, k)
@@ -131,7 +131,7 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
     if k < 0:
         raise PreconditionError("symmetric power must be nonnegative")
     bits = _binomial_bits(n + k, k) + _binomial_bits(n + abs(j + k), n)
-    check_work(f"(n={n}, k={k}, j={j})", 2 * _step(bits))
+    check_work(2 * _step(bits), "(n={}, k={}, j={})", n, k, j)
     # chi_sym_tangent's terms, each computed once; h^0(O(m)) = chi(O(m)) for
     # m >= 0, and 0 below
     chi = comb(n + k, k) * chi_line(n, j + k)
@@ -144,12 +144,14 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
     return SymTangentH0(n, k, j, h0, chi)
 
 
-def _h0_sym_tangent(n: int, k: int, j: int) -> int:
-    """The h^0 of h0_sym_tangent, for n >= 2 and k >= 0 (not checked)."""
-    h0 = comb(n + k, k) * h0_line(n, j + k)
-    if k >= 1:
-        h0 -= comb(n + k - 1, k - 1) * h0_line(n, j + k - 1)
-    return h0
+def _h0_sym_tangent_row(n: int, j: int, lo: int, hi: int) -> list[int]:
+    """The h^0 of h0_sym_tangent for k = lo..hi, for n >= 2 and 0 <= lo
+    (not checked).  By the Euler sequence each is the difference of the
+    lead terms C(n+k, k) h^0(O(j+k)) at k and k - 1; each lead term, for
+    k = lo - 1..hi, is computed once, and the one at k = -1 is 0."""
+    lead = [comb(n + k, k) * comb(n + j + k, n) if k >= 0 and j + k >= 0 else 0
+            for k in range(lo - 1, hi + 1)]
+    return [b - a for a, b in zip(lead, lead[1:])]
 
 
 __all__ = [

@@ -52,7 +52,7 @@ def _dim_do_work(n: int, d: int, order: int) -> int:
 
 def _check_work(n: int, a: int, b: int, order: int, work: int) -> None:
     _check_space(n, order)
-    check_work(f"(n={n}, a={a}, b={b}, N={order})", work)
+    check_work(work, "(n={}, a={}, b={}, N={})", n, a, b, order)
 
 
 def _dimension(n: int, d: int, order: int) -> int:

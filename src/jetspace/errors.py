@@ -44,10 +44,10 @@ def _step(bits: int) -> int:
     return (bits + 64) ** 2
 
 
-def check_work(what: str, work: int) -> None:
-    """Refuse the request `what` with PreconditionError when its work
-    estimate passes WORK_LIMIT."""
+def check_work(work: int, what: str, *args: object) -> None:
+    """Refuse the request what.format(*args) with PreconditionError when
+    its work estimate passes WORK_LIMIT; the name is formatted only then."""
     if work > WORK_LIMIT:
         raise PreconditionError(
-            f"{what} has a work estimate of 2^{work.bit_length() - 1}"
+            f"{what.format(*args)} has a work estimate of 2^{work.bit_length() - 1}"
             f" or more, above the limit 2^{WORK_LIMIT.bit_length() - 1}")

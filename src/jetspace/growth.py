@@ -33,10 +33,11 @@ it raises StabilizationError.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 from typing import NamedTuple
 
-from .cohomology import _h0_sym_tangent, chi_line, h0_line
+from .cohomology import _h0_sym_tangent_row, chi_line, h0_line
 from .errors import PreconditionError, StabilizationError, _step
 from .dimensions import _check_work, _dimension_bits, do_dimensions
 
@@ -51,9 +52,14 @@ def expected_delta(n: int, order: int, d: int) -> int:
     dimension increment.  On the projective line Sym^N T = O(2N)."""
     if order < 1:
         raise PreconditionError("increments are defined for N >= 1")
+    return _expected_deltas(n, d, order, order)[0]
+
+
+def _expected_deltas(n: int, d: int, lo: int, hi: int) -> list[int]:
+    """expected_delta(n, N, d) for N = lo..hi, lo >= 1 (not checked)."""
     if n == 1:
-        return h0_line(1, 2 * order + d)
-    return _h0_sym_tangent(n, order, d)
+        return [h0_line(1, 2 * order + d) for order in range(lo, hi + 1)]
+    return _h0_sym_tangent_row(n, d, lo, hi)
 
 
 class GrowthRow(NamedTuple):
@@ -114,7 +120,12 @@ def closed_form_dimensions(n: int, d: int, top: int) -> list[int]:
     with k > N has none.  Now beta >= m(s) iff beta >= 0 and
     alpha = s + beta >= 0, and s = alpha - beta.  So the pairs are the
     (alpha, beta) >= 0 with |beta| = N and |alpha| = N + d: C(N + n, n)
-    times C(N + d + n, n), and none when N + d < 0."""
+    times C(N + d + n, n), and none when N + d < 0.
+
+    The sums over k are n + 1 running sums of S: by the hockey-stick
+    identity C(N - k + n, n) = sum_{j <= N - k} C(j + n - 1, n - 1), so if
+    the weight of S(k) in the n-th running sum at N is C(N - k + n - 1,
+    n - 1), in the next it is C(N - k + n, n); in the first it is 1."""
     counts = [comb(d + n, n) if d >= 0 else 0] + [0] * top
     for k in range(max(1, -d), top + 1):
         # i = n + 1 negative coordinates only when d + k = 0; i = 1..n leave
@@ -123,8 +134,9 @@ def closed_form_dimensions(n: int, d: int, top: int) -> list[int]:
         for i in range(1, n + 1):
             total += comb(n + 1, i) * comb(k - 1, i - 1) * comb(d + k + n - i, n - i)
         counts[k] = total
-    return [sum(comb(order - k + n, n) * counts[k] for k in range(order + 1))
-            for order in range(top + 1)]
+    for _ in range(n + 1):
+        counts = accumulate(counts)
+    return list(counts)
 
 
 def stabilization_threshold(n: int, a: int, b: int, n_max: int) -> int:
@@ -155,19 +167,23 @@ def growth_polynomial(n: int, a: int, b: int, threshold: int,
         product = [r * c + prev for c, prev in zip(product + [0], [0] + product)]
     scale = factorial(n) ** 2
     product[0] += constant * scale
-    return GrowthPolynomial(n=n, a=a, b=b, threshold=threshold,
-                            constant=Fraction(constant),
-                            coeffs=tuple(Fraction(c, scale) for c in product))
+    return GrowthPolynomial(n, a, b, threshold, Fraction(constant),
+                            tuple(Fraction(c, scale) for c in product))
 
 
 def _growth_work(n: int, d: int, top: int) -> int:
     """Work estimate (errors._step) of verify_growth and its report:
     per order its dimension and the four binomials of expected_delta,
-    n S(k) terms per order and the (top + 1)(top + 2) / 2 convolution
-    terms of closed_form_dimensions, then the 2n + 1 coefficients of P.
-    Those are integers over (n!)^2 < n^(2n), and each integer is at most
-    the product of the 1 + |r| over the 2n roots -r of P; reducing and
-    printing them costs about an eighth of a binomial per bit^2."""
+    n S(k) terms per order and (top + 1)(top + 2) / 2 convolution terms
+    for closed_form_dimensions, then the 2n + 1 coefficients of P.  Those
+    are integers over (n!)^2 < n^(2n), and each integer is at most the
+    product of the 1 + |r| over the 2n roots -r of P; reducing and
+    printing them costs about an eighth of a binomial per bit^2.
+
+    The convolution term over-covers closed_form_dimensions, which takes
+    n + 1 running sums of top + 1 additions each instead of those binomial
+    products; it is kept so that every refusal stays where it was, and for
+    large top it dominates the estimate (ROADMAP item 12)."""
     b1, b2 = _dimension_bits(n, d, top)
     pair = _step(b1) + _step(b2)
     coeff_bits = n * (3 * (n + 1).bit_length() + (abs(d) + n + 1).bit_length())
@@ -200,15 +216,12 @@ def verify_growth(n: int, a: int, b: int, n_max: int | None = None) -> GrowthRep
     _check_work(n, a, b, n_max, _growth_work(n, d, n_max))
     dims = do_dimensions(n, a, b, n_max)
     poly = growth_polynomial(n, a, b, threshold, dims[threshold])
-    rows = [GrowthRow(order=0, dim=dims[0], delta=None, expected_delta=None, match=None)]
-    for order in range(1, n_max + 1):
+    rows = [GrowthRow(0, dims[0], None, None, None)]
+    for order, expected in enumerate(_expected_deltas(n, d, 1, n_max), 1):
         delta = dims[order] - dims[order - 1]
-        expected = expected_delta(n, order, d)
-        rows.append(GrowthRow(order=order, dim=dims[order], delta=delta,
-                              expected_delta=expected, match=delta == expected))
+        rows.append(GrowthRow(order, dims[order], delta, expected, delta == expected))
     closed = closed_form_dimensions(n, d, n_max)
     first_failure = next((order for order in range(n_max + 1)
                           if dims[order] != closed[order]), None)
-    table = GrowthTable(n=n, a=a, b=b, rows=tuple(rows), threshold=threshold)
-    return GrowthReport(table=table, polynomial=poly, verdict=first_failure is None,
-                        first_failure=first_failure)
+    table = GrowthTable(n, a, b, tuple(rows), threshold)
+    return GrowthReport(table, poly, first_failure is None, first_failure)

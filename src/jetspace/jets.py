@@ -112,7 +112,8 @@ def universal_derivation(f: LaurentPoly, order: int) -> JetElement:
         raise PreconditionError("universal derivation is defined for polynomials only")
     if order < 0:
         raise PreconditionError("jet order must be nonnegative")
-    check_work(f"(m={f.nvars}, N={order}, terms={len(f.terms)})", _derivation_work(f, order))
+    check_work(_derivation_work(f, order), "(m={}, N={}, terms={})",
+               f.nvars, order, len(f.terms))
     return JetElement(f.nvars, order, LaurentPoly(2 * f.nvars, (
         (tuple(g - kj for g, kj in zip(gamma, k)) + k, c * prod(map(comb, gamma, k)))
         for gamma, c in f.terms.items() for k in _sub_multiindices(gamma, order))))
@@ -149,7 +150,7 @@ def jet_free_rank(m: int, order: int, rank: int = 1) -> int:
     errors.WORK_LIMIT is refused with PreconditionError before computing it."""
     if m < 0 or order < 0 or rank < 0:
         raise PreconditionError("jet_free_rank arguments must be nonnegative")
-    check_work(f"(m={m}, N={order})", _step(_binomial_bits(m + order, order)))
+    check_work(_step(_binomial_bits(m + order, order)), "(m={}, N={})", m, order)
     return rank * comb(m + order, order)
 
 

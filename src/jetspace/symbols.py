@@ -336,34 +336,42 @@ def _gram_matrix(det: LaurentPoly, m: int) -> list[list[Fraction]]:
 
 def _congruence_diagonal(G: list[list[Fraction]]):
     """Exact symmetric reduction: returns (diag, T) with q(T_i) = diag[i]
-    and the T_i pairwise q-orthogonal, where q(u, v) = u^T G v."""
+    and the T_i pairwise q-orthogonal, where q(u, v) = u^T G v.  Each pivot
+    step forms the row G T_step once and reads q(T_j, T_step) off it."""
     m = len(G)
     T = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
 
-    def q(i, j):
-        return sum(a * g * b for a, row in zip(T[i], G) for g, b in zip(row, T[j]))
+    def apply(u):
+        return [sum(g * b for g, b in zip(row, u)) for row in G]
 
-    def add_into(i, j, f):
-        # basis vector i += f * basis vector j
-        T[i] = [a + f * b for a, b in zip(T[i], T[j])]
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
 
+    diag = []
     for step in range(m):
-        if q(step, step) == 0:
-            found = next((j for j in range(step + 1, m) if q(j, j) != 0), None)
+        row = apply(T[step])
+        piv = dot(T[step], row)
+        if piv == 0:
+            found = next((j for j in range(step + 1, m) if dot(T[j], apply(T[j])) != 0), None)
             if found is None:
-                pair = next(((j, k) for j in range(step, m)
-                             for k in range(j + 1, m) if q(j, k) != 0), None)
+                pair = next(((j, k) for j in range(step, m) for k in range(j + 1, m)
+                             if dot(T[j], apply(T[k])) != 0), None)
                 if pair is None:
+                    # q vanishes on the span of T[step:]
+                    diag += [Fraction(0)] * (m - step)
                     break
                 found, k = pair
-                add_into(found, k, 1)
+                # basis vector found += basis vector k
+                T[found] = [a + b for a, b in zip(T[found], T[k])]
             T[step], T[found] = T[found], T[step]
-        piv = q(step, step)
+            row = apply(T[step])
+            piv = dot(T[step], row)
+        diag.append(piv)
         for j in range(step + 1, m):
-            c = q(j, step)
+            c = dot(T[j], row)
             if c:
-                add_into(j, step, -c / piv)
-    diag = [q(i, i) for i in range(m)]
+                f = -c / piv
+                T[j] = [a + f * b for a, b in zip(T[j], T[step])]
     return diag, [tuple(row) for row in T]
 
 

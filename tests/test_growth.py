@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetspace.cohomology import chi_line, chi_sym_tangent, h0_line, h0_sym_tangent
+from jetspace.cohomology import (_h0_sym_tangent_row, chi_line, chi_sym_tangent,
+                                 h0_line, h0_sym_tangent)
 from jetspace.errors import PreconditionError, StabilizationError
 from jetspace import cli, growth
 from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
@@ -39,6 +40,14 @@ def test_expected_delta_is_the_integer_h0():
                 value = expected_delta(n, order, d)
                 assert type(value) is int
                 assert value == h0_sym_tangent(n, order, d).h0, (n, order, d)
+    # the row helper behind expected_delta and verify_growth, on every
+    # window lo..hi of k <= 10, k = 0 included
+    for n in range(2, 7):
+        for j in range(-12, 7):
+            want = [h0_sym_tangent(n, k, j).h0 for k in range(11)]
+            for lo in range(11):
+                for hi in range(lo, 11):
+                    assert _h0_sym_tangent_row(n, j, lo, hi) == want[lo:hi + 1], (n, j, lo, hi)
 
 
 def test_dimension_sweep_values():
@@ -268,6 +277,29 @@ def test_closed_form_sweep_counts_shifts_by_brute_force():
                     for order in range(top + 1)]
             assert closed_form_dimensions(n, d, top) == want, (n, d)
             assert closed_form_dimension(n, d, top) == want[top]
+
+
+def test_closed_form_sweep_makes_linearly_many_binomials(monkeypatch):
+    # S(k) takes at most 3n binomials per k, and the n + 1 running sums
+    # over k take none
+    calls = []
+
+    def counted(m, j):
+        calls.append((m, j))
+        return math.comb(m, j)
+
+    monkeypatch.setattr(growth, "comb", counted)
+    for n in (1, 2, 3):
+        for d in (-n - 3, -1, 0, 4):
+            for top in (0, 1, 7, 200):
+                calls.clear()
+                closed_form_dimensions(n, d, top)
+                assert len(calls) <= 3 * n * (top + 1) + 2, (n, d, top, len(calls))
+
+
+@pytest.mark.parametrize("n, d, top", [(1, 0, 4000), (2, -3, 1500), (3, 2, 500)])
+def test_closed_form_sweep_matches_dimensions_at_large_top(n, d, top):
+    assert closed_form_dimensions(n, d, top) == list(do_dimensions(n, 0, d, top))
 
 
 def test_verify_growth_reports_first_closed_form_mismatch(monkeypatch):
