@@ -26,8 +26,7 @@ _EXPORTS = {
     "dimensions": ("NegativeTwistResult", "TwistedDOSpace", "candidate_count",
                    "do_dimension", "global_do_dimension", "negative_twist_existence"),
     "projective": ("BlockOperator", "block_operator", "candidate_monomials",
-                   "chart_test_monomials", "euler_relation", "h0_basis", "hn_basis",
-                   "induced_cohomology_map"),
+                   "chart_test_monomials", "h0_basis", "hn_basis", "induced_cohomology_map"),
     "growth": ("GrowthPolynomial", "GrowthReport", "GrowthTable", "default_n_max",
                "expected_delta", "growth_polynomial", "stabilization_threshold",
                "verify_growth"),

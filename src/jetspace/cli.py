@@ -67,6 +67,8 @@ def _unlimited_digits(fn, *args):
 
 def _parse_operator(args) -> list[list[weyl.WeylElement]]:
     """Either a single --op string or a --matrix JSON array of strings."""
+    if getattr(args, "matrix", None) is not None and args.op is not None:
+        raise _UsageError("give only one of --op or --matrix")
     if getattr(args, "matrix", None):
         try:
             raw = json.loads(args.matrix)

@@ -21,6 +21,7 @@ recovers the action of D.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
 from typing import NamedTuple
 
@@ -116,7 +117,8 @@ def universal_derivation(f: LaurentPoly, order: int) -> JetElement:
                f.nvars, order, len(f.terms))
     return JetElement(f.nvars, order, LaurentPoly(2 * f.nvars, (
         (tuple(g - kj for g, kj in zip(gamma, k)) + k, c * prod(map(comb, gamma, k)))
-        for gamma, c in f.terms.items() for k in _sub_multiindices(gamma, order))))
+        for gamma, c in f.terms.items()
+        for k in product(*(range(min(g, order) + 1) for g in gamma)) if sum(k) <= order)))
 
 
 def _derivation_work(f: LaurentPoly, order: int) -> int:
@@ -128,20 +130,6 @@ def _derivation_work(f: LaurentPoly, order: int) -> int:
                         + sum(_binomial_bits(g, min(g // 2, order)) for g in gamma))
                   + _TERM_WORK)
                for gamma, c in f.terms.items())
-
-
-def _sub_multiindices(gamma: Exponent, cap: int):
-    """All k with 0 <= k <= gamma componentwise and |k| <= cap."""
-    m = len(gamma)
-
-    def rec(i: int, budget: int, prefix: tuple[int, ...]):
-        if i == m:
-            yield prefix
-            return
-        for v in range(min(gamma[i], budget) + 1):
-            yield from rec(i + 1, budget - v, prefix + (v,))
-
-    yield from rec(0, cap, ())
 
 
 def jet_free_rank(m: int, order: int, rank: int = 1) -> int:

@@ -3,14 +3,12 @@
 ExactMatrix stores only nonzero entries, keyed by (row, col).  rank() runs a
 fraction-free sparse row elimination over the integers (each incoming row is
 scaled to integer entries, pivot rows are kept primitive), so results are
-exact regardless of conditioning.  rref() runs the same elimination, then
-divides each pivot row by its lead and back-substitutes; kernel_basis()
-reads the kernel off it, so rank + nullity = cols exactly.
+exact regardless of conditioning.
 
 Row elimination picks each row's minimal column as pivot position, so rows
 with disjoint column supports never interact; on block-structured input the
 cost is the sum of the block costs.  add_pivot_row() is one elimination
-step on integer rows, the step rank() and rref() take for each row.
+step on integer rows, the step rank() takes for each row.
 """
 
 from __future__ import annotations
@@ -50,14 +48,6 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         return cls(len(data), cols,
                    {(i, j): c for i, r in enumerate(data) for j, c in enumerate(r)})
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, {})
 
     # ---- queries ------------------------------------------------------
 
@@ -100,51 +90,9 @@ class ExactMatrix:
     def rank(self) -> int:
         """Exact rank by deterministic sparse fraction-free elimination."""
         pivots: dict[int, dict[int, int]] = {}
-        for row in self._integer_rows():
-            add_pivot_row(pivots, row)
+        for row in self.row_dicts():
+            add_pivot_row(pivots, dict(zip(row, primitive_integers(row.values()))))
         return len(pivots)
-
-    def _integer_rows(self) -> list[dict[int, int]]:
-        return [dict(zip(r, primitive_integers(r.values()))) for r in self.row_dicts()]
-
-    # ---- reduced row echelon / kernel ---------------------------------
-
-    def rref(self) -> tuple[list[dict[int, Fraction]], list[int]]:
-        """Reduced row echelon form as sparse rows, plus sorted pivot columns."""
-        integer_pivots: dict[int, dict[int, int]] = {}
-        for row in self._integer_rows():
-            add_pivot_row(integer_pivots, row)
-        pivots = {c: {j: Fraction(v, row[c]) for j, v in row.items()}
-                  for c, row in integer_pivots.items()}
-        cols_sorted = sorted(pivots)
-        # back-substitute so each pivot column appears in exactly one row
-        for c in reversed(cols_sorted):
-            piv = pivots[c]
-            for c2 in cols_sorted:
-                if c2 >= c:
-                    break
-                upper = pivots[c2]
-                factor = upper.get(c)
-                if factor:
-                    add_terms(upper, ((j, -factor * v) for j, v in piv.items()))
-        return [pivots[c] for c in cols_sorted], cols_sorted
-
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """A basis of {v : M v = 0}; length is cols - rank, each exact."""
-        rows, pivot_cols = self.rref()
-        pivot_set = set(pivot_cols)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
-            for prow, pcol in zip(rows, pivot_cols):
-                coeff = prow.get(free)
-                if coeff:
-                    vec[pcol] = -coeff
-            basis.append(tuple(vec))
-        return basis
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

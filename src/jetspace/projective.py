@@ -148,12 +148,6 @@ def action_matrix(candidates: list[Candidate],
     return linalg.ExactMatrix(len(candidates), len(col_index), entries)
 
 
-def euler_relation(n: int, a: int, phi: weyl.WeylElement) -> weyl.WeylElement:
-    """phi composed with (E - a); annihilates every degree-a section."""
-    shifted = weyl.euler_operator(n + 1) - weyl.WeylElement.one(n + 1) * a
-    return phi * shifted
-
-
 # ---- induced maps on cohomology ---------------------------------------
 
 

@@ -318,6 +318,17 @@ def test_usage_error_matrix_cell_not_a_string(capsys, matrix):
     assert err.startswith("usage error: --matrix must be a square JSON array")
 
 
+@pytest.mark.parametrize("argv", [
+    ("symbol",),
+    ("elliptic-check", "--mode", "real"),
+])
+def test_usage_error_op_together_with_matrix(capsys, argv):
+    op = "1 * x^(0,0) d^(1,0)"
+    rc, out, err = run(capsys, *argv, "--op", op, "--matrix", json.dumps([[op]]), "--N", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: give only one of --op or --matrix\n")
+
+
 def test_usage_error_cohomology_i_with_j(capsys):
     rc, out, err = run(capsys, "cohomology", "--n", "2", "--k", "1",
                        "--j", "0", "--i", "0")

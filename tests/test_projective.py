@@ -21,7 +21,7 @@ from jetspace.projective import (BLOCK_OP_TEST_LIMIT, WORK_LIMIT,
                                  candidate_count, candidate_monomials,
                                  chart_test_count, chart_test_monomials,
                                  do_dimension,
-                                 do_dimensions, euler_relation,
+                                 do_dimensions,
                                  global_do_dimension,
                                  h0_basis, hn_basis, induced_cohomology_map,
                                  negative_twist_existence)
@@ -620,7 +620,7 @@ def test_euler_relation_is_structural_kernel():
     # phi * (E - a) annihilates every section of O(a) on every chart
     for n, a, phi_parts in [(1, 2, ((1, 0), (1, 0))), (2, -1, ((0, 0, 0), (0, 0, 0)))]:
         phi = WeylElement.monomial(*phi_parts)
-        op = euler_relation(n, a, phi)
+        op = phi * (euler_operator(n + 1) - WeylElement.one(n + 1) * a)
         assert not op.is_zero()
         for gamma in chart_test_monomials(n, a, 3):
             assert not op.apply_monomial(gamma)

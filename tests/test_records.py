@@ -1,7 +1,7 @@
 """Result records are named tuples; `import jetspace` registers every module
 but executes only those a process reads from, behind an unchanged public API."""
 
-import importlib
+import importlib.util
 import json
 import os
 import re
@@ -38,7 +38,7 @@ PUBLIC = {
                   "hn_line line_cohomology",
     "projective": "BlockOperator NegativeTwistResult TwistedDOSpace block_operator "
                   "candidate_count candidate_monomials chart_test_monomials do_dimension "
-                  "euler_relation global_do_dimension h0_basis hn_basis "
+                  "global_do_dimension h0_basis hn_basis "
                   "induced_cohomology_map negative_twist_existence",
     "growth": "GrowthPolynomial GrowthReport GrowthTable default_n_max expected_delta "
               "growth_polynomial stabilization_threshold verify_growth",
@@ -121,7 +121,7 @@ def test_survey_reads_execute_every_module_their_calls_need():
 
 def test_public_names_are_their_defining_modules_objects():
     names = [(module, name) for module, text in PUBLIC.items() for name in text.split()]
-    assert len(names) == 56
+    assert len(names) == 55
     listed = dir(jetspace)
     for module, name in names:
         home = importlib.import_module(f"jetspace.{module}")
@@ -130,6 +130,28 @@ def test_public_names_are_their_defining_modules_objects():
     namespace = {}
     exec("from jetspace import *", namespace)
     assert {name for _, name in names} <= namespace.keys()
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # the tracer patches jetspace from outside; read its tables, change nothing
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import jetspace.cli  # noqa: F401
+    from jetspace import projective
+    for module, attr, *_ in tracing.TRACED + tracing.COUNTED:
+        owner, _, name = attr.rpartition(".")
+        home = sys.modules[module]
+        if owner:
+            assert name in getattr(home, owner).__dict__, (module, attr)
+        else:
+            assert callable(getattr(home, name)), (module, attr)
+    assert callable(projective.do_dimension.cache_info)
+    assert global_do_dimension(2, 0, 0, 1).rank_history
+    matrix = projective.action_matrix(projective.candidate_monomials(1, 0, 0, 1),
+                                      projective.chart_test_monomials(1, 0, 3))
+    assert matrix.rows > 0 and matrix.nnz > 0
 
 
 def test_counting_names_are_one_object_in_dimensions_and_projective():
