@@ -65,29 +65,32 @@ def _unlimited_digits(fn, *args):
         set_limit(old)
 
 
-def _parse_operator(args) -> list[list[weyl.WeylElement]]:
-    """Either a single --op string or a --matrix JSON array of strings."""
-    if getattr(args, "matrix", None) is not None and args.op is not None:
+def _parse_operator(text: str) -> weyl.WeylElement:
+    """One operator text, as --op gives it."""
+    try:
+        return weyl.WeylElement.parse(text)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _parse_operand(args) -> list[list[weyl.WeylElement]]:
+    """symbol's and elliptic-check's operand: one --op text, or a --matrix
+    JSON array of operator texts."""
+    if args.op is not None and args.matrix is not None:
         raise _UsageError("give only one of --op or --matrix")
-    if getattr(args, "matrix", None):
-        try:
-            raw = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"--matrix is not valid JSON: {exc}") from exc
-        if (not isinstance(raw, list) or not raw
-                or any(not isinstance(row, list) or len(row) != len(raw)
-                       or not all(isinstance(cell, str) for cell in row) for row in raw)):
-            raise _UsageError("--matrix must be a square JSON array of arrays of strings")
-        try:
-            return [[weyl.WeylElement.parse(cell) for cell in row] for row in raw]
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-    if getattr(args, "op", None):
-        try:
-            return [[weyl.WeylElement.parse(args.op)]]
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-    raise _UsageError("one of --op or --matrix is required")
+    if args.op is not None:
+        return [[_parse_operator(args.op)]]
+    if args.matrix is None:
+        raise _UsageError("one of --op or --matrix is required")
+    try:
+        raw = json.loads(args.matrix)
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"--matrix is not valid JSON: {exc}") from exc
+    if (not isinstance(raw, list) or not raw
+            or any(not isinstance(row, list) or len(row) != len(raw)
+                   or not all(isinstance(cell, str) for cell in row) for row in raw)):
+        raise _UsageError("--matrix must be a square JSON array of arrays of strings")
+    return [[_parse_operator(cell) for cell in row] for row in raw]
 
 
 # ---- subcommand handlers ----------------------------------------------
@@ -169,7 +172,7 @@ def _cmd_cohomology(args) -> dict:
 
 
 def _cmd_symbol(args) -> dict:
-    ops = _parse_operator(args)
+    ops = _parse_operand(args)
     sym = symbols.symbol_of(ops, args.N)
     return {
         "m": sym.m, "N": args.N, "size": sym.size,
@@ -181,7 +184,7 @@ def _cmd_symbol(args) -> dict:
 
 
 def _cmd_elliptic_check(args) -> dict:
-    sym = symbols.symbol_of(_parse_operator(args), args.N)
+    sym = symbols.symbol_of(_parse_operand(args), args.N)
     payload = {
         "mode": args.mode, "m": sym.m, "N": args.N,
     }
@@ -264,14 +267,10 @@ def _cmd_jet(args) -> dict:
 
 
 def _cmd_induced_map(args) -> dict:
-    op = _parse_operator(args)[0][0]
+    op = _parse_operator(args.op)
     matrix = projective.induced_cohomology_map(args.n, args.a, args.b, op, args.i)
-    if args.i == 0:
-        source = projective.h0_basis(args.n, args.a)
-        target = projective.h0_basis(args.n, args.b)
-    else:
-        source = projective.hn_basis(args.n, args.a)
-        target = projective.hn_basis(args.n, args.b)
+    basis = projective.h0_basis if args.i == 0 else projective.hn_basis
+    source, target = basis(args.n, args.a), basis(args.n, args.b)
     return {
         "n": args.n, "a": args.a, "b": args.b, "i": args.i,
         "source_dim": matrix.cols, "target_dim": matrix.rows,
@@ -283,7 +282,7 @@ def _cmd_induced_map(args) -> dict:
 
 
 def _cmd_block_op(args) -> dict:
-    block = projective.block_operator(args.n, args.m, args.d, _parse_operator(args)[0][0])
+    block = projective.block_operator(args.n, args.m, args.d, _parse_operator(args.op))
     report = block.verify()
     return {
         "n": args.n, "m": args.m, "d": args.d,

@@ -53,10 +53,6 @@ class JetElement:
         self.order = order
         self.poly = _truncate(poly, m, order)
 
-    @classmethod
-    def zero(cls, m: int, order: int) -> "JetElement":
-        return cls(m, order, LaurentPoly.zero(2 * m))
-
     def __add__(self, other: "JetElement") -> "JetElement":
         self._check(other)
         return JetElement(self.m, self.order, self.poly + other.poly)

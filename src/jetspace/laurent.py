@@ -13,6 +13,8 @@ maps, and ``format_terms``/``parse_terms`` the one text codec: terms
 integers, for the integer routes of linalg and symbols.
 ``TermMap`` holds the arithmetic that polynomials and operators share;
 ``LaurentPoly`` and ``weyl.WeylElement`` state only their keys and products.
+``monomials_of_degree`` is the one monomial enumerator, and ``_power`` the
+one square-and-multiply loop (for ``TermMap`` and ``presented.UniPoly``).
 """
 
 from __future__ import annotations
@@ -20,32 +22,42 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import add
 
 Exponent = tuple[int, ...]
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
-    """Nonnegative exponent tuples of the given total degree, sorted."""
-    return list(_monomial_table(nvars, degree))
+def monomials_of_degree(nvars: int, degree: int, cap: int | None = None) -> list[Exponent]:
+    """Nonnegative exponent tuples of the given total degree with every entry
+    at most ``cap`` (default: the degree), sorted.
+
+    Built one slot at a time, with no recursion: each entry leaves a total
+    in [0, left·cap] for the ``left`` slots after it, so every prefix
+    completes, the last slot takes what is left, and the work is
+    proportional to the output."""
+    cap = degree if cap is None else cap
+    if nvars <= 1:
+        fits = 0 <= degree <= cap if nvars == 1 else nvars == degree == 0
+        return [(degree,) * nvars] if fits else []
+    rows = [((), degree)]
+    for left in range(nvars - 1, 0, -1):
+        rows = [((*prefix, first), rest - first) for prefix, rest in rows
+                for first in range(max(0, rest - left * cap), min(cap, rest) + 1)]
+    return [(*prefix, rest) for prefix, rest in rows]
 
 
-@lru_cache(maxsize=256)
-def _monomial_table(nvars: int, degree: int) -> tuple[Exponent, ...]:
-    if degree < 0 or nvars < 0:
-        return ()
-    if nvars == 0:
-        return ((),) if degree == 0 else ()
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return tuple(sorted(out))
+def _power(base, k: int, one):
+    """base ** k by square-and-multiply, starting from ``one``."""
+    if k < 0:
+        raise ValueError("negative powers are not defined")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
 
 
 def _coerce(c) -> Fraction:
@@ -212,16 +224,7 @@ class TermMap:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, self.one(self.nvars))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

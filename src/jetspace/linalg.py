@@ -51,9 +51,6 @@ class ExactMatrix:
 
     # ---- queries ------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
-
     @property
     def nnz(self) -> int:
         return len(self.entries)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .laurent import _coerce
+from .laurent import _coerce, _power
 
 
 class UniPoly:
@@ -125,17 +125,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, UniPoly.one())
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if not other:

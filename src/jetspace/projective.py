@@ -70,24 +70,15 @@ def candidate_monomials(n: int, a: int, b: int, order: int) -> list[Candidate]:
 def chart_test_monomials(n: int, a: int, box: int) -> list[laurent.Exponent]:
     """Degree-a Laurent monomials with at most one negative exponent and all
     exponents in [-box, box], sorted: the nonnegative ones, and those with
-    one slot at -v for v = 1..box."""
+    one slot at -v for v = 1..box, both from laurent.monomials_of_degree
+    with cap box."""
     if box < 0:
         raise PreconditionError("box must be nonnegative")
-    out = _bounded_monomials(n + 1, a, box)
+    out = laurent.monomials_of_degree(n + 1, a, box)
     for v in range(1, box + 1):
-        for rest in _bounded_monomials(n, a + v, box):
+        for rest in laurent.monomials_of_degree(n, a + v, box):
             out += [(*rest[:j], -v, *rest[j:]) for j in range(n + 1)]
     return sorted(out)
-
-
-def _bounded_monomials(k: int, total: int, cap: int) -> list[laurent.Exponent]:
-    """The k-tuples (k >= 1) of integers in [0, cap] summing to total, which
-    _bounded_count counts: each first entry leaves a total the other k - 1
-    can reach, so the work is proportional to the output."""
-    if k == 1:
-        return [(total,)] if 0 <= total <= cap else []
-    return [(first, *rest) for first in range(max(0, total - (k - 1) * cap), min(cap, total) + 1)
-            for rest in _bounded_monomials(k - 1, total - first, cap)]
 
 
 def chart_test_count(n: int, a: int, box: int) -> int:
@@ -112,7 +103,8 @@ def chart_test_count(n: int, a: int, box: int) -> int:
 
 def _bounded_count(k: int, total: int, cap: int) -> int:
     """Number of k-tuples (k >= 1) of integers in [0, cap] summing to total,
-    by inclusion-exclusion over the entries that pass cap."""
+    len(laurent.monomials_of_degree(k, total, cap)), by inclusion-exclusion
+    over the entries that pass cap."""
     return sum((-1) ** i * comb(k, i) * comb(total - i * (cap + 1) + k - 1, k - 1)
                for i in range(k + 1) if total >= i * (cap + 1))
 

@@ -422,7 +422,9 @@ def _grid_search_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
         raise PreconditionError("the real grid search needs a polynomial determinant")
     terms = list(zip(det.terms, primitive_integers(det.terms.values())))
     ticks = range(-_GRID_TICKS, _GRID_TICKS + 1)
-    powers = {t: [t ** k for k in range(deg + 1)] for t in ticks}
+    # only the exponents that occur: a table up to deg is quadratic in it
+    exponents = {k for exps in det.terms for k in exps}
+    powers = {t: {k: t ** k for k in exponents} for t in ticks}
 
     def scaled_det(q: tuple[int, ...]) -> int:
         total = 0

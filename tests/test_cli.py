@@ -297,11 +297,25 @@ def test_usage_error_bad_operator_text(capsys):
 @pytest.mark.parametrize("argv", [
     ("induced-map", "--n", "1", "--a", "0", "--b", "0", "--i", "0"),
     ("block-op", "--n", "1", "--m", "0", "--d", "0"),
+    ("symbol", "--N", "1"),
+    ("elliptic-check", "--mode", "real", "--N", "1"),
 ])
 def test_usage_error_empty_operator(capsys, argv):
-    rc, out, err = run(capsys, *argv, "--op", "")
+    # a given --op is always parsed, blank or not
+    for text in ("", " "):
+        rc, out, err = run(capsys, *argv, "--op", text)
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage error: empty term text\n")
+
+
+@pytest.mark.parametrize("argv", [("symbol",), ("elliptic-check", "--mode", "real")])
+def test_usage_error_operand_missing_or_empty_matrix(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--N", "1")
     assert (rc, out) == (1, "")
     assert err.startswith("usage error: one of --op or --matrix is required\n")
+    rc, out, err = run(capsys, *argv, "--matrix", "", "--N", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: --matrix is not valid JSON: ")
 
 
 def test_usage_error_nonsquare_matrix(capsys):

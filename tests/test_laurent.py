@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -48,6 +49,20 @@ def test_pow():
     assert q.coefficient((2, 0)) == 6
     assert q.coefficient((0, 0)) == 1
     assert p ** 0 == LaurentPoly.one(2)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_pow_equals_repeated_products(k):
+    p = LaurentPoly(2, {(1, -1): Fraction(2, 3), (0, 2): -1, (0, 0): 1})
+    want = LaurentPoly.one(2)
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+
+
+def test_negative_pow_is_refused():
+    with pytest.raises(ValueError, match="negative powers are not defined"):
+        LaurentPoly.variable(0, 2) ** -1
 
 
 def test_evaluate_exact():
@@ -103,8 +118,26 @@ def test_monomials_of_degree_edges():
     assert monomials_of_degree(0, 2) == []
 
 
+@pytest.mark.parametrize("nvars", range(5))
+def test_monomials_of_degree_is_the_sorted_filtered_box(nvars):
+    for total in range(-2, 9):
+        for cap in range(6):
+            box = itertools.product(range(cap + 1), repeat=nvars)
+            want = sorted(e for e in box if sum(e) == total)
+            assert monomials_of_degree(nvars, total, cap) == want, (nvars, total, cap)
+        if total >= 0:  # the default cap is the degree itself
+            box = itertools.product(range(total + 1), repeat=nvars)
+            assert monomials_of_degree(nvars, total) == [e for e in box if sum(e) == total]
+
+
+def test_monomials_of_degree_has_no_recursion_limit():
+    # one slot at a time, so no call depth grows with nvars
+    assert monomials_of_degree(2000, 0) == [(0,) * 2000]
+    assert monomials_of_degree(2000, 1, 0) == []
+
+
 def test_monomials_of_degree_returns_a_fresh_list():
-    # the tables are cached; a caller's edits must not reach the next caller
+    # a caller's edits must not reach the next caller
     first = monomials_of_degree(3, 2)
     want = list(first)
     first.append((9, 9, 9))

@@ -31,6 +31,20 @@ def test_unipoly_basics():
     assert not t.is_unit()
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_unipoly_pow_equals_repeated_products(k):
+    p = poly(Fraction(1, 2), -3, 0, 2)
+    want = one
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+
+
+def test_unipoly_negative_pow_is_refused():
+    with pytest.raises(ValueError, match="negative powers are not defined"):
+        t ** -1
+
+
 def test_unipoly_divmod():
     p = (t ** 3) + poly(0, 2) + poly(5)
     d = t + poly(3)

@@ -710,11 +710,8 @@ def test_induced_map_euler_acts_by_degree_on_hn():
         e = euler_operator(n + 1)
         m = induced_cohomology_map(n, k, k, e, n)
         dim = hn_line(n, k)
-        assert m.rows == m.cols == dim
-        for i in range(dim):
-            for j in range(dim):
-                expected = Fraction(k) if i == j else Fraction(0)
-                assert m.entry(i, j) == expected
+        assert m.to_rows() == [[Fraction(k) if i == j else Fraction(0) for j in range(dim)]
+                               for i in range(dim)]
 
 
 def test_induced_map_refuses_a_matrix_over_the_cell_limit(monkeypatch):

@@ -251,6 +251,17 @@ def test_grid_search_needs_a_homogeneous_polynomial_determinant():
         elliptic_real(laurent)
 
 
+def test_grid_search_on_a_high_degree_determinant():
+    # the tick powers are tabulated only for the exponents that occur, so a
+    # degree of 10^5 costs nine powers per exponent, not a table up to it
+    order = 10 ** 5
+    res = elliptic_real(symbol_of(WeylElement.monomial((0, 0), (order, 0)), order))
+    assert (res.verdict, res.witness.components) == ("false", (Fraction(0), Fraction(1)))
+    op = WeylElement.monomial((0, 0), (order, 0)) + WeylElement.monomial((0, 0), (0, order))
+    res = elliptic_real(symbol_of(op, order))
+    assert (res.verdict, res.witness, res.sign_points) == ("unknown", None, None)
+
+
 def test_real_single_variable_true():
     res = elliptic_real(symbol_of(WeylElement.d(0, 1), 1))
     assert res.verdict == "true"
