@@ -13,16 +13,12 @@ import argparse
 import io
 import json
 import sys
-from typing import TYPE_CHECKING
 
 # Modules, not names: a module's body runs only when a subcommand first reads
 # from it (see __init__), so each subcommand pays for the modules it uses.
 from . import (cohomology, dimensions, growth, jets, laurent, presented, projective,
                symbols, weyl)
 from .errors import InconsistencyError, PreconditionError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 SCHEMA = "jetspace/1"
 
@@ -48,21 +44,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _unlimited_digits(fn, *args):
-    """fn(*args) with Python's limit on int-to-str digits lifted: exact
-    results such as C(199998, 99999) pass it.  Parsing input keeps it."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return fn(*args)
-    old = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        return fn(*args)
-    finally:
-        set_limit(old)
+    """The one renderer: handlers return Fractions, UniPolys and tuples, and
+    every value JSON has no type for prints as its str."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n"
 
 
 def _parse_operator(text: str) -> weyl.WeylElement:
@@ -84,7 +68,7 @@ def _parse_operand(args) -> list[list[weyl.WeylElement]]:
         raise _UsageError("one of --op or --matrix is required")
     try:
         raw = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _UsageError(f"--matrix is not valid JSON: {exc}") from exc
     if (not isinstance(raw, list) or not raw
             or any(not isinstance(row, list) or len(row) != len(raw)
@@ -108,13 +92,9 @@ def _cmd_dim_do(args) -> dict:
 def _cmd_growth_table(args) -> dict | str:
     nmax = growth.default_n_max(args.n) if args.nmax is None else args.nmax
     report = growth.verify_growth(args.n, args.a, args.b, nmax)
-    return _unlimited_digits(_growth_report, args, nmax, report)
-
-
-def _growth_report(args, nmax: int, report) -> dict | str:
     footer = {
         "M": report.table.threshold,
-        "P_coeffs": [str(c) for c in report.polynomial.coeffs],
+        "P_coeffs": report.polynomial.coeffs,
         "verdict": report.verdict,
     }
     if args.format == "json":
@@ -125,18 +105,17 @@ def _growth_report(args, nmax: int, report) -> dict | str:
                  "expected_delta": r.expected_delta, "match": r.match}
                 for r in report.table.rows
             ],
-            "constant": str(report.polynomial.constant),
+            "constant": report.polynomial.constant,
             "first_failure": report.first_failure,
             **footer,
         }
     buf = io.StringIO()
     buf.write("N,dim,delta,expected_delta,match\n")
     for r in report.table.rows:
-        delta = "" if r.delta is None else str(r.delta)
-        expected = "" if r.expected_delta is None else str(r.expected_delta)
-        match = "" if r.match is None else ("true" if r.match else "false")
-        buf.write(f"{r.order},{r.dim},{delta},{expected},{match}\n")
-    buf.write(json.dumps(footer, sort_keys=True) + "\n")
+        match = None if r.match is None else ("true" if r.match else "false")
+        buf.write(",".join("" if v is None else str(v) for v in
+                           (r.order, r.dim, r.delta, r.expected_delta, match)) + "\n")
+    buf.write(json.dumps(footer, sort_keys=True, default=str) + "\n")
     return buf.getvalue()
 
 
@@ -167,7 +146,7 @@ def _cmd_cohomology(args) -> dict:
         full = cohomology.line_cohomology(args.n, args.k)
         return {
             "n": args.n, "k": args.k,
-            "h": list(full.dims), "chi": full.chi,
+            "h": full.dims, "chi": full.chi,
         }
 
 
@@ -185,43 +164,18 @@ def _cmd_symbol(args) -> dict:
 
 def _cmd_elliptic_check(args) -> dict:
     sym = symbols.symbol_of(_parse_operand(args), args.N)
-    payload = {
-        "mode": args.mode, "m": sym.m, "N": args.N,
-    }
+    payload = {"mode": args.mode, "m": sym.m, "N": args.N}
     if args.mode == "algebraic":
         res = symbols.elliptic_algebraic(sym)
-        payload.update({
-            "elliptic": res.elliptic,
-            "witness": res.witness.as_strings() if res.witness else None,
-            "witness_defining_poly": (list(res.witness.defining_poly)
-                                      if res.witness and res.witness.defining_poly
-                                      else None),
-            "witness_real": res.witness.real if res.witness else None,
-            "reason": res.reason,
-        })
+        w = res.witness
+        payload.update(elliptic=res.elliptic, witness_defining_poly=w and w.defining_poly,
+                       witness_real=w and w.real)
     else:
         res = symbols.elliptic_real(sym)
-        payload.update({
-            "verdict": res.verdict,
-            "witness": res.witness.as_strings() if res.witness else None,
-            "sign_points": ([[str(v) for v in pt] for pt in res.sign_points]
-                            if res.sign_points else None),
-            "reason": res.reason,
-        })
+        w = res.witness
+        payload.update(verdict=res.verdict, sign_points=res.sign_points)
+    payload.update(witness=w and w.components, reason=res.reason)
     return payload
-
-
-def _coefficient(text: str, where: str) -> Fraction:
-    # imported here: dim-do and cohomology read no fraction, so they need
-    # not load fractions (and decimal)
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except ValueError:
-        raise _UsageError(f"bad coefficient {text!r} in {where}") from None
-    except ZeroDivisionError:
-        raise _UsageError(f"zero denominator in coefficient {text!r} in {where}") from None
 
 
 def _parse_poly(text: str) -> laurent.LaurentPoly:
@@ -253,13 +207,16 @@ def _cmd_jet(args) -> dict:
             "jet": laurent.format_terms(jet.poly.terms, ("x", "dx"), jet.m),
         }
     else:
-        coeffs = [_coefficient(p, "--cyclic") for p in args.cyclic.split(",")]
+        try:
+            coeffs = [laurent.parse_coefficient(c) for c in args.cyclic.split(",")]
+        except ValueError as exc:
+            raise _UsageError(f"{exc} in --cyclic") from None
         p = presented.UniPoly(coeffs)
         torsion = jets.cyclic_jet_invariants(p, args.N)
         return {
             "action": "cyclic",
-            "N": args.N, "modulus": repr(p),
-            "invariants": [repr(d) for d in torsion],
+            "N": args.N, "modulus": p,
+            "invariants": torsion,
             "free_rank": 0,
             "torsion": True,
             "length": sum(d.degree() for d in torsion),
@@ -268,15 +225,12 @@ def _cmd_jet(args) -> dict:
 
 def _cmd_induced_map(args) -> dict:
     op = _parse_operator(args.op)
-    matrix = projective.induced_cohomology_map(args.n, args.a, args.b, op, args.i)
-    basis = projective.h0_basis if args.i == 0 else projective.hn_basis
-    source, target = basis(args.n, args.a), basis(args.n, args.b)
+    matrix, source, target = projective._induced_map(args.n, args.a, args.b, op, args.i)
     return {
         "n": args.n, "a": args.a, "b": args.b, "i": args.i,
         "source_dim": matrix.cols, "target_dim": matrix.rows,
-        "source_basis": [list(e) for e in source],
-        "target_basis": [list(e) for e in target],
-        "matrix": [[str(c) for c in row] for row in matrix.to_rows()],
+        "source_basis": source, "target_basis": target,
+        "matrix": matrix.to_rows(),
         "rank": matrix.rank(),
     }
 
@@ -291,8 +245,7 @@ def _cmd_block_op(args) -> dict:
             "preserves_second_summand": report.preserves_second_summand,
             "identity_on_sub": report.identity_on_sub,
             "identity_on_quotient": report.identity_on_quotient,
-            "order_witness": (list(report.order_witness)
-                              if report.order_witness is not None else None),
+            "order_witness": report.order_witness,
             "ok": report.ok,
         },
     }
@@ -386,12 +339,17 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # exact results such as C(199998, 99999) pass Python's limit on int <->
+    # str digits, so it is lifted once around handling and rendering; the
+    # options are parsed under it, and every literal laurent reads is capped
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = parser.parse_args(argv)
+        if limit:
+            sys.set_int_max_str_digits(0)
         report = args.func(args)
         if not isinstance(report, str):
-            report = _unlimited_digits(
-                _json_text, {"schema": SCHEMA, "command": args.command, **report})
+            report = _json_text({"schema": SCHEMA, "command": args.command, **report})
         _emit(report, args.output)
         return 0
     except _UsageError as exc:
@@ -404,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,8 @@ Operators, polynomials, symbols and jets are all finitely supported maps from
 exponent blocks to Q.  ``add_terms`` is the one accumulator that sums such
 maps, and ``format_terms``/``parse_terms`` the one text codec: terms
 "c * x^(..) d^(..)" joined by " + ", one labelled block per exponent block.
+``parse_coefficient`` is the one grammar of a rational in text, for term
+coefficients and for the CLI's bare coefficient lists alike.
 ``primitive_integers`` clears a vector of such coefficients to coprime
 integers, for the integer routes of linalg and symbols.
 ``TermMap`` holds the arithmetic that polynomials and operators share;
@@ -26,6 +28,12 @@ from math import gcd, lcm
 from operator import add
 
 Exponent = tuple[int, ...]
+
+# Python's default limit on int <-> str digits.  Every integer literal that
+# parse_coefficient and parse_terms read is capped at it, so parsing stays
+# cheap where a caller has lifted the limit to print large exact results.
+DIGIT_CAP = 4300
+_RATIONAL = r"-?\d+(?:/\d+)?"
 
 
 def monomials_of_degree(nvars: int, degree: int, cap: int | None = None) -> list[Exponent]:
@@ -114,15 +122,40 @@ def format_terms(terms: Mapping[Exponent, Fraction], labels: Sequence[str],
     return " + ".join(term(e, terms[e]) for e in sorted(terms, key=key))
 
 
+def _check_digits(literal: str, what: str) -> None:
+    """Refuse an integer literal of more than DIGIT_CAP digits, naming it."""
+    digits = literal.strip().lstrip("-")
+    if len(digits) > DIGIT_CAP:
+        raise ValueError(f"{what} {digits[:12]}... has {len(digits)} digits, "
+                         f"over the cap of {DIGIT_CAP}")
+
+
+def parse_coefficient(text: str) -> Fraction:
+    """The rational that text spells as -?\\d+(/\\d+)? between optional
+    whitespace, each integer of at most DIGIT_CAP digits.  Raises ValueError
+    on any other text (decimals, exponents, signs other than a leading '-',
+    underscores), an oversized integer or a zero denominator."""
+    if not re.fullmatch(rf"\s*{_RATIONAL}\s*", text):
+        raise ValueError(f"bad coefficient {text!r}")
+    num, _, den = text.strip().partition("/")
+    _check_digits(num, "coefficient")
+    _check_digits(den, "coefficient denominator")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {text!r}") from None
+
+
 def parse_terms(text: str, labels: Sequence[str]) -> tuple[int, list[tuple[Exponent, Fraction]]]:
     """Inverse of format_terms: (width, [(flat exponent, coefficient), ...]).
 
     Accepts any term order and repeated exponents; the pairs come back in
     text order, unsummed, so the caller's constructor sees (and can reject)
     every exponent.  Exponents may be negative in every position.  Raises
-    ValueError on malformed text, a zero denominator, an empty exponent block,
-    or blocks of unequal width."""
-    pattern = r"\s*(-?\d+(?:/\d+)?)\s*\*" + "".join(
+    ValueError on malformed text, a coefficient that parse_coefficient
+    refuses, an exponent of more than DIGIT_CAP digits, an empty exponent
+    block, or blocks of unequal width."""
+    pattern = rf"\s*({_RATIONAL})\s*\*" + "".join(
         rf"\s*{re.escape(label)}\^\(([-\d,\s]*)\)" for label in labels) + r"\s*"
     chunks = [chunk for chunk in text.split("+") if chunk.strip()]
     if not chunks:
@@ -133,11 +166,12 @@ def parse_terms(text: str, labels: Sequence[str]) -> tuple[int, list[tuple[Expon
         m = re.fullmatch(pattern, chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
+        c = parse_coefficient(m.group(1))
+        bodies = [body.split(",") for body in m.groups()[1:]]
+        for literal in (v for body in bodies for v in body):
+            _check_digits(literal, "exponent")
         try:
-            c = Fraction(m.group(1))
-            blocks = [tuple(int(v) for v in body.split(",")) for body in m.groups()[1:]]
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in term {chunk!r}") from None
+            blocks = [tuple(map(int, body)) for body in bodies]
         except ValueError:
             raise ValueError(f"bad exponent tuple in term {chunk!r}") from None
         if width is None:

@@ -163,6 +163,13 @@ def induced_cohomology_map(n: int, a: int, b: int, op: weyl.WeylElement,
     discarded.  A matrix of more than INDUCED_MAP_CELL_LIMIT cells, h^i(O(a))
     h^i(O(b)), is refused with PreconditionError before any work.
     """
+    return _induced_map(n, a, b, op, i)[0]
+
+
+def _induced_map(n: int, a: int, b: int, op: weyl.WeylElement, i: int
+                 ) -> tuple[linalg.ExactMatrix, list, list]:
+    """induced_cohomology_map's matrix with the source and target monomial
+    bases that index its columns and rows, each built once."""
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
     if op.nvars != n + 1:
@@ -190,7 +197,7 @@ def induced_cohomology_map(n: int, a: int, b: int, op: weyl.WeylElement,
                 raise InconsistencyError(
                     f"image monomial {image} escaped the H^{i} basis")
             entries[(row, j)] = c
-    return linalg.ExactMatrix(len(target), len(source), entries)
+    return linalg.ExactMatrix(len(target), len(source), entries), source, target
 
 
 # ---- unipotent block operators ----------------------------------------

@@ -19,20 +19,39 @@ Two ellipticity notions are implemented for constant-coefficient symbols:
   diagonalization.  Other degrees run a deterministic dyadic sign-change
   search over the max-norm unit sphere; a zero or sign change certifies a
   "false", exhaustion returns "unknown" rather than a guess.
+
+Each route estimates its work before it starts, from the matrix size r, m,
+the degree, the term count and the coefficient bits, and errors.check_work
+refuses it past errors.WORK_LIMIT: the Laplace expansion of the
+determinant, the quadratic route's m pivot steps, the grid's points times
+terms with its largest tick power, and the witness polynomial's length.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb, isqrt
 from typing import NamedTuple, Sequence
 
-from .errors import InconsistencyError, PreconditionError
+from .errors import InconsistencyError, PreconditionError, _step, check_work
 from .laurent import LaurentPoly, primitive_integers
 from .weyl import WeylElement
 
 _GRID_TICKS = 4  # the search grid has step 1 / _GRID_TICKS
 _BISECT_STEPS = 12  # a sign change is narrowed by this many halvings
+
+# work units (errors._step) of one step of each route, so that the slowest
+# input each accepts takes about 1-3 s (2-core Xeon, Python 3.11; CHANGES.md
+# has the calibration): an entry-times-minor product of the Laplace
+# expansion (30 us) and each of its term pairs (7 us), one of the m^3
+# products of the quadratic route, a tick product of the grid search, and
+# one printed coefficient of a witness polynomial
+_PRODUCT_WORK = 2 ** 21
+_PAIR_WORK = 2 ** 19
+_FORM_WORK = 2 ** 19
+_GRID_WORK = 2 ** 14
+_COEFF_WORK = 2 ** 16
 
 
 # ---- symbol extraction -------------------------------------------------
@@ -56,6 +75,10 @@ class SymbolMatrix(NamedTuple):
                    for row in self.entries for p in row for e in p.terms)
 
     def det(self) -> LaurentPoly:
+        """Laplace expansion along the first row, refused with
+        PreconditionError when its work estimate passes errors.WORK_LIMIT."""
+        check_work(_det_work(self), "the {0}x{0} symbol determinant (m={1}, N={2})",
+                   self.size, self.m, self.order)
         return _poly_det([list(row) for row in self.entries], 2 * self.m)
 
     def xi_det(self) -> LaurentPoly:
@@ -96,6 +119,26 @@ def _poly_det(block: list[list[LaurentPoly]], nvars: int) -> LaurentPoly:
         term = entry * _poly_det(minor, nvars)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def _det_work(S: SymbolMatrix) -> int:
+    """Work estimate of S.det(): an s x s minor makes s products of an entry
+    (at most t terms, coefficients of at most c bits, x-degree at most X) and
+    an (s-1) x (s-1) minor, whose determinant has at most (s-1)! t^(s-1)
+    terms, and no more than the monomials of xi-degree (s-1) N and x-degree
+    at most (s-1) X."""
+    m, order = S.m, S.order
+    entries = [p for row in S.entries for p in row]
+    t = max((len(p.terms) for p in entries), default=0)
+    bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                for p in entries for c in p.terms.values()), default=0)
+    xdeg = max((sum(e[:m]) for p in entries for e in p.terms), default=0)
+    work, terms = 0, t
+    for s in range(2, S.size + 1):
+        work = s * (work + _PRODUCT_WORK + t * terms * (_PAIR_WORK + _step(s * bits)))
+        terms = min(s * t * terms,
+                    comb(s * order + m - 1, m - 1) * comb(s * xdeg + m, m))
+    return work
 
 
 def _strip_x(poly: LaurentPoly, m: int) -> LaurentPoly:
@@ -260,6 +303,7 @@ def _closure_witness(det: LaurentPoly, m: int) -> Witness | None:
             comps = [Fraction(1)] * m
             comps[j] = root
             return Witness(components=tuple(comps))
+        check_work((p + 1) * _COEFF_WORK, "the witness polynomial of degree {}", p)
         defining = _integer_binomial(c_hi, c_lo, p)
         comps: list = [Fraction(1)] * m
         comps[j] = "t"
@@ -287,6 +331,8 @@ def _integer_root(v: int, p: int) -> int | None:
     """The integer r >= 0 with r^p = v (v >= 0), if one exists."""
     if v == 0:
         return 0
+    if p >= v.bit_length():  # r >= 2 would give r^p >= 2^p > v
+        return 1 if v == 1 else None
     # Newton's iteration on integers, from above: stops at floor(v^(1/p))
     r = 1 << -(-v.bit_length() // p)
     while True:
@@ -376,6 +422,7 @@ def _congruence_diagonal(G: list[list[Fraction]]):
 
 
 def _quadratic_form_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
+    check_work(m ** 3 * _FORM_WORK, "the quadratic form in m={} variables", m)
     diag, T = _congruence_diagonal(_gram_matrix(det, m))
     for i, d in enumerate(diag):
         if d == 0:
@@ -421,6 +468,8 @@ def _grid_search_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
     if det.has_negative_exponent():
         raise PreconditionError("the real grid search needs a polynomial determinant")
     terms = list(zip(det.terms, primitive_integers(det.terms.values())))
+    check_work(_grid_work(m, deg, len(terms), max(c.bit_length() for _, c in terms)),
+               "the real grid search (m={}, degree={}, terms={})", m, deg, len(terms))
     ticks = range(-_GRID_TICKS, _GRID_TICKS + 1)
     # only the exponents that occur: a table up to deg is quadratic in it
     exponents = {k for exps in det.terms for k in exps}
@@ -470,6 +519,16 @@ def _grid_search_verdict(det: LaurentPoly, m: int) -> RealEllipticity:
         verdict="unknown", witness=None, sign_points=None,
         reason=f"no sign variation at dyadic resolution {Fraction(1, _GRID_TICKS)} "
                "on the unit sphere")
+
+
+def _grid_work(m: int, deg: int, terms: int, coeff_bits: int) -> int:
+    """Work estimate of the grid search: its largest tick power, 4^deg, has
+    2 deg bits, and each of its points takes m neighbour reads and m
+    products per term, each making at most b = coeff_bits + 2 deg bits at
+    about b^1.5 units (Karatsuba)."""
+    bits = coeff_bits + 2 * deg
+    points = (2 * _GRID_TICKS + 1) ** m - (2 * _GRID_TICKS - 1) ** m
+    return _step(2 * deg) + points * (terms + 1) * m * (_GRID_WORK + bits * isqrt(bits))
 
 
 def _bisect_zero(det: LaurentPoly, pair):

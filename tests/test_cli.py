@@ -4,15 +4,17 @@ import math
 import re
 import shlex
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from jetspace import cohomology, dimensions, growth, projective
+from jetspace import cohomology, dimensions, growth, projective, symbols
 from jetspace.cli import main
 from jetspace.errors import InconsistencyError
 from jetspace.growth import default_n_max
+from jetspace.weyl import WeylElement
 
 
 def run(capsys, *argv):
@@ -25,6 +27,21 @@ def run_json(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
     return json.loads(out)
+
+
+def power_sum(m, k, coeffs=None):
+    """Operator text of sum_i c_i d_i^k in m variables, whose symbol is the
+    power sum sum_i c_i s_i^k (every c_i = 1 by default)."""
+    zero = ",".join("0" * m)
+    return " + ".join(f"{c} * x^({zero}) d^({','.join(str(k * (j == i)) for j in range(m))})"
+                      for i, c in enumerate(coeffs or [1] * m))
+
+
+def dense_first_order(r):
+    """An r x r --matrix of first-order operators a d0 - b d1, none zero."""
+    return json.dumps([[f"{(i * r + j) % 7 + 1} * x^(0,0) d^(1,0) + "
+                        f"-{(i + 2 * j) % 5 + 1} * x^(0,0) d^(0,1)" for j in range(r)]
+                       for i in range(r)])
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +410,36 @@ def test_usage_error_elliptic_check_has_no_depth_option(capsys):
     ("jet", "--derive", "1 * x^()", "--N", "2"),
     ("jet", "--derive", "1 * x^(1,)", "--N", "2"),
     ("symbol", "--op", "1 * x^() d^()", "--N", "0"),
+    # one coefficient grammar, -?\d+(/\d+)?, for --cyclic as for terms
+    ("jet", "--cyclic=1.5,2", "--N", "1"),
+    ("jet", "--cyclic=1e3,2", "--N", "1"),
+    ("jet", "--cyclic=+3,2", "--N", "1"),
+    ("jet", "--cyclic=1_0,2", "--N", "1"),
+    # Fraction("1e10000000") would build 10^(10^7) before any check
+    ("jet", "--cyclic=1e10000000,1", "--N", "1"),
+    # integer literals past 4300 digits, read with the digit limit lifted
+    ("symbol", "--matrix", f"[[{'7' * 5000}]]", "--N", "1"),
+    ("symbol", "--op", f"{'7' * 5000} * x^(0,0) d^(1,0)", "--N", "1"),
+    ("symbol", "--op", f"1 * x^(0,{'7' * 5000}) d^(1,0)", "--N", "1"),
+    ("symbol", "--matrix", "[" * 100000, "--N", "1"),
 ])
 def test_usage_error_bad_coefficient_or_exponents(capsys, argv):
+    start = time.perf_counter()
     rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert rc == 1
     assert out == ""
     assert err.startswith("usage error: ")
     assert "Traceback" not in err
+    # the message names an oversized literal without echoing it
+    assert len(err.splitlines()[0]) < 200
+
+
+def test_oversized_literal_is_named(capsys):
+    rc, out, err = run(capsys, "symbol", "--op", f"{'7' * 5000} * x^(0,0) d^(1,0)", "--N", "1")
+    assert (rc, out) == (1, "")
+    assert err.splitlines()[0] == ("usage error: coefficient 777777777777... has 5000 digits, "
+                                   "over the cap of 4300")
 
 
 def test_elliptic_check_huge_binomial_has_rational_witness(capsys):
@@ -414,6 +454,20 @@ def test_elliptic_check_huge_binomial_has_rational_witness(capsys):
                        "--op", op, "--N", "2")
     assert payload["verdict"] == "false"
     assert payload["witness"] == [str(10 ** 200), "1"]
+
+
+def test_jet_cyclic_past_the_int_digit_limit(capsys):
+    # the one invariant (t + 3^400)^31 has coefficients of up to 5917 digits
+    c = 3 ** 400
+    payload = run_json(capsys, "jet", f"--cyclic={c},1", "--N", "30")
+    assert payload["length"] == 31
+    (text,) = payload["invariants"]
+    coeffs = {}
+    for term in text.split(" + "):
+        head, t, power = term.partition("t")
+        # Decimal reads the digits without int()'s digit limit
+        coeffs[int(power[1:] or 1) if t else 0] = int(Decimal(head.rstrip("*") or 1))
+    assert coeffs == {i: math.comb(31, i) * c ** (31 - i) for i in range(32)}
 
 
 def test_precondition_exit(capsys):
@@ -441,6 +495,16 @@ def test_precondition_exit(capsys):
     ("cohomology", "--n", "1000000", "--k", "1000000"),
     ("cohomology", "--n", "10000000", "--k", "1"),
     ("cohomology", "--n", "100000", "--k", "100000", "--j", "100000"),
+    # elliptic-check: the grid of a quartic in m = 7 variables (42.6 s and
+    # 661 MB before its estimate), the tick powers and the witness
+    # polynomial of degree 10^12, a dense 9 x 9 Laplace expansion and a
+    # quadratic form in 100 variables
+    ("elliptic-check", "--mode", "real", "--op", power_sum(7, 4), "--N", "4"),
+    ("elliptic-check", "--mode", "real", "--op", power_sum(2, 10 ** 12), "--N", str(10 ** 12)),
+    ("elliptic-check", "--mode", "algebraic", "--op", power_sum(2, 10 ** 12, (1, 2)),
+     "--N", str(10 ** 12)),
+    ("elliptic-check", "--mode", "real", "--matrix", dense_first_order(9), "--N", "1"),
+    ("elliptic-check", "--mode", "real", "--op", power_sum(100, 2), "--N", "2"),
 ])
 def test_precondition_exit_without_traceback(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -578,6 +642,31 @@ def test_cheap_input_is_accepted(capsys, argv):
         assert payload["dim"] == math.comb(order + n, n) ** 2
     else:
         assert out.splitlines()[-1].endswith('"verdict": true}')
+
+
+def test_algebra_workload_shapes_are_accepted(capsys):
+    # every request of the benchmark's algebra workload runs, and its
+    # heaviest elliptic-check shapes (the m = 4 quartic grid, the 2 x 2
+    # first-order matrices) stay 64 times inside the work limit, as does
+    # the m = 3 quartic grid; the degree-99999 grid stays inside it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2, 3):
+        for job in workloads.algebra(seed):
+            rc, out, err = run(capsys, *job["argv"])
+            assert (rc, err) == (0, ""), job["argv"]
+    limit = projective.WORK_LIMIT
+    for m in (3, 4):
+        assert symbols._grid_work(m, 4, m, 2) <= limit // 64
+    d0, d1 = (WeylElement.parse(f"4 * x^(0,0) d^({e})") for e in ("1,0", "0,1"))
+    cauchy_riemann = symbols.symbol_of([[d0, -d1], [d1, d0]], 1)
+    assert symbols._det_work(cauchy_riemann) <= limit // 64
+    assert symbols._grid_work(2, 99999, 1, 1) <= limit
+    payload = run_json(capsys, "elliptic-check", "--mode", "real",
+                       "--op", "1 * x^(0,0) d^(99999,0)", "--N", "99999")
+    assert payload["verdict"] == "false"
 
 
 def test_every_golden_dimension_input_is_within_the_work_limit():
