@@ -21,14 +21,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import laurent
-from .errors import PreconditionError, _binomial_bits, _step, check_work
-
-CECH_MAX_N = 4
-CECH_MAX_TWIST = 12
-
-# an entry of line_cohomology's h takes about 2^16 work units to build and
-# print: 0.7 us (2-core Xeon, Python 3.11)
-_ENTRY_WORK = 2 ** 16
+from .errors import PreconditionError, _ITEM_WORK, _binomial_bits, _step, check_work
 
 
 def chi_line(n: int, k: int) -> int:
@@ -63,7 +56,7 @@ def line_cohomology(n: int, k: int) -> LineBundleCohomology:
     if n < 1:
         raise PreconditionError("projective dimension must be >= 1")
     bits = _binomial_bits(n + k, n) if k >= 0 else _binomial_bits(-k - 1, n)
-    check_work(2 * _step(bits) + (n + 1) * _ENTRY_WORK, "(n={}, k={})", n, k)
+    check_work(2 * _step(bits) + (n + 1) * _ITEM_WORK, "(n={}, k={})", n, k)
     dims = [0] * (n + 1)
     dims[0] = h0_line(n, k)
     dims[n] = hn_line(n, k)
@@ -73,23 +66,28 @@ def line_cohomology(n: int, k: int) -> LineBundleCohomology:
 
 
 def cech_line_oracle(n: int, k: int, i: int) -> int:
-    """Monomial-count route to h^i(P^n, O(k)), for i in {0, n} at desk scale.
+    """Monomial-count route to h^i(P^n, O(k)), for i in {0, n}.
 
     h^0 enumerates nonnegative exponent vectors of total degree k; h^n
     enumerates exponent vectors with every entry <= -1 of total degree k.
-    Bounds: n <= 4, |k| <= 12.
+    Input whose work estimate for those h^i monomials of n + 1 entries each
+    passes errors.WORK_LIMIT is refused with PreconditionError before any
+    is built.
     """
-    if not (1 <= n <= CECH_MAX_N):
-        raise PreconditionError(f"cech oracle bounded to 1 <= n <= {CECH_MAX_N}")
-    if abs(k) > CECH_MAX_TWIST:
-        raise PreconditionError(f"cech oracle bounded to |k| <= {CECH_MAX_TWIST}")
-    if i == 0:
-        return len(laurent.monomials_of_degree(n + 1, k)) if k >= 0 else 0
-    if i == n:
-        # shift gamma_j = -1 - e_j turns the all-negative count into a
-        # nonnegative count of total degree -k - (n+1)
-        return len(laurent.monomials_of_degree(n + 1, -k - (n + 1)))
-    raise PreconditionError("cech oracle only covers i = 0 and i = n")
+    if n < 1:
+        raise PreconditionError("projective dimension must be >= 1")
+    if i not in (0, n):
+        raise PreconditionError("cech oracle only covers i = 0 and i = n")
+    # shift gamma_j = -1 - e_j turns the all-negative count into a
+    # nonnegative count of total degree -k - (n+1)
+    total = k if i == 0 else -k - (n + 1)
+    if total < 0:
+        return 0
+    # the count is h0_line(n, k) or hn_line(n, k); a bound past 64 bits on
+    # it means more than 2^40 monomials, refused whatever their exact count
+    count = comb(total + n, n) if _binomial_bits(total + n, n) <= 64 else 1 << 64
+    check_work(count * (n + 1) * _ITEM_WORK, "the Cech count of h^{}(P^{}, O({}))", i, n, k)
+    return len(laurent.monomials_of_degree(n + 1, total))
 
 
 class SymTangentH0(NamedTuple):
@@ -132,16 +130,10 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
         raise PreconditionError("symmetric power must be nonnegative")
     bits = _binomial_bits(n + k, k) + _binomial_bits(n + abs(j + k), n)
     check_work(2 * _step(bits), "(n={}, k={}, j={})", n, k, j)
-    # chi_sym_tangent's terms, each computed once; h^0(O(m)) = chi(O(m)) for
-    # m >= 0, and 0 below
-    chi = comb(n + k, k) * chi_line(n, j + k)
-    h0 = chi if j + k >= 0 else 0
-    if k >= 1:
-        tail = comb(n + k - 1, k - 1) * chi_line(n, j + k - 1)
-        chi -= tail
-        if j + k >= 1:
-            h0 -= tail
-    return SymTangentH0(n, k, j, h0, chi)
+    h0 = _h0_sym_tangent_row(n, j, k, k)[0]
+    # for j + k >= 0 neither O(j + k) nor O(j + k - 1) has higher
+    # cohomology, so chi is h^0 and its binomials are not computed again
+    return SymTangentH0(n, k, j, h0, h0 if j + k >= 0 else chi_sym_tangent(n, k, j))
 
 
 def _h0_sym_tangent_row(n: int, j: int, lo: int, hi: int) -> list[int]:
@@ -158,5 +150,4 @@ __all__ = [
     "LineBundleCohomology", "SymTangentH0",
     "chi_line", "h0_line", "hn_line", "line_cohomology", "cech_line_oracle",
     "chi_sym_tangent", "h0_sym_tangent",
-    "CECH_MAX_N", "CECH_MAX_TWIST",
 ]

@@ -9,13 +9,19 @@ InconsistencyError: an internal cross-check failed.  CLI exit code 3.
 
 Every command executes this module, so the work estimate lives here: a
 request estimates its work in units of _step from the sizes of the integers
-it would make, with small-integer arithmetic and no binomial, and
-check_work refuses it when the estimate passes WORK_LIMIT.
+it would make and in _ITEM_WORK per item it would build or print, with
+small-integer arithmetic and no binomial, and check_work refuses it when
+the estimate passes WORK_LIMIT.  Every size refusal goes through it.
 """
 
 # a request whose work estimate passes this is refused up front: about 1-3 s
 # on a 2-core Xeon with Python 3.11 (CHANGES.md has the timings)
 WORK_LIMIT = 2 ** 37
+
+# besides the _step of its integers, an item (a printed entry, coefficient or
+# matrix cell, a built monomial, a Fraction product) takes about 2^16 work
+# units: 0.7 us (2-core Xeon, Python 3.11)
+_ITEM_WORK = 2 ** 16
 
 
 class PreconditionError(ValueError):
@@ -36,6 +42,11 @@ def _binomial_bits(m: int, j: int) -> int:
     and C(m, j) <= 1 for every other j >= 0 (0 when j > m)."""
     j = m - j if 2 * j > m else j
     return min(m, j * (3 * m // j).bit_length()) if j > 0 else 1
+
+
+def _fraction_bits(c) -> int:
+    """Bits of a Fraction's numerator and denominator together."""
+    return c.numerator.bit_length() + c.denominator.bit_length()
 
 
 def _step(bits: int) -> int:

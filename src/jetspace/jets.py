@@ -10,7 +10,10 @@ prolonged presentation: each relation p(t) becomes the family of columns
 dt^s * p(t + dt), expanded over the dt-power basis and truncated, which is
 exactly what taking jets of a cokernel presentation yields (jets preserve
 cokernels).  For a cyclic module Q[t]/(p) the invariant factors of the jet
-module also have a closed form in the squarefree parts of p.
+module also have a closed form in the squarefree parts of p.  Universal
+derivations, free jet ranks and cyclic jets estimate their work from the
+sizes of their input first, and errors.check_work refuses what passes
+errors.WORK_LIMIT.
 
 The operator/jet dictionary: an order-N operator D = sum c_beta(x) d^beta
 corresponds to the module map determined on the dx-power basis by
@@ -26,13 +29,10 @@ from math import comb, factorial, prod
 from typing import NamedTuple
 
 from . import linalg, weyl
-from .errors import PreconditionError, _binomial_bits, _step, check_work
+from .errors import (PreconditionError, _ITEM_WORK, _binomial_bits, _fraction_bits, _step,
+                     check_work)
 from .laurent import Exponent, LaurentPoly, monomials_of_degree
 from .presented import PresentedModule, UniPoly
-
-# a cyclic jet length deg(p) * (N + 1) above this is refused up front: `jet
-# --cyclic` took up to 3.6 s at length 500, 25 s at 1000 (2-core Xeon, Py 3.11)
-CYCLIC_JET_LENGTH_LIMIT = 500
 
 # besides the _step of its coefficient, an output term of universal_derivation
 # takes about 2^20 work units to build and print: 16 us (2-core Xeon, Py 3.11)
@@ -122,7 +122,7 @@ def _derivation_work(f: LaurentPoly, order: int) -> int:
     c x^gamma makes a coefficient of at most the bits of c plus
     sum_i bits(C(gamma_i, min(gamma_i // 2, N))), as k_i <= N."""
     return sum(prod(min(g, order) + 1 for g in gamma)
-               * (_step(c.numerator.bit_length() + c.denominator.bit_length()
+               * (_step(_fraction_bits(c)
                         + sum(_binomial_bits(g, min(g // 2, order)) for g in gamma))
                   + _TERM_WORK)
                for gamma, c in f.terms.items())
@@ -177,18 +177,16 @@ def cyclic_jet_invariants(p: UniPoly, order: int) -> tuple[UniPoly, ...]:
     (Clebsch-Gordan, characteristic 0).  Collecting the roots by the
     squarefree parts q_e of p, the r-th invariant factor from the top is
     prod_{e > r} q_e^(N + e - 2r).  The product of all of them is
-    monic(p)^(N+1), so the length is deg(p) * (N + 1).  A length above
-    CYCLIC_JET_LENGTH_LIMIT is refused with PreconditionError before any work.
+    monic(p)^(N+1), so the length is deg(p) * (N + 1).  Input whose work
+    estimate (_cyclic_work) passes errors.WORK_LIMIT is refused with
+    PreconditionError before any work.
     """
     if not p:
         raise PreconditionError("cyclic module Q[t]/(0) is not torsion")
     if order < 0:
         raise PreconditionError("jet order must be nonnegative")
-    length = p.degree() * (order + 1)
-    if length > CYCLIC_JET_LENGTH_LIMIT:
-        raise PreconditionError(
-            f"the jet module of Q[t]/(p) at N={order} has length {length}, "
-            f"above the limit {CYCLIC_JET_LENGTH_LIMIT}")
+    check_work(_cyclic_work(p, order), "the jet module of Q[t]/(p) at N={} (deg p = {})",
+               order, p.degree())
     parts = p.squarefree_parts()
     factors = []
     for r in range(min(len(parts), order + 1)):
@@ -197,6 +195,21 @@ def cyclic_jet_invariants(p: UniPoly, order: int) -> tuple[UniPoly, ...]:
             d = d * q ** (order + e - 2 * r)
         factors.append(d)
     return tuple(reversed(factors))
+
+
+def _cyclic_work(p: UniPoly, order: int) -> int:
+    """Work estimate of cyclic_jet_invariants(p, N), in Fraction products of
+    an item and a _step each.  With D = deg(p) and b the bits of the largest
+    coefficient of monic(p), at most those of a coefficient plus the lead's:
+    Yun's split runs at most D Euclidean gcds of D^2 products, on entries of
+    up to 2 D b bits; the powers multiply up to a length of D (N + 1), the
+    last and largest product pairing two halves of it, on coefficients of
+    up to (N + 1)(b + bits(D)) bits, a power of monic(p) at most."""
+    deg = p.degree()
+    bits = max(map(_fraction_bits, p.coeffs)) + _fraction_bits(p.lead())
+    half = deg * (order + 1) // 2
+    return (deg ** 3 * (_ITEM_WORK + _step(2 * deg * bits))
+            + half * half * (_ITEM_WORK + _step((order + 1) * (bits + deg.bit_length()))))
 
 
 def operator_to_jet_map(op: weyl.WeylElement, order: int) -> dict[Exponent, LaurentPoly]:

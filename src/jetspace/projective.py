@@ -25,6 +25,9 @@ operators: no Weyl element induces d: O -> O(-2), so the count misses it.
 
 Also here: induced maps on degree-0 and top Cech cohomology of the twists,
 and the unipotent block construction pairing a twist with a shifted twist.
+Each estimates its work from sizes it knows before building anything (the
+map its printed cells and rank elimination, the block operator its chart
+test monomials), and errors.check_work refuses it past errors.WORK_LIMIT.
 """
 
 from __future__ import annotations
@@ -40,16 +43,11 @@ from .dimensions import (  # noqa: F401 -- the counting names, read here as befo
     NegativeTwistResult, TwistedDOSpace, _check_space, candidate_count, do_dimension,
     do_dimensions, global_do_dimension, negative_twist_existence)
 from .errors import WORK_LIMIT  # noqa: F401 -- read as projective.WORK_LIMIT
-from .errors import InconsistencyError, PreconditionError
+from .errors import (InconsistencyError, PreconditionError, _ITEM_WORK, _fraction_bits,
+                     _step, check_work)
 
 # strings, so that defining the alias reads nothing from laurent
 Candidate = tuple["laurent.Exponent", "laurent.Exponent"]
-
-# induced_cohomology_map refuses a dense matrix with more cells than this
-INDUCED_MAP_CELL_LIMIT = 10 ** 6
-
-# BlockOperator.verify refuses an O(m) test set of more monomials than this
-BLOCK_OP_TEST_LIMIT = 2 * 10 ** 5
 
 
 def candidate_monomials(n: int, a: int, b: int, order: int) -> list[Candidate]:
@@ -160,8 +158,8 @@ def induced_cohomology_map(n: int, a: int, b: int, op: weyl.WeylElement,
 
     For i = n the image is projected back onto the all-negative monomial
     basis; monomials with a nonnegative exponent are coboundaries and are
-    discarded.  A matrix of more than INDUCED_MAP_CELL_LIMIT cells, h^i(O(a))
-    h^i(O(b)), is refused with PreconditionError before any work.
+    discarded.  Input whose work estimate (_induced_map_work) passes
+    errors.WORK_LIMIT is refused with PreconditionError before any work.
     """
     return _induced_map(n, a, b, op, i)[0]
 
@@ -180,11 +178,8 @@ def _induced_map(n: int, a: int, b: int, op: weyl.WeylElement, i: int
         raise PreconditionError("induced maps are available for i = 0 and i = n")
     line, basis = ((cohomology.h0_line, h0_basis) if i == 0
                    else (cohomology.hn_line, hn_basis))
-    cells = line(n, a) * line(n, b)
-    if cells > INDUCED_MAP_CELL_LIMIT:
-        raise PreconditionError(
-            f"the H^{i} map O({a}) -> O({b}) on P^{n} has {cells} matrix cells, "
-            f"above the limit {INDUCED_MAP_CELL_LIMIT}")
+    check_work(_induced_map_work(n, a, op, line(n, a), line(n, b)),
+               "the H^{} map O({}) -> O({}) on P^{}", i, a, b, n)
     source, target = basis(n, a), basis(n, b)
     tgt_index = {e: r for r, e in enumerate(target)}
     entries: dict[tuple[int, int], Fraction] = {}
@@ -198,6 +193,22 @@ def _induced_map(n: int, a: int, b: int, op: weyl.WeylElement, i: int
                     f"image monomial {image} escaped the H^{i} basis")
             entries[(row, j)] = c
     return linalg.ExactMatrix(len(target), len(source), entries), source, target
+
+
+def _induced_map_work(n: int, a: int, op: weyl.WeylElement, cols: int, rows: int) -> int:
+    """Work estimate of the H^i map of op from O(a), a rows x cols matrix,
+    and of its report: two items per printed cell, and the elimination of
+    its rank.  A term x^alpha d^beta c makes entries of at most bits(c) +
+    |beta| bits(|a| + |beta|) bits, each falling factorial ff(g, beta_j)
+    having |g| <= |a|.  A row holds an entry per term, so it is reduced
+    against the pivots of a band of at most the other terms times the basis
+    monomials of one fixed leading exponent, C(|a| + n - 1, n - 1); the
+    fraction-free pivots grow by about an entry's bits per row, to half of
+    rows times that on average."""
+    bits = max((_fraction_bits(c) + sum(beta) * (abs(a) + sum(beta)).bit_length()
+                for (_, beta), c in op.terms.items()), default=0)
+    pivots = min(rows, max(len(op.terms) - 1, 0) * comb(abs(a) + n - 1, n - 1))
+    return 2 * rows * cols * _ITEM_WORK + rows * pivots * _step(rows * bits // 2)
 
 
 # ---- unipotent block operators ----------------------------------------
@@ -256,22 +267,22 @@ class BlockOperator:
         the second summand and is the identity on the sub O(d), and
         apply_pair(s, 0) has first entry s, the identity on the quotient
         O(m).  So only the witness is searched, and it stops at the first
-        hit.  More than BLOCK_OP_TEST_LIMIT chart monomials of O(m) are
-        refused with PreconditionError before any work.
+        hit.  Building a chart monomial of O(m) is an item, and applying a
+        term of the top-order part to it an item per variable; input whose
+        work estimate for all of them passes errors.WORK_LIMIT is refused
+        with PreconditionError before any is built.
         """
         order = self.order()
         box = order + abs(self.m) + abs(self.d) + 3
+        top = self.d12.order_part(order)
+        if not top.terms:
+            return BlockOperatorReport(True, True, True, order, None)
         tests = chart_test_count(self.n, self.m, box)
-        if tests > BLOCK_OP_TEST_LIMIT:
-            raise PreconditionError(
-                f"the block operator O({self.m}) + O({self.d}) on P^{self.n} has "
-                f"{tests} chart test monomials of O({self.m}) in box {box}, above "
-                f"the limit {BLOCK_OP_TEST_LIMIT}")
-        witness = None
-        if not self.d12.is_zero():
-            top = self.d12.order_part(order)
-            witness = next((gamma for gamma in chart_test_monomials(self.n, self.m, box)
-                            if top.apply_monomial(gamma)), None)
+        check_work(tests * (1 + len(top.terms) * (self.n + 1)) * _ITEM_WORK,
+                   "the block operator O({}) + O({}) on P^{} ({} chart test monomials)",
+                   self.m, self.d, self.n, tests)
+        witness = next((gamma for gamma in chart_test_monomials(self.n, self.m, box)
+                        if top.apply_monomial(gamma)), None)
         return BlockOperatorReport(True, True, True, order, witness)
 
 

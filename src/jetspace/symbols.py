@@ -34,7 +34,8 @@ from itertools import product
 from math import comb, isqrt
 from typing import NamedTuple, Sequence
 
-from .errors import InconsistencyError, PreconditionError, _step, check_work
+from .errors import (InconsistencyError, PreconditionError, _ITEM_WORK, _fraction_bits,
+                     _step, check_work)
 from .laurent import LaurentPoly, primitive_integers
 from .weyl import WeylElement
 
@@ -45,13 +46,12 @@ _BISECT_STEPS = 12  # a sign change is narrowed by this many halvings
 # input each accepts takes about 1-3 s (2-core Xeon, Python 3.11; CHANGES.md
 # has the calibration): an entry-times-minor product of the Laplace
 # expansion (30 us) and each of its term pairs (7 us), one of the m^3
-# products of the quadratic route, a tick product of the grid search, and
-# one printed coefficient of a witness polynomial
+# products of the quadratic route, and a tick product of the grid search; a
+# printed coefficient of a witness polynomial is one errors._ITEM_WORK
 _PRODUCT_WORK = 2 ** 21
 _PAIR_WORK = 2 ** 19
 _FORM_WORK = 2 ** 19
 _GRID_WORK = 2 ** 14
-_COEFF_WORK = 2 ** 16
 
 
 # ---- symbol extraction -------------------------------------------------
@@ -130,8 +130,7 @@ def _det_work(S: SymbolMatrix) -> int:
     m, order = S.m, S.order
     entries = [p for row in S.entries for p in row]
     t = max((len(p.terms) for p in entries), default=0)
-    bits = max((c.numerator.bit_length() + c.denominator.bit_length()
-                for p in entries for c in p.terms.values()), default=0)
+    bits = max((_fraction_bits(c) for p in entries for c in p.terms.values()), default=0)
     xdeg = max((sum(e[:m]) for p in entries for e in p.terms), default=0)
     work, terms = 0, t
     for s in range(2, S.size + 1):
@@ -303,7 +302,7 @@ def _closure_witness(det: LaurentPoly, m: int) -> Witness | None:
             comps = [Fraction(1)] * m
             comps[j] = root
             return Witness(components=tuple(comps))
-        check_work((p + 1) * _COEFF_WORK, "the witness polynomial of degree {}", p)
+        check_work((p + 1) * _ITEM_WORK, "the witness polynomial of degree {}", p)
         defining = _integer_binomial(c_hi, c_lo, p)
         comps: list = [Fraction(1)] * m
         comps[j] = "t"

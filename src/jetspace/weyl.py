@@ -153,7 +153,7 @@ class WeylElement(TermMap):
             raise ValueError("variable count mismatch")
         return LaurentPoly._raw(self.nvars, add_terms({}, (
             (target, cg * c) for gamma, cg in f.terms.items()
-            for target, c in self.apply_monomial(gamma).items())))
+            for target, c in self._image_terms(gamma))))
 
     # ---- text form -----------------------------------------------------
 

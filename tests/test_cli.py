@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from jetspace import cohomology, dimensions, growth, projective, symbols
+from jetspace import cohomology, dimensions, errors, growth, jets, projective, symbols
 from jetspace.cli import main
 from jetspace.errors import InconsistencyError
+from jetspace.presented import UniPoly
 from jetspace.growth import default_n_max
 from jetspace.weyl import WeylElement
 
@@ -483,7 +484,7 @@ def test_precondition_exit(capsys):
     ("induced-map", "--n", "0", "--a", "0", "--b", "0", "--i", "0",
      "--op", "1 * x^(0) d^(0)"),
     ("block-op", "--n", "0", "--m", "0", "--d", "0", "--op", "1 * x^(0) d^(0)"),
-    ("block-op", "--n", "2", "--m", "160", "--d", "161", "--op", "1 * x^(1,0,0) d^(0,0,0)"),
+    ("block-op", "--n", "2", "--m", "233", "--d", "234", "--op", "1 * x^(1,0,0) d^(0,0,0)"),
     ("induced-map", "--n", "2", "--a", "120", "--b", "121", "--i", "0",
      "--op", "1 * x^(1,0,0) d^(0,0,0)"),
     # work estimates past errors.WORK_LIMIT: each ran 5 s to minutes
@@ -567,9 +568,11 @@ def test_output_to_missing_directory_or_directory_is_usage_error(tmp_path, capsy
 
 
 def test_precondition_cech_out_of_range(capsys):
-    rc, out, err = run(capsys, "cohomology", "--n", "2", "--k", "40",
+    # 352716 monomials of 11 entries pass the work estimate
+    rc, out, err = run(capsys, "cohomology", "--n", "10", "--k", "11",
                        "--i", "0", "--method", "cech")
-    assert rc == 2
+    assert (rc, out) == (2, "")
+    assert err.startswith("precondition failed: the Cech count of h^0(P^10, O(11)) has a work")
 
 
 def test_cohomology_checks_i_before_any_binomial(monkeypatch, capsys):
@@ -644,11 +647,14 @@ def test_cheap_input_is_accepted(capsys, argv):
         assert out.splitlines()[-1].endswith('"verdict": true}')
 
 
-def test_algebra_workload_shapes_are_accepted(capsys):
+def test_algebra_workload_shapes_are_accepted(capsys, monkeypatch):
     # every request of the benchmark's algebra workload runs, and its
     # heaviest elliptic-check shapes (the m = 4 quartic grid, the 2 x 2
     # first-order matrices) stay 64 times inside the work limit, as does
-    # the m = 3 quartic grid; the degree-99999 grid stays inside it
+    # the m = 3 quartic grid; the degree-99999 grid stays inside it.  So do
+    # all of its jet --cyclic moduli at their N, the fat t^2 at N = 42, and
+    # every induced-map and block-op shape it draws from: n <= 2, twists
+    # -1..4, one term of order k <= 2 and coefficient 3
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -658,6 +664,24 @@ def test_algebra_workload_shapes_are_accepted(capsys):
             rc, out, err = run(capsys, *job["argv"])
             assert (rc, err) == (0, ""), job["argv"]
     limit = projective.WORK_LIMIT
+    _, anchor, order = workloads.ALGEBRA_ANCHOR
+    moduli = [(anchor, order), ((0, 0, 1), 42)] + [
+        (p, order) for choices, order, _ in workloads.CYCLIC_SLOTS for p in choices]
+    for p, order in moduli:
+        assert jets._cyclic_work(UniPoly(p), order) <= limit // 64, (p, order)
+    monkeypatch.setattr(errors, "WORK_LIMIT", limit // 64)
+    for n in (1, 2):
+        for k in (1, 2):
+            beta = (k,) + (0,) * n
+            for a in range(4):
+                for shift in (-1, 0, 1):
+                    alpha = (k + shift,) + (0,) * n
+                    op = WeylElement.monomial(alpha, beta, 3)
+                    projective.induced_cohomology_map(n, a, a + shift, op, 0)
+            d12 = WeylElement.monomial((0,) * (n + 1), beta, 3)
+            for m in (-1, 0, 1):
+                projective.block_operator(n, m, m - k, d12).verify()
+    monkeypatch.undo()
     for m in (3, 4):
         assert symbols._grid_work(m, 4, m, 2) <= limit // 64
     d0, d1 = (WeylElement.parse(f"4 * x^(0,0) d^({e})") for e in ("1,0", "0,1"))
@@ -667,6 +691,34 @@ def test_algebra_workload_shapes_are_accepted(capsys):
     payload = run_json(capsys, "elliptic-check", "--mode", "real",
                        "--op", "1 * x^(0,0) d^(99999,0)", "--N", "99999")
     assert payload["verdict"] == "false"
+
+
+OP9 = ("6 * x^(2,6) d^(6,2) + 8 * x^(1,4) d^(4,1) + 1 * x^(1,3) d^(3,1) + 2 * x^(1,2) d^(2,1)"
+       " + 8 * x^(2,2) d^(2,2) + 7 * x^(2,1) d^(1,2) + 4 * x^(3,1) d^(1,3)"
+       " + 4 * x^(4,1) d^(1,4) + 5 * x^(6,2) d^(2,6)")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    # a 1000-digit constant term: past 120 s before its work estimate
+    (("jet", f"--cyclic={7 ** 1183 + 1},1", "--N", "200"), 2),
+    # a 9-term operator on a 10^6-cell map: 96 s before, in its elimination
+    (("induced-map", "--n", "1", "--a", "999", "--b", "999", "--i", "0", "--op", OP9), 2),
+    # 250203 chart monomials, built in 0.3 s, and 184756 Cech monomials
+    (("block-op", "--n", "2", "--m", "160", "--d", "161", "--op", "1 * x^(1,0,0) d^(0,0,0)"), 0),
+    (("cohomology", "--n", "10", "--k", "10", "--i", "0", "--method", "cech"), 0),
+    (("jet", f"--cyclic={3 ** 400},1", "--N", "30"), 0),
+], ids=["jet-cyclic-1000-digits", "induced-map-op9", "block-op-O160", "cech-n10-k10",
+        "jet-cyclic-3^400"])
+def test_measured_inputs_exit_by_the_work_estimate(capsys, argv, exit_code):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert rc == exit_code, err
+    if exit_code == 2:
+        assert out == "" and elapsed < 1, elapsed
+        assert re.search(r"has a work estimate of 2\^\d+ or more, above the limit 2\^37\n$", err)
+    else:
+        assert err == "" and out
 
 
 def test_every_golden_dimension_input_is_within_the_work_limit():

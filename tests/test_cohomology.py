@@ -71,11 +71,26 @@ def test_cech_oracle_agrees_with_closed_form(n, k):
     assert cech_line_oracle(n, k, n) == hn_line(n, k)
 
 
-def test_cech_oracle_bounds():
-    with pytest.raises(PreconditionError):
-        cech_line_oracle(5, 0, 0)
-    with pytest.raises(PreconditionError):
-        cech_line_oracle(2, 40, 0)
+def test_cech_oracle_bounds(monkeypatch):
+    # the work estimate counts h^i monomials of n + 1 entries each: n = k = 10
+    # (184756 monomials, 0.4 s) is enumerated; n = 10 at k = 11 and twists
+    # of 10^6 are refused before any monomial is built; i must be 0 or n
+    assert cech_line_oracle(5, 0, 0) == 1
+    assert cech_line_oracle(2, 40, 0) == h0_line(2, 40)
+
+    def refuse(*args):
+        raise AssertionError("monomials built")
+
+    monkeypatch.setattr(cohomology.laurent, "monomials_of_degree", refuse)
+    for n, k, i in ((10, 11, 0), (10, -22, 10), (2, 10 ** 6, 0), (2, -10 ** 6, 2),
+                    (10 ** 6, 10 ** 6, 0)):
+        with pytest.raises(PreconditionError, match=(
+                rf"the Cech count of h\^{i}\(P\^{n}, O\({k}\)\) has a work estimate")):
+            cech_line_oracle(n, k, i)
+    with pytest.raises(PreconditionError, match="only covers i = 0 and i = n"):
+        cech_line_oracle(2, 40, 1)
+    with pytest.raises(PreconditionError, match="projective dimension"):
+        cech_line_oracle(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +169,9 @@ def test_work_estimates_decide_before_any_binomial(monkeypatch):
 
 def test_each_binomial_is_computed_once(monkeypatch):
     # line_cohomology computes the binomial of h^0 or h^n and reads chi off
-    # it; h0_sym_tangent computes each factor of its Euler terms once
+    # it; h0_sym_tangent computes each factor of its Euler terms once, and
+    # reads chi off h^0 when j + k >= 0, where at j + k = 0 the second term
+    # is 0 (h^0(O(-1)) = 0) and costs no binomial
     calls = []
 
     def counted(m, j):
@@ -172,7 +189,7 @@ def test_each_binomial_is_computed_once(monkeypatch):
             for j in range(-8, 4):
                 calls.clear()
                 res = h0_sym_tangent(n, k, j)
-                assert len(calls) == (2 if k == 0 else 4), (n, k, j)
+                assert len(calls) == (2 if k == 0 or j + k == 0 else 4), (n, k, j)
                 assert res.h0 == cohomology._h0_sym_tangent_row(n, j, k, k)[0], (n, k, j)
                 assert res.chi == chi_sym_tangent(n, k, j), (n, k, j)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_polynomial
 from jetspace import jets
-from jetspace.errors import PreconditionError
+from jetspace.errors import WORK_LIMIT, PreconditionError
 from jetspace.jets import (JetElement, cyclic_jet_invariants,
                            do_jet_correspondence_check, evaluate_jet_map,
                            jet_free_rank, jet_of_presented,
@@ -240,14 +240,25 @@ def test_cyclic_jet_invariants_units_and_errors():
         cyclic_jet_invariants(t, -1)
 
 
-def test_cyclic_jet_invariants_refuse_a_length_over_the_limit():
-    # length deg(p) * (N + 1): the limit itself is computed, a longer one refused
-    limit = jets.CYCLIC_JET_LENGTH_LIMIT
-    assert sum(d.degree() for d in cyclic_jet_invariants(t, limit - 1)) == limit
-    with pytest.raises(PreconditionError, match=f"length {limit + 2}, above the limit {limit}"):
-        cyclic_jet_invariants(t * t + t, limit // 2)
-    with pytest.raises(PreconditionError, match="length 100000001, above the limit"):
-        cyclic_jet_invariants(t + UniPoly.one(), 10 ** 8)
+def test_cyclic_jet_invariants_refuse_by_their_work_estimate(monkeypatch):
+    # Fraction products of the squarefree split and of the powers, from the
+    # degree, the length deg(p)(N + 1) and the coefficient bits: t + 1 is
+    # accepted up to N = 376 (0.4 s), and a 1000-digit constant term at
+    # N = 200 (past 120 s before) is refused before any work
+    one, big = UniPoly.one(), UniPoly.constant(7 ** 1183 + 1)
+    assert jets._cyclic_work(t + one, 376) <= WORK_LIMIT < jets._cyclic_work(t + one, 377)
+    assert sum(d.degree() for d in cyclic_jet_invariants(t * t + t, 60)) == 122
+
+    def refuse(*args):
+        raise AssertionError("squarefree parts computed")
+
+    monkeypatch.setattr(UniPoly, "squarefree_parts", refuse)
+    for p, order in ((t + big, 200), (t + one, 377), (t * t + t, 10 ** 8),
+                     (UniPoly(range(1, 1001)), 0)):
+        with pytest.raises(PreconditionError, match=(
+                rf"the jet module of Q\[t\]/\(p\) at N={order} \(deg p = {p.degree()}\) "
+                r"has a work estimate of 2\^\d+ or more, above the limit 2\^37")):
+            cyclic_jet_invariants(p, order)
 
 
 def _jets_by_additivity(module, order):

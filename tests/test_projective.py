@@ -16,7 +16,7 @@ from jetspace import cli, dimensions, errors, linalg, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
 from jetspace.growth import verify_growth
-from jetspace.projective import (BLOCK_OP_TEST_LIMIT, WORK_LIMIT,
+from jetspace.projective import (WORK_LIMIT,
                                  BlockOperator, action_matrix, block_operator,
                                  candidate_count, candidate_monomials,
                                  chart_test_count, chart_test_monomials,
@@ -714,25 +714,34 @@ def test_induced_map_euler_acts_by_degree_on_hn():
                                for i in range(dim)]
 
 
-def test_induced_map_refuses_a_matrix_over_the_cell_limit(monkeypatch):
-    # h0(O(2)) h0(O(1)) = 3 * 2 cells on P^1; the limit is checked first
-    op = WeylElement.d(0, 2)
-    monkeypatch.setattr(projective, "INDUCED_MAP_CELL_LIMIT", 6)
-    assert induced_cohomology_map(1, 2, 1, op, 0).rank() == 2
-    monkeypatch.setattr(projective, "INDUCED_MAP_CELL_LIMIT", 5)
-    with pytest.raises(PreconditionError, match=(
-            r"the H\^0 map O\(2\) -> O\(1\) on P\^1 has 6 matrix cells, "
-            r"above the limit 5")):
-        induced_cohomology_map(1, 2, 1, op, 0)
-    monkeypatch.undo()
+OP9 = WeylElement.parse(
+    "6 * x^(2,6) d^(6,2) + 8 * x^(1,4) d^(4,1) + 1 * x^(1,3) d^(3,1) + 2 * x^(1,2) d^(2,1)"
+    " + 8 * x^(2,2) d^(2,2) + 7 * x^(2,1) d^(1,2) + 4 * x^(3,1) d^(1,3)"
+    " + 4 * x^(4,1) d^(1,4) + 5 * x^(6,2) d^(2,6)")
+
+
+def test_induced_map_refuses_by_its_work_estimate(monkeypatch):
+    # two items per printed cell plus the elimination of its rank: one term
+    # eliminates nothing, so a map of about 10^6 cells is accepted; the
+    # 9-term operator is accepted on O(239) of P^1 (1.1 s) and refused from
+    # O(240) on, O(999) (96 s before) before any basis is built
+    x0 = WeylElement.x(0, 2)
+    assert projective._induced_map_work(1, 999, x0, 1000, 1001) <= WORK_LIMIT
+    assert projective._induced_map_work(1, 239, OP9, 240, 240) <= WORK_LIMIT
+    assert projective._induced_map_work(1, 240, OP9, 241, 241) > WORK_LIMIT
+    assert induced_cohomology_map(1, 2, 1, WeylElement.d(0, 2), 0).rank() == 2
 
     def refuse(*args):
         raise AssertionError("basis built for a refused map")
 
     monkeypatch.setattr(projective, "h0_basis", refuse)
-    big = WeylElement.parse("1 * x^(1,0,0) d^(0,0,0)")
-    with pytest.raises(PreconditionError, match="above the limit 1000000"):
-        induced_cohomology_map(2, 120, 121, big, 0)
+    monkeypatch.setattr(projective, "hn_basis", refuse)
+    for n, a, b, op, i in ((1, 999, 999, OP9, 0), (1, -1001, -1001, OP9, 1),
+                           (2, 120, 121, WeylElement.x(0, 3), 0)):
+        with pytest.raises(PreconditionError, match=(
+                rf"the H\^{i} map O\({a}\) -> O\({b}\) on P\^{n} has a work estimate "
+                r"of 2\^\d+ or more, above the limit 2\^37")):
+            induced_cohomology_map(n, a, b, op, i)
 
 
 def test_induced_map_requires_graded_operator():
@@ -825,20 +834,23 @@ def test_block_operator_constructor_validates(n, m, d, d12, message):
 
 
 def test_block_operator_refuses_oversized_test_sets_before_any_work(monkeypatch):
+    # an item per chart monomial of O(m) and one per variable for each term
+    # of the top-order part: 521463 monomials of O(232) pass, and the
+    # 525924 of O(233) are refused before any is built
     def refuse(*args):
         raise AssertionError("test set built past the limit")
 
     x0 = WeylElement.monomial((1, 0, 0), (0, 0, 0))
     monkeypatch.setattr(projective, "chart_test_monomials", refuse)
     with pytest.raises(PreconditionError, match=(
-            r"O\(160\) \+ O\(161\) on P\^2 has 250203 chart test monomials of O\(160\) "
-            r"in box 324, above the limit 200000")):
-        block_operator(2, 160, 161, x0).verify()
-    # only the O(m) set counts: M = 125 stays within the limit, though the
-    # O(d) set of the same box would pass it
-    box = 0 + 125 + 126 + 3  # order + |m| + |d| + 3
-    assert chart_test_count(2, 125, box) <= BLOCK_OP_TEST_LIMIT
-    assert chart_test_count(2, 125, box) + chart_test_count(2, 126, box) > BLOCK_OP_TEST_LIMIT
+            r"the block operator O\(233\) \+ O\(234\) on P\^2 \(525924 chart test "
+            r"monomials\) has a work estimate of 2\^37 or more, above the limit 2\^37")):
+        block_operator(2, 233, 234, x0).verify()
+    # D12 = 0 has no top-order part to apply, so no test set is counted
+    zero = block_operator(1, 10 ** 6, 10 ** 6, WeylElement(2, {})).verify()
+    assert (zero.order, zero.order_witness, zero.ok) == (0, None, True)
+    monkeypatch.undo()
+    assert block_operator(2, 232, 233, x0).verify().order_witness is not None
 
 
 def _reference_verify(block: BlockOperator) -> tuple:
