@@ -21,15 +21,15 @@ from math import comb
 from typing import NamedTuple
 
 from . import laurent
-from .errors import PreconditionError, _ITEM_WORK, _binomial_bits, _step, check_work
+from .errors import (PreconditionError, _ITEM_WORK, _binomial_bits, _step, check_dimension,
+                     check_work)
 
 
 def chi_line(n: int, k: int) -> int:
     """Euler characteristic of O(k) on P^n: the binomial (n+k choose n) as a
     polynomial in k, so negative twists produce signed values.  Below k = 0
     it is (k+1)...(k+n)/n! = (-1)^n C(-k-1, n), which is 0 for -n <= k < 0."""
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     return comb(n + k, n) if k >= 0 else (-1) ** n * comb(-k - 1, n)
 
 
@@ -53,8 +53,7 @@ def line_cohomology(n: int, k: int) -> LineBundleCohomology:
     whose work estimate for the n + 1 entries and twice the binomial of h^0
     or h^n passes errors.WORK_LIMIT is refused with PreconditionError
     before any binomial; chi is read off that binomial."""
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     bits = _binomial_bits(n + k, n) if k >= 0 else _binomial_bits(-k - 1, n)
     check_work(2 * _step(bits) + (n + 1) * _ITEM_WORK, "(n={}, k={})", n, k)
     dims = [0] * (n + 1)
@@ -74,8 +73,7 @@ def cech_line_oracle(n: int, k: int, i: int) -> int:
     passes errors.WORK_LIMIT is refused with PreconditionError before any
     is built.
     """
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     if i not in (0, n):
         raise PreconditionError("cech oracle only covers i = 0 and i = n")
     # shift gamma_j = -1 - e_j turns the all-negative count into a
@@ -100,8 +98,7 @@ class SymTangentH0(NamedTuple):
 
 def chi_sym_tangent(n: int, k: int, j: int) -> int:
     """chi of Sym^k T twisted by j, by additivity along the Euler resolution."""
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     if k < 0:
         raise PreconditionError("symmetric power must be nonnegative")
     lead = comb(n + k, k) * chi_line(n, j + k)
@@ -122,7 +119,8 @@ def h0_sym_tangent(n: int, k: int, j: int) -> SymTangentH0:
     estimate for the two passes errors.WORK_LIMIT is refused with
     PreconditionError before any binomial.
     """
-    if n < 2:
+    check_dimension(n)
+    if n == 1:
         raise PreconditionError(
             "h0_sym_tangent needs n >= 2; on the projective line the tangent "
             "bundle is O(2), so use h^0(O(2k + j)) instead")

@@ -21,12 +21,11 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .errors import PreconditionError, _binomial_bits, _step, check_work
+from .errors import PreconditionError, _binomial_bits, _step, check_dimension, check_work
 
 
 def _check_space(n: int, order: int) -> None:
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     if order < 0:
         raise PreconditionError("operator order must be >= 0")
 
@@ -176,8 +175,7 @@ def negative_twist_existence(n: int, d: int, n_max: int = 4) -> NegativeTwistRes
     nonexistence.  Only order d is computed, so only its work estimate can
     refuse the input.
     """
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     if d < 1:
         raise PreconditionError("the twist drop d must be >= 1")
     if n_max < 0:

@@ -55,6 +55,12 @@ def _step(bits: int) -> int:
     return (bits + 64) ** 2
 
 
+def check_dimension(n: int) -> None:
+    """Refuse a projective dimension below 1 with PreconditionError."""
+    if n < 1:
+        raise PreconditionError("projective dimension must be >= 1")
+
+
 def check_work(work: int, what: str, *args: object) -> None:
     """Refuse the request what.format(*args) with PreconditionError when
     its work estimate passes WORK_LIMIT; the name is formatted only then."""

@@ -38,7 +38,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .cohomology import _h0_sym_tangent_row, chi_line, h0_line
-from .errors import PreconditionError, StabilizationError, _ITEM_WORK, _step
+from .errors import PreconditionError, StabilizationError, _ITEM_WORK, _step, check_dimension
 from .dimensions import _check_work, _dimension_bits, do_dimensions
 
 
@@ -50,6 +50,7 @@ def default_n_max(n: int) -> int:
 def expected_delta(n: int, order: int, d: int) -> int:
     """h^0 of the order-th symmetric tangent twist by d, the predicted
     dimension increment.  On the projective line Sym^N T = O(2N)."""
+    check_dimension(n)
     if order < 1:
         raise PreconditionError("increments are defined for N >= 1")
     return _expected_deltas(n, d, order, order)[0]
@@ -146,8 +147,7 @@ def stabilization_threshold(n: int, a: int, b: int, n_max: int) -> int:
     reach past it: n_max <= M0 raises StabilizationError."""
     if n_max < 1:
         raise PreconditionError("the growth threshold needs n_max >= 1")
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     threshold = max(0, a - b - n)
     if threshold >= n_max:
         raise StabilizationError(

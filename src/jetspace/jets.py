@@ -206,7 +206,7 @@ def _cyclic_work(p: UniPoly, order: int) -> int:
     last and largest product pairing two halves of it, on coefficients of
     up to (N + 1)(b + bits(D)) bits, a power of monic(p) at most."""
     deg = p.degree()
-    bits = max(map(_fraction_bits, p.coeffs)) + _fraction_bits(p.lead())
+    bits = max(map(_fraction_bits, p.terms.values())) + _fraction_bits(p.lead())
     half = deg * (order + 1) // 2
     return (deg ** 3 * (_ITEM_WORK + _step(2 * deg * bits))
             + half * half * (_ITEM_WORK + _step((order + 1) * (bits + deg.bit_length()))))

@@ -14,9 +14,9 @@ coefficients and for the CLI's bare coefficient lists alike.
 ``primitive_integers`` clears a vector of such coefficients to coprime
 integers, for the integer routes of linalg and symbols.
 ``TermMap`` holds the arithmetic that polynomials and operators share;
-``LaurentPoly`` and ``weyl.WeylElement`` state only their keys and products.
-``monomials_of_degree`` is the one monomial enumerator, and ``_power`` the
-one square-and-multiply loop (for ``TermMap`` and ``presented.UniPoly``).
+``LaurentPoly``, ``weyl.WeylElement`` and ``presented.UniPoly`` state only
+their keys and products.
+``monomials_of_degree`` is the one monomial enumerator.
 """
 
 from __future__ import annotations
@@ -53,19 +53,6 @@ def monomials_of_degree(nvars: int, degree: int, cap: int | None = None) -> list
         rows = [((*prefix, first), rest - first) for prefix, rest in rows
                 for first in range(max(0, rest - left * cap), min(cap, rest) + 1)]
     return [(*prefix, rest) for prefix, rest in rows]
-
-
-def _power(base, k: int, one):
-    """base ** k by square-and-multiply, starting from ``one``."""
-    if k < 0:
-        raise ValueError("negative powers are not defined")
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
 
 
 def _coerce(c) -> Fraction:
@@ -258,7 +245,16 @@ class TermMap:
         return NotImplemented
 
     def __pow__(self, k: int):
-        return _power(self, k, self.one(self.nvars))
+        """self ** k by square-and-multiply."""
+        if k < 0:
+            raise ValueError("negative powers are not defined")
+        result, base = self.one(self.nvars), self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

@@ -1,9 +1,11 @@
 """Finitely presented modules over the univariate polynomial ring Q[t].
 
-UniPoly is a dense univariate polynomial with Fraction coefficients.  Q[t]
-is a principal ideal domain, so every finitely presented module splits as a
-free part plus cyclic torsion summands Q[t]/(d_i); the invariant factors
-d_1 | d_2 | ... are computed by an exact Smith reduction in two stages.
+UniPoly is laurent.TermMap's one-variable case, keyed by the exponent of t:
+the ring arithmetic is TermMap's, and UniPoly adds division with remainder,
+gcd, Yun's squarefree split and Taylor shifts.  Q[t] is a principal ideal
+domain, so every finitely presented module splits as a free part plus cyclic
+torsion summands Q[t]/(d_i); the invariant factors d_1 | d_2 | ... are
+computed by an exact Smith reduction in two stages.
 Euclid's algorithm on rows and columns reduces the matrix to a diagonal
 (pivot on a least-degree entry; clear its column by polynomial division,
 then its row, and start the position over on any remainder).  Then
@@ -21,26 +23,34 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .laurent import _coerce, _power
+from .laurent import TermMap, _coerce
 
 
-class UniPoly:
-    """Polynomial in one variable t over Q; coeffs[i] is the t^i coefficient."""
+class UniPoly(TermMap):
+    """Polynomial in one variable t over Q, a TermMap keyed by the exponent
+    of t; coeffs[i] is the t^i coefficient."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        super().__init__(1, enumerate(coeffs))
+
+    @staticmethod
+    def _checked(pair) -> tuple[int, Fraction]:
+        i, c = pair
+        return i, _coerce(c)
+
+    @staticmethod
+    def _product(i: int, j: int, c: Fraction):
+        return ((i + j, c),)
 
     @classmethod
     def zero(cls) -> "UniPoly":
         return cls(())
 
     @classmethod
-    def one(cls) -> "UniPoly":
+    def one(cls, nvars: int = 1) -> "UniPoly":
+        """1; TermMap.__pow__ passes nvars, which is always 1 here."""
         return cls((1,))
 
     @classmethod
@@ -53,87 +63,33 @@ class UniPoly:
 
     # ---- structure ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Dense ascending coefficients, zeros included; () for 0."""
+        return tuple(self.terms.get(i, Fraction(0)) for i in range(self.degree() + 1))
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
     def lead(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.terms.get(self.degree(), Fraction(0))
 
     def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
+        return self.degree() == 0
 
     def monic(self) -> "UniPoly":
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return UniPoly(c / lead for c in self.coeffs)
+        lead = self.lead()
+        return self if lead in (0, 1) else self * (1 / lead)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    # ---- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return UniPoly(k * c for k in self.coeffs)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        return _power(self, exponent, UniPoly.one())
+        return bool(self.terms)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        lead = dv[-1]
+        dd, lead = other.degree(), other.lead()
         if len(rem) <= dd:
             return UniPoly.zero(), self
         quot = [Fraction(0)] * (len(rem) - dd)
@@ -142,7 +98,7 @@ class UniPoly:
             if c:
                 q = c / lead
                 quot[i - dd] = q
-                for j, d in enumerate(dv):
+                for j, d in other.terms.items():
                     rem[i - dd + j] -= q * d
         return UniPoly(quot), UniPoly(rem)
 
@@ -164,7 +120,7 @@ class UniPoly:
         return a.monic()
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return UniPoly._raw(1, {i - 1: i * c for i, c in self.terms.items() if i})
 
     def squarefree_parts(self) -> list["UniPoly"]:
         """Monic squarefree, pairwise coprime q_1, q_2, ... with
@@ -193,14 +149,11 @@ class UniPoly:
         q_k is the k-th derivative divided by k!, computed via binomials so
         everything stays exact.
         """
-        n = len(self.coeffs)
-        if n == 0:
-            return []
+        n = self.degree() + 1
         layers: list[list[Fraction]] = [[Fraction(0)] * (n - k) for k in range(n)]
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for k in range(j + 1):
-                    layers[k][j - k] += c * comb(j, k)
+        for j, c in self.terms.items():
+            for k in range(j + 1):
+                layers[k][j - k] += c * comb(j, k)
         return [UniPoly(layer) for layer in layers]
 
     def evaluate(self, point) -> Fraction:
@@ -211,19 +164,15 @@ class UniPoly:
         return acc
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for i, c in sorted(self.terms.items()):
             if i == 0:
                 parts.append(str(c))
             elif i == 1:
                 parts.append(f"{c}*t" if c != 1 else "t")
             else:
                 parts.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 def smith_normal_form(matrix: Sequence[Sequence[UniPoly]]) -> list[UniPoly]:

@@ -44,7 +44,7 @@ from .dimensions import (  # noqa: F401 -- the counting names, read here as befo
     do_dimensions, global_do_dimension, negative_twist_existence)
 from .errors import WORK_LIMIT  # noqa: F401 -- read as projective.WORK_LIMIT
 from .errors import (InconsistencyError, PreconditionError, _ITEM_WORK, _fraction_bits,
-                     _step, check_work)
+                     _step, check_dimension, check_work)
 
 # strings, so that defining the alias reads nothing from laurent
 Candidate = tuple["laurent.Exponent", "laurent.Exponent"]
@@ -168,8 +168,7 @@ def _induced_map(n: int, a: int, b: int, op: weyl.WeylElement, i: int
                  ) -> tuple[linalg.ExactMatrix, list, list]:
     """induced_cohomology_map's matrix with the source and target monomial
     bases that index its columns and rows, each built once."""
-    if n < 1:
-        raise PreconditionError("projective dimension must be >= 1")
+    check_dimension(n)
     if op.nvars != n + 1:
         raise PreconditionError("operator has the wrong number of variables")
     if not op.is_graded_of_degree(b - a):
@@ -241,8 +240,7 @@ class BlockOperator:
     """
 
     def __init__(self, n: int, m: int, d: int, d12: weyl.WeylElement):
-        if n < 1:
-            raise PreconditionError("projective dimension must be >= 1")
+        check_dimension(n)
         if d12.nvars != n + 1:
             raise PreconditionError("D12 has the wrong number of variables")
         if not d12.is_graded_of_degree(d - m):

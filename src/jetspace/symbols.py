@@ -175,11 +175,9 @@ def symbol_of(op, order: int) -> SymbolMatrix:
             if top is not None and top > order:
                 raise PreconditionError(
                     f"operator of order {top} has no order-{order} symbol")
-            terms = {}
-            for (alpha, beta), c in entry.terms.items():
-                if sum(beta) == order:
-                    terms[tuple(alpha) + tuple(beta)] = c
-            out_row.append(LaurentPoly(2 * m, terms))
+            top_terms = entry.order_part(order).terms.items()
+            out_row.append(LaurentPoly(2 * m, {alpha + beta: c
+                                               for (alpha, beta), c in top_terms}))
         out_rows.append(tuple(out_row))
     return SymbolMatrix(m=m, order=order, entries=tuple(out_rows))
 

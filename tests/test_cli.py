@@ -515,6 +515,36 @@ def test_precondition_exit_without_traceback(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, exit_code, first_line", [
+    (("jet", "--free-rank", "--N", "2"), 1, "usage error: --free-rank needs --m and --r"),
+    (("symbol", "--N", "-1", "--op", "1 * x^(0) d^(0)"), 2,
+     "precondition failed: symbol order must be nonnegative"),
+    (("symbol", "--N", "1", "--matrix",
+      '[["1 * x^(0) d^(1)", "0 * x^(0,0) d^(0,0)"], ["0 * x^(0) d^(0)", "1 * x^(0) d^(1)"]]'),
+     2, "precondition failed: mixed variable counts in operator matrix"),
+    (("induced-map", "--n", "2", "--a", "0", "--b", "0", "--i", "1",
+      "--op", "1 * x^(0,0,0) d^(0,0,0)"),
+     2, "precondition failed: induced maps are available for i = 0 and i = n"),
+    (("induced-map", "--n", "2", "--a", "0", "--b", "0", "--i", "0",
+      "--op", "1 * x^(0,0) d^(0,0)"),
+     2, "precondition failed: operator has the wrong number of variables"),
+    (("cohomology", "--n", "2", "--k", "-1", "--j", "0"), 2,
+     "precondition failed: symmetric power must be nonnegative"),
+    (("cohomology", "--n", "0", "--k", "1", "--j", "0"), 2,
+     "precondition failed: projective dimension must be >= 1"),
+    (("cohomology", "--n", "-2", "--k", "1", "--j", "0"), 2,
+     "precondition failed: projective dimension must be >= 1"),
+    (("cohomology", "--n", "1", "--k", "1", "--j", "0"), 2,
+     "precondition failed: h0_sym_tangent needs n >= 2; on the projective line the "
+     "tangent bundle is O(2), so use h^0(O(2k + j)) instead"),
+])
+def test_refusal_first_line(capsys, argv, exit_code, first_line):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (exit_code, "")
+    assert err.splitlines()[0] == first_line
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, key, want", [
     (("cohomology", "--n", "99999", "--k", "99999"),
      lambda payload: payload["h"][0], lambda: math.comb(199998, 99999)),

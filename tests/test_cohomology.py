@@ -195,8 +195,11 @@ def test_each_binomial_is_computed_once(monkeypatch):
 
 
 def test_sym_tangent_rejects_projective_line():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="on the projective line"):
         h0_sym_tangent(1, 2, 0)
+    for n in (0, -3):
+        with pytest.raises(PreconditionError, match=r"^projective dimension must be >= 1$"):
+            h0_sym_tangent(n, 1, 0)
 
 
 def test_sym_tangent_line_reduction():

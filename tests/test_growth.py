@@ -33,6 +33,12 @@ def test_expected_delta_line_vs_plane():
     assert expected_delta(2, 1, 1) == chi_sym_tangent(2, 1, 1)
 
 
+@pytest.mark.parametrize("args", [(0, 1, 0), (-3, 2, 5), (0, 0, 0)])
+def test_expected_delta_refuses_projective_dimension_below_one(args):
+    with pytest.raises(PreconditionError, match=r"^projective dimension must be >= 1$"):
+        expected_delta(*args)
+
+
 def test_expected_delta_is_the_integer_h0():
     for n in range(2, 6):
         for order in range(1, 8):

@@ -43,6 +43,26 @@ def test_jet_multiplication_truncates():
     assert (dx2 * dx2 * dx2).is_zero()
 
 
+def test_jet_element_linear_structure_and_hash():
+    x, dx = LaurentPoly.monomial((1, 0)), LaurentPoly.monomial((0, 1))
+    f = JetElement(1, 2, x + dx * dx)
+    g = JetElement(1, 2, dx * 3)
+    assert f - g == JetElement(1, 2, x + dx * dx - dx * 3)
+    assert -f == JetElement(1, 2, -x - dx * dx)
+    assert (f - f).is_zero() and (-(-f)) == f
+    half = Fraction(1, 2)
+    assert f * half == half * f == JetElement(1, 2, (x + dx * dx) * half)
+    assert f * 2 == 2 * f == f + f
+    # truncation makes different polynomials equal jets, with equal hashes
+    h = JetElement(1, 1, x + dx * dx)
+    assert h == JetElement(1, 1, x) and hash(h) == hash(JetElement(1, 1, x))
+    assert f + g - g == f and hash(f + g - g) == hash(f)
+    for other in (JetElement(1, 1, x), JetElement(2, 2, LaurentPoly.monomial((1, 0, 0, 0)))):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match="jet shape mismatch"):
+                op(f, other)
+
+
 # ---------------------------------------------------------------------------
 # universal derivation
 # ---------------------------------------------------------------------------

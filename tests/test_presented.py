@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import jetspace.presented as presented
+from jetspace.laurent import LaurentPoly
 from jetspace.presented import (PresentedModule, UniPoly, divisibility_chain,
                                 smith_normal_form)
 
@@ -82,6 +83,135 @@ def test_shift_coefficients_taylor_layers():
     direct = p.evaluate(u + s)
     via_layers = sum(q.evaluate(u) * s ** k for k, q in enumerate(layers))
     assert direct == via_layers
+
+
+# ---------------------------------------------------------------------------
+# UniPoly against a dense reference: convolution and long division on
+# ascending coefficient lists, with no trailing zeros
+# ---------------------------------------------------------------------------
+
+def trimmed(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def dense_add(a, b):
+    width = max(len(a), len(b))
+    return trimmed((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                   for i in range(width))
+
+
+def dense_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def dense_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        quot[i] = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= quot[i] * y
+    return trimmed(quot), trimmed(rem)
+
+
+def dense_gcd(a, b):
+    while b:
+        a, b = b, dense_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def random_dense(rng):
+    """Zero, a constant, a sparse c t^k (k up to 40) or a dense polynomial
+    of degree up to 6, with Fraction coefficients."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ()
+    if kind == 1:
+        return (Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 2, 5])),)
+    if kind == 2:
+        return (Fraction(0),) * rng.choice([1, 7, 40]) + (Fraction(rng.choice([-2, 1, 3])),)
+    cs = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+          for _ in range(rng.randint(1, 6))]
+    return tuple(cs) + (Fraction(rng.choice([-3, -1, 1, 2, 7])),)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unipoly_ring_arithmetic_matches_the_dense_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        a, b = random_dense(rng), random_dense(rng)
+        p, q = UniPoly(a), UniPoly(b)
+        assert (p + q).coeffs == dense_add(a, b)
+        assert (p - q).coeffs == dense_add(a, [-c for c in b])
+        assert (-p).coeffs == trimmed(-c for c in a)
+        assert (p * q).coeffs == dense_mul(a, b)
+        for c in (0, 3, -1, Fraction(-2, 3)):
+            assert (p * c).coeffs == (c * p).coeffs == trimmed(c * x for x in a)
+        want = (Fraction(1),)
+        for k in range(4):
+            assert (p ** k).coeffs == want
+            want = dense_mul(want, a)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unipoly_division_and_gcd_match_the_dense_reference(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(25):
+        a, b = random_dense(rng), random_dense(rng)
+        if not b:
+            continue
+        p, q = UniPoly(a), UniPoly(b)
+        quot, rem = divmod(p, q)
+        assert (quot.coeffs, rem.coeffs) == dense_divmod(a, b)
+        assert p.gcd(q).coeffs == dense_gcd(a, b)
+        # q divides p q, so their gcd is monic(q)
+        assert (p * q).gcd(q).coeffs == tuple(c / b[-1] for c in b)
+
+
+def test_unipoly_structure_of_zero_and_constants():
+    zero = UniPoly.zero()
+    assert zero.coeffs == () and UniPoly((0, 0, Fraction(0))).coeffs == ()
+    assert zero.degree() == -1 and zero.lead() == 0
+    assert not zero.is_unit() and zero.monic() == zero
+    for c in (3, Fraction(-1, 2), 1):
+        p = UniPoly.constant(c)
+        assert p.coeffs == (Fraction(c),) and type(p.coeffs[0]) is Fraction
+        assert p.degree() == 0 and p.lead() == c
+        assert p.is_unit() and p.monic() == one
+    sparse = UniPoly.t() ** 40 * Fraction(2, 3)
+    assert sparse.coeffs == (Fraction(0),) * 40 + (Fraction(2, 3),)
+    assert sparse.degree() == 40 and sparse.lead() == Fraction(2, 3)
+    assert sparse.monic() == t ** 40 and not sparse.is_unit()
+    with pytest.raises(AttributeError):
+        sparse.coeffs = (1,)
+
+
+def test_unipoly_hash_agrees_with_equality():
+    rng = random.Random(7)
+    for _ in range(40):
+        a, b = random_dense(rng), random_dense(rng)
+        p, q = UniPoly(a), UniPoly(b)
+        for x, y in [(p + q - q, p), (UniPoly(a + (0, 0)), p), (p * q, q * p),
+                     (p * 1, UniPoly(list(a)))]:
+            assert x == y and hash(x) == hash(y)
+    assert len({UniPoly((1, 2)), UniPoly((Fraction(2, 2), 2, 0)), t + t + one}) == 1
+
+
+def test_unipoly_never_meets_a_one_variable_laurent_polynomial():
+    p = t + one
+    q = LaurentPoly(1, {(0,): 1, (1,): 1})
+    assert p != q and q != p
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(TypeError):
+            op(p, q)
+        with pytest.raises(TypeError):
+            op(q, p)
 
 
 # ---------------------------------------------------------------------------
