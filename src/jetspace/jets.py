@@ -10,10 +10,10 @@ prolonged presentation: each relation p(t) becomes the family of columns
 dt^s * p(t + dt), expanded over the dt-power basis and truncated, which is
 exactly what taking jets of a cokernel presentation yields (jets preserve
 cokernels).  For a cyclic module Q[t]/(p) the invariant factors of the jet
-module also have a closed form in the squarefree parts of p.  Universal
-derivations, free jet ranks and cyclic jets estimate their work from the
-sizes of their input first, and errors.check_work refuses what passes
-errors.WORK_LIMIT.
+module also have a closed form in the chain of gcds of p with its
+derivative.  Universal derivations, free jet ranks and cyclic jets estimate
+their work from the sizes of their input first, and errors.check_work
+refuses what passes errors.WORK_LIMIT.
 
 The operator/jet dictionary: an order-N operator D = sum c_beta(x) d^beta
 corresponds to the module map determined on the dx-power basis by
@@ -28,11 +28,11 @@ from itertools import product
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from . import linalg, weyl
+# Modules, not names: reading jets executes neither laurent nor presented
+# until a function here first calls into them (see __init__).
+from . import laurent, linalg, presented, weyl
 from .errors import (PreconditionError, _ITEM_WORK, _binomial_bits, _fraction_bits, _step,
                      check_work)
-from .laurent import Exponent, LaurentPoly, monomials_of_degree
-from .presented import PresentedModule, UniPoly
 
 # besides the _step of its coefficient, an output term of universal_derivation
 # takes about 2^20 work units to build and print: 16 us (2-core Xeon, Py 3.11)
@@ -44,7 +44,7 @@ class JetElement:
 
     __slots__ = ("m", "order", "poly")
 
-    def __init__(self, m: int, order: int, poly: LaurentPoly):
+    def __init__(self, m: int, order: int, poly: laurent.LaurentPoly):
         if poly.nvars != 2 * m:
             raise ValueError("jet polynomial must have 2m variables (x then dx)")
         if order < 0:
@@ -93,12 +93,12 @@ class JetElement:
         return f"JetElement(m={self.m}, order={self.order}, {self.poly!r})"
 
 
-def _truncate(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
+def _truncate(poly: laurent.LaurentPoly, m: int, order: int) -> laurent.LaurentPoly:
     out = {e: c for e, c in poly.terms.items() if sum(e[m:]) <= order}
-    return poly if len(out) == len(poly.terms) else LaurentPoly._raw(poly.nvars, out)
+    return poly if len(out) == len(poly.terms) else laurent.LaurentPoly._raw(poly.nvars, out)
 
 
-def universal_derivation(f: LaurentPoly, order: int) -> JetElement:
+def universal_derivation(f: laurent.LaurentPoly, order: int) -> JetElement:
     """f |-> f(x + dx) truncated past dx-order N; multiplicative by design.
 
     A term c x^gamma of f gives at most prod_i (min(gamma_i, N) + 1) terms,
@@ -111,13 +111,13 @@ def universal_derivation(f: LaurentPoly, order: int) -> JetElement:
         raise PreconditionError("jet order must be nonnegative")
     check_work(_derivation_work(f, order), "(m={}, N={}, terms={})",
                f.nvars, order, len(f.terms))
-    return JetElement(f.nvars, order, LaurentPoly(2 * f.nvars, (
+    return JetElement(f.nvars, order, laurent.LaurentPoly(2 * f.nvars, (
         (tuple(g - kj for g, kj in zip(gamma, k)) + k, c * prod(map(comb, gamma, k)))
         for gamma, c in f.terms.items()
         for k in product(*(range(min(g, order) + 1) for g in gamma)) if sum(k) <= order)))
 
 
-def _derivation_work(f: LaurentPoly, order: int) -> int:
+def _derivation_work(f: laurent.LaurentPoly, order: int) -> int:
     """Work estimate of universal_derivation(f, N): each output term of
     c x^gamma makes a coefficient of at most the bits of c plus
     sum_i bits(C(gamma_i, min(gamma_i // 2, N))), as k_i <= N."""
@@ -138,7 +138,7 @@ def jet_free_rank(m: int, order: int, rank: int = 1) -> int:
     return rank * comb(m + order, order)
 
 
-def jet_of_presented(module: PresentedModule, order: int) -> PresentedModule:
+def jet_of_presented(module: presented.PresentedModule, order: int) -> presented.PresentedModule:
     """Jet module of coker(R) over Q[t], via the prolonged presentation.
 
     Generators are (original generator, dt-layer) pairs; the relation column
@@ -149,7 +149,7 @@ def jet_of_presented(module: PresentedModule, order: int) -> PresentedModule:
         raise PreconditionError("jet order must be nonnegative")
     g, r = module.gens, module.relation_count
     layers = order + 1
-    zero = UniPoly.zero()
+    zero = presented.UniPoly.zero()
     new_rels = [[zero] * (r * layers) for _ in range(g * layers)]
     for i in range(g):
         for c in range(r):
@@ -164,21 +164,31 @@ def jet_of_presented(module: PresentedModule, order: int) -> PresentedModule:
                         break
                     if q:
                         new_rels[i * layers + s + k][col] = q
-    return PresentedModule(g * layers, new_rels)
+    return presented.PresentedModule(g * layers, new_rels)
 
 
-def cyclic_jet_invariants(p: UniPoly, order: int) -> tuple[UniPoly, ...]:
+def cyclic_jet_invariants(p: presented.UniPoly, order: int) -> tuple[presented.UniPoly, ...]:
     """Nonunit invariant factors of the jet module of Q[t]/(p), ascending.
 
     Closed form, no Smith reduction.  The jet module is Q[u, s]/(p(u), s^(N+1))
     with t = u - s.  At a root of p of multiplicity e, t minus the root is
     the difference of commuting nilpotents of Jordan types (e) and (N+1),
     whose Jordan blocks have sizes N + e - 2r for r < min(e, N+1)
-    (Clebsch-Gordan, characteristic 0).  Collecting the roots by the
-    squarefree parts q_e of p, the r-th invariant factor from the top is
-    prod_{e > r} q_e^(N + e - 2r).  The product of all of them is
-    monic(p)^(N+1), so the length is deg(p) * (N + 1).  Input whose work
-    estimate (_cyclic_work) passes errors.WORK_LIMIT is refused with
+    (Clebsch-Gordan, characteristic 0).  Write monic(p) = prod_e q_e^e with
+    q_e the monic product of the roots of multiplicity e; the r-th invariant
+    factor from the top is then prod_{e > r} q_e^(N + e - 2r).  The product of
+    all of them is monic(p)^(N+1), so the length is deg(p) * (N + 1).
+
+    The q_e are never computed.  Let g_0 = monic(p), g_{i+1} = gcd(g_i, g_i').
+    A root of multiplicity k in g_i has multiplicity k - 1 in g_i', and every
+    root of g_i' that is not one of g_i's is dropped by the gcd, so
+    g_i = prod_{e > i} q_e^(e - i) by induction, and g_r / g_{r+1} =
+    prod_{e > r} q_e.  Hence the r-th factor from the top,
+    prod_{e > r} q_e^(e - r - 1) * q_e^(N - r + 1), is
+    g_{r+1} (g_r / g_{r+1})^(N + 1 - r).  It is a nonunit exactly when g_r
+    is, so the chain stops at the first unit g_i, or at g_{N+1}: the factors
+    are those of r < min(len(chain) - 1, N + 1).  Input whose work estimate
+    (_cyclic_work) passes errors.WORK_LIMIT is refused with
     PreconditionError before any work.
     """
     if not p:
@@ -187,32 +197,31 @@ def cyclic_jet_invariants(p: UniPoly, order: int) -> tuple[UniPoly, ...]:
         raise PreconditionError("jet order must be nonnegative")
     check_work(_cyclic_work(p, order), "the jet module of Q[t]/(p) at N={} (deg p = {})",
                order, p.degree())
-    parts = p.squarefree_parts()
-    factors = []
-    for r in range(min(len(parts), order + 1)):
-        d = UniPoly.one()
-        for e, q in enumerate(parts[r:], start=r + 1):
-            d = d * q ** (order + e - 2 * r)
-        factors.append(d)
-    return tuple(reversed(factors))
+    chain = [p.monic()]
+    while chain[-1].degree() > 0 and len(chain) < order + 2:
+        chain.append(chain[-1].gcd(chain[-1].derivative()))
+    return tuple(reversed([h * (g // h) ** (order + 1 - r)
+                           for r, (g, h) in enumerate(zip(chain, chain[1:]))]))
 
 
-def _cyclic_work(p: UniPoly, order: int) -> int:
+def _cyclic_work(p: presented.UniPoly, order: int) -> int:
     """Work estimate of cyclic_jet_invariants(p, N), in Fraction products of
     an item and a _step each.  With D = deg(p) and b the bits of the largest
     coefficient of monic(p), at most those of a coefficient plus the lead's:
-    Yun's split runs at most D Euclidean gcds of D^2 products, on entries of
-    up to 2 D b bits; the powers multiply up to a length of D (N + 1), the
-    last and largest product pairing two halves of it, on coefficients of
-    up to (N + 1)(b + bits(D)) bits, a power of monic(p) at most."""
+    the gcd chain runs at most min(N + 1, D) Euclidean gcds of D^2 products,
+    on entries of up to 2 D b bits; the powers multiply up to a length of
+    D (N + 1), the last and largest product pairing two halves of it, on
+    coefficients of up to (N + 1)(b + bits(D)) bits, a power of monic(p) at
+    most."""
     deg = p.degree()
     bits = max(map(_fraction_bits, p.terms.values())) + _fraction_bits(p.lead())
     half = deg * (order + 1) // 2
-    return (deg ** 3 * (_ITEM_WORK + _step(2 * deg * bits))
+    return (min(order + 1, deg) * deg * deg * (_ITEM_WORK + _step(2 * deg * bits))
             + half * half * (_ITEM_WORK + _step((order + 1) * (bits + deg.bit_length()))))
 
 
-def operator_to_jet_map(op: weyl.WeylElement, order: int) -> dict[Exponent, LaurentPoly]:
+def operator_to_jet_map(op: weyl.WeylElement,
+                        order: int) -> dict[laurent.Exponent, laurent.LaurentPoly]:
     """The values of the corresponding jet-module map on the dx-power basis.
 
     Returns beta -> beta! * c_beta(x) for every derivative exponent beta of
@@ -222,32 +231,33 @@ def operator_to_jet_map(op: weyl.WeylElement, order: int) -> dict[Exponent, Laur
     if op_order is not None and op_order > order:
         raise PreconditionError(f"operator order {op_order} exceeds jet order {order}")
     m = op.nvars
-    values: dict[Exponent, dict[Exponent, Fraction]] = {}
+    values: dict[laurent.Exponent, dict[laurent.Exponent, Fraction]] = {}
     for (alpha, beta), c in op.terms.items():
         fact = 1
         for b in beta:
             fact *= factorial(b)
         values.setdefault(beta, {})[alpha] = c * fact
-    return {beta: LaurentPoly(m, terms) for beta, terms in values.items()}
+    return {beta: laurent.LaurentPoly(m, terms) for beta, terms in values.items()}
 
 
-def evaluate_jet_map(values: dict[Exponent, LaurentPoly], jet: JetElement) -> LaurentPoly:
+def evaluate_jet_map(values: dict[laurent.Exponent, laurent.LaurentPoly],
+                     jet: JetElement) -> laurent.LaurentPoly:
     """Apply a module map given on the dx-power basis to a jet, x-linearly."""
     m = jet.m
-    out = LaurentPoly.zero(m)
-    grouped: dict[Exponent, dict[Exponent, Fraction]] = {}
+    out = laurent.LaurentPoly.zero(m)
+    grouped: dict[laurent.Exponent, dict[laurent.Exponent, Fraction]] = {}
     for e, c in jet.poly.terms.items():
         grouped.setdefault(e[m:], {})[e[:m]] = c
     for k, xterms in grouped.items():
         target = values.get(k)
         if target is None or target.is_zero():
             continue
-        out = out + LaurentPoly(m, xterms) * target
+        out = out + laurent.LaurentPoly(m, xterms) * target
     return out
 
 
 def do_jet_correspondence_check(op: weyl.WeylElement, order: int,
-                                testset: list[LaurentPoly] | None = None) -> bool:
+                                testset: list[laurent.LaurentPoly] | None = None) -> bool:
     """Exact check that factoring through the universal derivation recovers D.
 
     For every f in the testset, the jet-module map associated to D applied
@@ -257,8 +267,8 @@ def do_jet_correspondence_check(op: weyl.WeylElement, order: int,
     values = operator_to_jet_map(op, order)
     m = op.nvars
     if testset is None:
-        testset = [LaurentPoly.monomial(e) for deg in range(4)
-                   for e in monomials_of_degree(m, deg)]
+        testset = [laurent.LaurentPoly.monomial(e) for deg in range(4)
+                   for e in laurent.monomials_of_degree(m, deg)]
     for f in testset:
         via_jets = evaluate_jet_map(values, universal_derivation(f, order))
         if via_jets != op.apply(f):
@@ -285,7 +295,7 @@ def symbol_quotient_check(m: int, order: int) -> SymbolQuotientResult:
     """
     if m < 1 or order < 1:
         raise PreconditionError("symbol quotient check needs m >= 1, N >= 1")
-    betas = monomials_of_degree(m, order)
+    betas = laurent.monomials_of_degree(m, order)
     expected = comb(m + order - 1, order)
     if len(betas) != expected:
         return SymbolQuotientResult(False, expected)

@@ -2,10 +2,10 @@
 
 UniPoly is laurent.TermMap's one-variable case, keyed by the exponent of t:
 the ring arithmetic is TermMap's, and UniPoly adds division with remainder,
-gcd, Yun's squarefree split and Taylor shifts.  Q[t] is a principal ideal
-domain, so every finitely presented module splits as a free part plus cyclic
-torsion summands Q[t]/(d_i); the invariant factors d_1 | d_2 | ... are
-computed by an exact Smith reduction in two stages.
+the monic gcd (Euclid on primitive remainders) and Taylor shifts.  Q[t] is a
+principal ideal domain, so every finitely presented module splits as a free
+part plus cyclic torsion summands Q[t]/(d_i); the invariant factors
+d_1 | d_2 | ... are computed by an exact Smith reduction in two stages.
 Euclid's algorithm on rows and columns reduces the matrix to a diagonal
 (pivot on a least-degree entry; clear its column by polynomial division,
 then its row, and start the position over on any remainder).  Then
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .laurent import TermMap, _coerce
+from .laurent import TermMap, _coerce, primitive_integers
 
 
 class UniPoly(TermMap):
@@ -114,34 +114,18 @@ class UniPoly(TermMap):
         return not (other % self)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
+        """Monic gcd by Euclid's algorithm on primitive remainders (Collins,
+        J. ACM 14, 1967): each remainder is replaced by its primitive integer
+        part, a unit multiple of it, so the coefficients do not swell.  The
+        parts keep Fraction coefficients, as division divides with /."""
         a, b = self, other
         while b:
-            a, b = b, a % b
+            r = a % b
+            a, b = b, r and UniPoly(map(Fraction, primitive_integers(r.coeffs)))
         return a.monic()
 
     def derivative(self) -> "UniPoly":
         return UniPoly._raw(1, {i - 1: i * c for i, c in self.terms.items() if i})
-
-    def squarefree_parts(self) -> list["UniPoly"]:
-        """Monic squarefree, pairwise coprime q_1, q_2, ... with
-        monic(self) = prod_e q_e^e (Yun's algorithm).
-
-        parts[e - 1] is q_e; the last part is a nonunit, so a constant
-        gives [].  Exact in characteristic 0.
-        """
-        if not self:
-            raise ValueError("the zero polynomial has no squarefree decomposition")
-        parts: list[UniPoly] = []
-        f = self.monic()
-        df = f.derivative()
-        a = f.gcd(df)
-        b, c = f // a, df // a
-        while b.degree() > 0:
-            d = c - b.derivative()
-            q = b.gcd(d)
-            parts.append(q)
-            b, c = b // q, d // q
-        return parts
 
     def shift_coefficients(self) -> list["UniPoly"]:
         """Polynomials q_k with p(t + s) = sum_k q_k(t) s^k (Taylor layers).

@@ -203,8 +203,8 @@ def test_jet_presentation_independence():
 # closed-form jets of cyclic modules, against the Smith form
 # ---------------------------------------------------------------------------
 
-def _random_modulus(rng):
-    """c * prod (t - root)^e * prod (t^2 + k)^e: degree <= 7, e in 1..3,
+def _random_modulus(rng, top=3, cap=7):
+    """c * prod (t - root)^e * prod (t^2 + k)^e: degree <= cap, e in 1..top,
     distinct roots, so the multiplicities are exactly the e drawn."""
     p, degree = UniPoly.constant(rng.choice([-3, -1, 1, 2, Fraction(1, 2)])), 0
     roots = rng.sample(range(-3, 4), 3)
@@ -213,8 +213,8 @@ def _random_modulus(rng):
     factors += [t * t + UniPoly.constant(k) for k in shifts]
     rng.shuffle(factors)
     for f in factors:
-        e = rng.randint(1, 3)
-        if degree + e * f.degree() <= 7 and rng.random() < 0.6:
+        e = rng.randint(1, top)
+        if degree + e * f.degree() <= cap and rng.random() < 0.6:
             p = p * f ** e
             degree += e * f.degree()
     return p
@@ -223,9 +223,14 @@ def _random_modulus(rng):
 def test_cyclic_jet_invariants_match_smith_form():
     rng = random.Random(20261018)
     cases = [(_random_modulus(rng), rng.randint(0, 4)) for _ in range(40)]
-    # multiplicity 3 above the jet order: N + 1 < e
+    # multiplicities up to 4, at every N from 0 to one past the top one
+    cases += [(p, order) for p in (_random_modulus(rng, top=4, cap=6) for _ in range(12))
+              for order in range(6)]
+    # multiplicity 3 above the jet order: N + 1 < e; a unit modulus
     cases += [((t - UniPoly.one()) ** 3 * (t * t + UniPoly.one()), 0),
-              (t ** 3 * (t + UniPoly.one()) ** 2, 1)]
+              (t ** 3 * (t + UniPoly.one()) ** 2, 1),
+              ((t + UniPoly.one()) ** 4 * (t * t + UniPoly.constant(2)), 2),
+              (UniPoly.constant(Fraction(-2, 3)), 3)]
     for p, order in cases:
         free_rank, torsion = jet_of_presented(PresentedModule.cyclic(p),
                                               order).invariants()
@@ -261,7 +266,7 @@ def test_cyclic_jet_invariants_units_and_errors():
 
 
 def test_cyclic_jet_invariants_refuse_by_their_work_estimate(monkeypatch):
-    # Fraction products of the squarefree split and of the powers, from the
+    # Fraction products of the gcd chain and of the powers, from the
     # degree, the length deg(p)(N + 1) and the coefficient bits: t + 1 is
     # accepted up to N = 376 (0.4 s), and a 1000-digit constant term at
     # N = 200 (past 120 s before) is refused before any work
@@ -270,9 +275,9 @@ def test_cyclic_jet_invariants_refuse_by_their_work_estimate(monkeypatch):
     assert sum(d.degree() for d in cyclic_jet_invariants(t * t + t, 60)) == 122
 
     def refuse(*args):
-        raise AssertionError("squarefree parts computed")
+        raise AssertionError("gcd chain computed")
 
-    monkeypatch.setattr(UniPoly, "squarefree_parts", refuse)
+    monkeypatch.setattr(UniPoly, "gcd", refuse)
     for p, order in ((t + big, 200), (t + one, 377), (t * t + t, 10 ** 8),
                      (UniPoly(range(1, 1001)), 0)):
         with pytest.raises(PreconditionError, match=(

@@ -172,6 +172,17 @@ def test_unipoly_division_and_gcd_match_the_dense_reference(seed):
         assert p.gcd(q).coeffs == dense_gcd(a, b)
         # q divides p q, so their gcd is monic(q)
         assert (p * q).gcd(q).coeffs == tuple(c / b[-1] for c in b)
+    # degree 30-60 pairs f g and f h that share a factor f: the primitive
+    # remainders keep every coefficient an exact Fraction
+    for _ in range(2):
+        f, g, h = (tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+                         for _ in range(rng.randint(15, 30))) + (Fraction(rng.choice([-3, 7])),)
+                   for _ in range(3))
+        a, b = dense_mul(f, g), dense_mul(f, h)
+        gcd = UniPoly(a).gcd(UniPoly(b))
+        assert gcd.coeffs == dense_gcd(a, b)
+        assert all(type(c) is Fraction for c in gcd.coeffs)
+        assert UniPoly(f).divides(gcd)
 
 
 def test_unipoly_structure_of_zero_and_constants():
@@ -347,38 +358,6 @@ def test_divisibility_chain_merges_by_gcd_and_lcm():
     assert divisibility_chain([t * t, t]) == [t, t * t]
     assert divisibility_chain([poly(2), poly(0, 3)]) == [one, t]
     assert divisibility_chain([]) == []
-
-
-def test_squarefree_parts_of_units():
-    assert one.squarefree_parts() == []
-    assert poly(-7).squarefree_parts() == []
-    assert poly(Fraction(5, 3)).squarefree_parts() == []
-
-
-def test_squarefree_parts_mixed_multiplicities():
-    p = (t - one) ** 2 * (t * t + one) ** 3 * 4
-    assert p.squarefree_parts() == [one, t - one, t * t + one]
-
-
-def test_squarefree_parts_rebuild_random_products():
-    rng = random.Random(5)
-    for _ in range(20):
-        p = poly(rng.choice([-2, 1, 3]))
-        for root in rng.sample(range(-4, 5), 3):
-            p = p * (t - poly(root)) ** rng.randint(0, 3)
-        parts = p.squarefree_parts()
-        rebuilt = one
-        for e, q in enumerate(parts, start=1):
-            assert q == q.monic()
-            assert q.gcd(q.derivative()) == one
-            rebuilt = rebuilt * q ** e
-        assert rebuilt == p.monic()
-        assert not parts or not parts[-1].is_unit()
-
-
-def test_squarefree_parts_rejects_zero():
-    with pytest.raises(ValueError):
-        UniPoly.zero().squarefree_parts()
 
 
 # ---------------------------------------------------------------------------

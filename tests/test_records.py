@@ -90,14 +90,15 @@ def test_executing_every_module_loads_no_dataclasses_or_inspect():
     (["jet", "--cyclic=3,-1,2,5", "--N", "12"],
      {"cli", "errors", "laurent", "presented", "jets"}),
     (["jet", "--derive", "1/2 * x^(1,1) + -3/4 * x^(2,0) + 5 * x^(0,0)", "--N", "2"],
-     {"cli", "errors", "laurent", "presented", "jets"}),
+     {"cli", "errors", "laurent", "jets"}),
+    (["jet", "--free-rank", "--m", "2", "--r", "1", "--N", "3"], {"cli", "errors", "jets"}),
     (["symbol", "--op", "1 * x^(1,0) d^(2,0) + -3 * x^(0,0) d^(1,1)", "--N", "2"],
      {"cli", "errors", "laurent", "weyl", "symbols"}),
     (["elliptic-check", "--mode", "real", "--op",
       "1 * x^(0,0) d^(4,0) + -2 * x^(0,0) d^(0,4)", "--N", "4"],
      {"cli", "errors", "laurent", "weyl", "symbols"}),
-], ids=["dim-do", "growth-table", "cohomology", "jet-cyclic", "jet-derive", "symbol",
-        "elliptic-check"])
+], ids=["dim-do", "growth-table", "cohomology", "jet-cyclic", "jet-derive", "jet-free-rank",
+        "symbol", "elliptic-check"])
 def test_subcommand_executes_only_the_modules_it_needs(argv, expected):
     _, executed = run_fresh(f"import jetspace.cli\njetspace.cli.main({argv!r})")
     assert executed == expected
