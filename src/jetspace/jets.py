@@ -5,15 +5,15 @@ with every monomial of total dx-degree > N discarded.  The universal
 derivation sends f to f(x + dx) truncated; it is multiplicative because
 truncation is an ideal-quotient operation.
 
-Jets of finitely presented modules over Q[t] are computed through the
-prolonged presentation: each relation p(t) becomes the family of columns
-dt^s * p(t + dt), expanded over the dt-power basis and truncated, which is
-exactly what taking jets of a cokernel presentation yields (jets preserve
-cokernels).  For a cyclic module Q[t]/(p) the invariant factors of the jet
-module also have a closed form in the chain of gcds of p with its
-derivative.  Universal derivations, free jet ranks and cyclic jets estimate
-their work from the sizes of their input first, and errors.check_work
-refuses what passes errors.WORK_LIMIT.
+Jets of a cyclic module Q[t]/(p) have invariant factors in closed form, read
+off the chain of gcds of p with its derivative.  Jets of a finitely presented
+Q[t]-module follow by additivity: J^N depends only on the isomorphism class
+of the module and takes direct sums to direct sums, so the jets of
+Q[t]^f + sum_i Q[t]/(d_i), the module's own invariant factors, are a free
+module of rank f (N + 1) plus the cyclic jets of the d_i, merged into one
+divisibility chain.  Universal derivations, free jet ranks and jets of
+cyclic and presented modules estimate their work from the sizes of their
+input first, and errors.check_work refuses what passes errors.WORK_LIMIT.
 
 The operator/jet dictionary: an order-N operator D = sum c_beta(x) d^beta
 corresponds to the module map determined on the dx-power basis by
@@ -139,32 +139,54 @@ def jet_free_rank(m: int, order: int, rank: int = 1) -> int:
 
 
 def jet_of_presented(module: presented.PresentedModule, order: int) -> presented.PresentedModule:
-    """Jet module of coker(R) over Q[t], via the prolonged presentation.
+    """Jet module of coker(R) over Q[t], presented by its free part and its
+    invariant factors on the diagonal.
 
-    Generators are (original generator, dt-layer) pairs; the relation column
-    for (original column, shift s) is dt^s * p(t + dt) truncated, expanded
-    over the dt-power basis.
+    J^N(M) is the extension of scalars of M along t -> t + dt into
+    A = Q[t][dt]/(dt^(N+1)), a Q[t]-module through t, free on 1, dt, ..., dt^N.
+    Extension of scalars is additive, takes isomorphic modules to isomorphic
+    ones and, being right exact, takes coker R to the cokernel of the
+    prolonged R: the columns dt^s R(t + dt), expanded over the dt-power basis.
+    So with M = Q[t]^f + sum_i Q[t]/(d_i) read off its invariants, J^N(M) is
+    A^f, free of rank f (N + 1), plus the sum over i of J^N(Q[t]/(d_i)), whose
+    invariant factors cyclic_jet_invariants(d_i, N) gives.  divisibility_chain
+    merges those into one chain, and its units drop out.  The one Smith form
+    run is that of M's own g x r presentation.  Input whose work estimate
+    (_presented_work) passes errors.WORK_LIMIT is refused with
+    PreconditionError before any gcd chain.
     """
     if order < 0:
         raise PreconditionError("jet order must be nonnegative")
-    g, r = module.gens, module.relation_count
-    layers = order + 1
-    zero = presented.UniPoly.zero()
-    new_rels = [[zero] * (r * layers) for _ in range(g * layers)]
-    for i in range(g):
-        for c in range(r):
-            p = module.relations[i][c]
-            if not p:
-                continue
-            taylor = p.shift_coefficients()
-            for s in range(layers):
-                col = c * layers + s
-                for k, q in enumerate(taylor):
-                    if s + k >= layers:
-                        break
-                    if q:
-                        new_rels[i * layers + s + k][col] = q
-    return presented.PresentedModule(g * layers, new_rels)
+    free_rank, torsion = module.invariants()
+    check_work(_presented_work(free_rank, torsion, order),
+               "the jet module at N={} of a Q[t]-module of free rank {} and torsion degrees {}",
+               order, free_rank, [d.degree() for d in torsion])
+    merged = presented.divisibility_chain(
+        e for d in torsion for e in cyclic_jet_invariants(d, order))
+    jet = presented.PresentedModule.free(free_rank * (order + 1))
+    for e in merged:
+        if not e.is_unit():
+            jet = jet.direct_sum(presented.PresentedModule.cyclic(e))
+    return jet
+
+
+def _presented_work(free_rank: int, torsion: tuple[presented.UniPoly, ...], order: int) -> int:
+    """Work estimate of jet_of_presented from M's invariants (f, d_1, ...):
+    cyclic_jet_invariants of each d_i (_cyclic_work); then the merge of their
+    k <= sum_i min(N + 1, deg d_i) factors, whose degrees add up to the length
+    L = (N + 1) sum_i deg d_i.  Row i of the merge runs a gcd, a product and a
+    division of d_i, of degree a, with each later factor, at most
+    3 a (L - a) <= L^2 products in all, on coefficients of up to the bits of
+    prod_i monic(d_i)^(N + 1); k - 1 rows run a step.  Then at most
+    (F + k) k^2 + F cells build the presentation of rank F = f (N + 1), one
+    summand at a time."""
+    count = sum(min(order + 1, d.degree()) for d in torsion)
+    length = (order + 1) * sum(d.degree() for d in torsion)
+    bits = (order + 1) * sum(_monic_bits(d) + d.degree().bit_length() for d in torsion)
+    rank = free_rank * (order + 1)
+    return (sum(_cyclic_work(d, order) for d in torsion)
+            + (count - 1) * length * length * (_ITEM_WORK + _step(bits))
+            + ((rank + count) * count * count + rank) * _ITEM_WORK)
 
 
 def cyclic_jet_invariants(p: presented.UniPoly, order: int) -> tuple[presented.UniPoly, ...]:
@@ -213,11 +235,16 @@ def _cyclic_work(p: presented.UniPoly, order: int) -> int:
     D (N + 1), the last and largest product pairing two halves of it, on
     coefficients of up to (N + 1)(b + bits(D)) bits, a power of monic(p) at
     most."""
-    deg = p.degree()
-    bits = max(map(_fraction_bits, p.terms.values())) + _fraction_bits(p.lead())
+    deg, bits = p.degree(), _monic_bits(p)
     half = deg * (order + 1) // 2
     return (min(order + 1, deg) * deg * deg * (_ITEM_WORK + _step(2 * deg * bits))
             + half * half * (_ITEM_WORK + _step((order + 1) * (bits + deg.bit_length()))))
+
+
+def _monic_bits(p: presented.UniPoly) -> int:
+    """A bound on the bits of a coefficient of monic(p): those of p's largest
+    coefficient plus those of its lead."""
+    return max(map(_fraction_bits, p.terms.values())) + _fraction_bits(p.lead())
 
 
 def operator_to_jet_map(op: weyl.WeylElement,

@@ -245,15 +245,17 @@ class TermMap:
         return NotImplemented
 
     def __pow__(self, k: int):
-        """self ** k by square-and-multiply."""
+        """self ** k by square-and-multiply: bit_length(k) - 1 squares, the
+        base squared only while bits of k remain, and popcount(k) products."""
         if k < 0:
             raise ValueError("negative powers are not defined")
         result, base = self.one(self.nvars), self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

@@ -1,8 +1,8 @@
 """Finitely presented modules over the univariate polynomial ring Q[t].
 
 UniPoly is laurent.TermMap's one-variable case, keyed by the exponent of t:
-the ring arithmetic is TermMap's, and UniPoly adds division with remainder,
-the monic gcd (Euclid on primitive remainders) and Taylor shifts.  Q[t] is a
+the ring arithmetic is TermMap's, and UniPoly adds division with remainder
+and the monic gcd (Euclid on primitive remainders).  Q[t] is a
 principal ideal domain, so every finitely presented module splits as a free
 part plus cyclic torsion summands Q[t]/(d_i); the invariant factors
 d_1 | d_2 | ... are computed by an exact Smith reduction in two stages.
@@ -20,7 +20,6 @@ is the sum of the degrees of the invariant factors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .laurent import TermMap, _coerce, primitive_integers
@@ -126,19 +125,6 @@ class UniPoly(TermMap):
 
     def derivative(self) -> "UniPoly":
         return UniPoly._raw(1, {i - 1: i * c for i, c in self.terms.items() if i})
-
-    def shift_coefficients(self) -> list["UniPoly"]:
-        """Polynomials q_k with p(t + s) = sum_k q_k(t) s^k (Taylor layers).
-
-        q_k is the k-th derivative divided by k!, computed via binomials so
-        everything stays exact.
-        """
-        n = self.degree() + 1
-        layers: list[list[Fraction]] = [[Fraction(0)] * (n - k) for k in range(n)]
-        for j, c in self.terms.items():
-            for k in range(j + 1):
-                layers[k][j - k] += c * comb(j, k)
-        return [UniPoly(layer) for layer in layers]
 
     def evaluate(self, point) -> Fraction:
         p = _coerce(point)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from jetspace.jets import (JetElement, cyclic_jet_invariants,
                            operator_to_jet_map, symbol_quotient_check,
                            universal_derivation)
 from jetspace.laurent import LaurentPoly
-from jetspace.presented import PresentedModule, UniPoly, divisibility_chain
+from jetspace.presented import PresentedModule, UniPoly
 from jetspace.weyl import WeylElement
 
 t = UniPoly.t()
@@ -134,7 +135,54 @@ def test_universal_derivation_additive(rng):
 
 
 # ---------------------------------------------------------------------------
-# free ranks and prolonged presentations
+# the oracle: the prolonged (Taylor-layer) presentation of a jet module
+# ---------------------------------------------------------------------------
+
+def taylor_layers(p):
+    """q_0, q_1, ..., q_deg with p(t + s) = sum_k q_k(t) s^k: q_k is the k-th
+    derivative of p over k!, from binomials, so everything stays exact."""
+    n = p.degree() + 1
+    layers = [[Fraction(0)] * (n - k) for k in range(n)]
+    for j, c in p.terms.items():
+        for k in range(j + 1):
+            layers[k][j - k] += c * math.comb(j, k)
+    return [UniPoly(layer) for layer in layers]
+
+
+def prolonged_presentation(module, order):
+    """J^N(coker R) from its definition, reading no invariant of the module:
+    generators are (generator, dt-layer) pairs, and relation column c at
+    shift s is dt^s R_c(t + dt) truncated past dt^N, over the dt-power basis.
+    Its Smith form is the oracle for jet_of_presented."""
+    g, r, layers = module.gens, module.relation_count, order + 1
+    rels = [[UniPoly.zero()] * (r * layers) for _ in range(g * layers)]
+    for i, row in enumerate(module.relations):
+        for c, p in enumerate(row):
+            taylor = taylor_layers(p)
+            for s in range(layers):
+                for k, q in enumerate(taylor[:layers - s]):
+                    rels[i * layers + s + k][c * layers + s] = q
+    return PresentedModule(g * layers, rels)
+
+
+def test_taylor_layers_expand_p_at_t_plus_s():
+    # p(t + s) = sum_k q_k(t) s^k
+    p = t ** 3 - t
+    layers = taylor_layers(p)
+    assert layers[0] == p
+    assert layers[1] == UniPoly((-1, 0, 3))     # p'
+    assert layers[2] == UniPoly((0, 3))         # p''/2
+    assert layers[3] == UniPoly.one()
+    s = Fraction(2, 3)
+    u = Fraction(-1, 4)
+    direct = p.evaluate(u + s)
+    via_layers = sum(q.evaluate(u) * s ** k for k, q in enumerate(layers))
+    assert direct == via_layers
+    assert taylor_layers(UniPoly.zero()) == []
+
+
+# ---------------------------------------------------------------------------
+# free ranks and jets of presented modules
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m,order", [(1, 0), (1, 4), (2, 1), (2, 2), (3, 2)])
@@ -195,12 +243,14 @@ def test_jet_presentation_independence():
     ])
     assert padded.invariants() == direct.invariants()
     for order in (0, 1, 2):
-        assert (jet_of_presented(padded, order).invariants()
-                == jet_of_presented(direct, order).invariants())
+        want = prolonged_presentation(direct, order).invariants()
+        assert prolonged_presentation(padded, order).invariants() == want
+        for module in (direct, padded):
+            assert jet_of_presented(module, order).invariants() == want
 
 
 # ---------------------------------------------------------------------------
-# closed-form jets of cyclic modules, against the Smith form
+# closed-form jets of cyclic modules, against the prolonged presentation
 # ---------------------------------------------------------------------------
 
 def _random_modulus(rng, top=3, cap=7):
@@ -232,8 +282,8 @@ def test_cyclic_jet_invariants_match_smith_form():
               ((t + UniPoly.one()) ** 4 * (t * t + UniPoly.constant(2)), 2),
               (UniPoly.constant(Fraction(-2, 3)), 3)]
     for p, order in cases:
-        free_rank, torsion = jet_of_presented(PresentedModule.cyclic(p),
-                                              order).invariants()
+        free_rank, torsion = prolonged_presentation(PresentedModule.cyclic(p),
+                                                    order).invariants()
         assert free_rank == 0
         assert cyclic_jet_invariants(p, order) == torsion, (p, order)
 
@@ -286,19 +336,54 @@ def test_cyclic_jet_invariants_refuse_by_their_work_estimate(monkeypatch):
             cyclic_jet_invariants(p, order)
 
 
-def _jets_by_additivity(module, order):
-    """(free rank, nonunit invariants) of the order-N jets of a module, from
-    its own invariants: J^N of a direct sum is the direct sum of the J^N,
-    so the cyclic closed forms merge by gcd/lcm into one chain."""
-    free_rank, torsion = module.invariants()
-    merged = divisibility_chain(d for p in torsion for d in cyclic_jet_invariants(p, order))
-    return free_rank * (order + 1), tuple(d for d in merged if not d.is_unit())
+def test_jet_of_presented_refuses_by_its_work_estimate(monkeypatch):
+    # one estimate of every invariant factor's gcd chain and powers, of the
+    # merge and of the presentation, made before any chain: t + 1 twice is
+    # refused at N = 130, where its cyclic jets alone are far within
+    one = UniPoly.one()
+    twice = PresentedModule(2, [[t + one, UniPoly.zero()], [UniPoly.zero(), t + one]])
+    assert twice.invariants() == (0, (t + one, t + one))
+    assert jets._presented_work(0, (t + one, t + one), 129) <= WORK_LIMIT
+    assert 2 * jets._cyclic_work(t + one, 130) < WORK_LIMIT // 16
+    assert jets._presented_work(0, (t + one,), 376) <= WORK_LIMIT
+    assert jet_of_presented(twice, 20).length() == 42
+    cases = [(twice, 130), (PresentedModule.cyclic(t + one), 377),
+             (PresentedModule.free(1), 10 ** 8)]
+
+    def refuse(*args):
+        raise AssertionError("gcd chain computed")
+
+    monkeypatch.setattr(UniPoly, "gcd", refuse)
+    for module, order in cases:
+        free_rank, torsion = module.invariants()
+        what = (f"the jet module at N={order} of a Q[t]-module of free rank {free_rank} "
+                f"and torsion degrees {[d.degree() for d in torsion]} has a work estimate")
+        with pytest.raises(PreconditionError, match=re.escape(what) + (
+                r" of 2\^\d+ or more, above the limit 2\^37")):
+            jet_of_presented(module, order)
+    with pytest.raises(PreconditionError, match="jet order must be nonnegative"):
+        jet_of_presented(twice, -1)
 
 
 def test_jets_of_presented_modules_by_additivity():
     one = UniPoly.one()
+    zero = UniPoly.zero()
     coupled = PresentedModule(2, [[t, one + t], [one + t * t, t ** 3]])
-    cases = [(coupled, order) for order in range(7)]
+    # summands whose factors share roots, so the cyclic jets merge by gcd/lcm
+    a, b = (t - one) ** 2 * (t + UniPoly.constant(2)), (t - one) ** 3
+    shared = PresentedModule(2, [[a, zero], [zero, b]])
+    # the same module after adding t times the second row to the first
+    twisted = PresentedModule(2, [[a, t * b], [zero, b]])
+    # from N = 1 on, t and 1 each lie in only two of the three cyclic jet
+    # factors, so their merge has a unit, dropped
+    apart = PresentedModule(2, [[t, zero], [zero, t * (t - one) ** 2]])
+    # free parts beside torsion
+    mixed = PresentedModule(3, [[t * t, t], [zero, zero], [t, one - t]])
+    half_free = PresentedModule(2, [[(t - one) ** 2], [t - one]])
+    cases = [(m, order) for m in (coupled, shared, twisted, apart, mixed, half_free)
+             for order in range(7)]
+    # no relations, and a zero relation
+    cases += [(PresentedModule.free(2), 2), (PresentedModule(1, [[zero]]), 3)]
     rng = random.Random(20261019)
     for _ in range(40):
         gens, rels = rng.randint(1, 3), rng.randint(0, 3)
@@ -306,8 +391,16 @@ def test_jets_of_presented_modules_by_additivity():
                  for _ in range(rels)] for _ in range(gens)]
         cases += [(PresentedModule(gens, rows), order) for order in range(4)]
     for module, order in cases:
-        assert (jet_of_presented(module, order).invariants()
-                == _jets_by_additivity(module, order)), (module.relations, order)
+        free_rank, torsion = prolonged_presentation(module, order).invariants()
+        jet = jet_of_presented(module, order)
+        assert jet.invariants() == (free_rank, torsion), (module.relations, order)
+        # a minimal presentation: free generators, then diag of the invariants
+        diagonal = [[d if j == i else zero for j in range(len(torsion))]
+                    for i, d in enumerate(torsion)]
+        assert jet.relations == tuple(map(tuple, [[zero] * len(torsion)] * free_rank
+                                          + diagonal)), (module.relations, order)
+    assert shared.invariants() == twisted.invariants()
+    assert mixed.invariants()[0] == 1 and half_free.invariants()[0] == 1
 
 
 # ---------------------------------------------------------------------------

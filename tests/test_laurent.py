@@ -60,6 +60,24 @@ def test_pow_equals_repeated_products(k):
     assert p ** k == want
 
 
+def test_pow_makes_no_product_past_the_top_bit(monkeypatch):
+    # bit_length(k) - 1 squares and popcount(k) products: the base is not
+    # squared once more after the top bit of k, the largest product of all
+    products = []
+    multiply = LaurentPoly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    p = LaurentPoly(1, {(1,): 1, (0,): 1})
+    for k in range(71):
+        products.clear()
+        assert p ** k == LaurentPoly(1, {(j,): math.comb(k, j) for j in range(k + 1)})
+        assert len(products) == max(k.bit_length() - 1, 0) + bin(k).count("1"), k
+
+
 def test_negative_pow_is_refused():
     with pytest.raises(ValueError, match="negative powers are not defined"):
         LaurentPoly.variable(0, 2) ** -1

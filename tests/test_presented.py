@@ -70,21 +70,6 @@ def test_unipoly_derivative_and_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(7, 4)
 
 
-def test_shift_coefficients_taylor_layers():
-    # p(t + s) = sum_k q_k(t) s^k
-    p = (t ** 3) + poly(0, -1)
-    layers = p.shift_coefficients()
-    assert layers[0] == p
-    assert layers[1] == poly(-1, 0, 3)      # p'
-    assert layers[2] == poly(0, 3)          # p''/2
-    assert layers[3] == one
-    s = Fraction(2, 3)
-    u = Fraction(-1, 4)
-    direct = p.evaluate(u + s)
-    via_layers = sum(q.evaluate(u) * s ** k for k, q in enumerate(layers))
-    assert direct == via_layers
-
-
 # ---------------------------------------------------------------------------
 # UniPoly against a dense reference: convolution and long division on
 # ascending coefficient lists, with no trailing zeros

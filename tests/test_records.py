@@ -92,13 +92,19 @@ def test_executing_every_module_loads_no_dataclasses_or_inspect():
     (["jet", "--derive", "1/2 * x^(1,1) + -3/4 * x^(2,0) + 5 * x^(0,0)", "--N", "2"],
      {"cli", "errors", "laurent", "jets"}),
     (["jet", "--free-rank", "--m", "2", "--r", "1", "--N", "3"], {"cli", "errors", "jets"}),
+    (["induced-map", "--n", "1", "--a", "2", "--b", "1", "--i", "0", "--op", "1 * x^(0,0) d^(1,0)"],
+     {"cli", "cohomology", "dimensions", "errors", "laurent", "linalg", "projective", "weyl"}),
+    (["block-op", "--n", "1", "--m", "0", "--d", "2", "--op", "1 * x^(3,0) d^(1,0)"],
+     {"cli", "dimensions", "errors", "laurent", "projective", "weyl"}),
+    (["cohomology", "--n", "2", "--k", "3", "--i", "0", "--method", "cech"],
+     {"cli", "cohomology", "errors", "laurent"}),
     (["symbol", "--op", "1 * x^(1,0) d^(2,0) + -3 * x^(0,0) d^(1,1)", "--N", "2"],
      {"cli", "errors", "laurent", "weyl", "symbols"}),
     (["elliptic-check", "--mode", "real", "--op",
       "1 * x^(0,0) d^(4,0) + -2 * x^(0,0) d^(0,4)", "--N", "4"],
      {"cli", "errors", "laurent", "weyl", "symbols"}),
 ], ids=["dim-do", "growth-table", "cohomology", "jet-cyclic", "jet-derive", "jet-free-rank",
-        "symbol", "elliptic-check"])
+        "induced-map", "block-op", "cohomology-cech", "symbol", "elliptic-check"])
 def test_subcommand_executes_only_the_modules_it_needs(argv, expected):
     _, executed = run_fresh(f"import jetspace.cli\njetspace.cli.main({argv!r})")
     assert executed == expected
