@@ -49,12 +49,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n"
 
 
-def _parse_operator(text: str) -> weyl.WeylElement:
-    """One operator text, as --op gives it."""
+def _read(parse, text: str, where: str = ""):
+    """parse(text), the one reader of input text: a ValueError there is bad
+    text, so it becomes a usage error with the same message, where appended."""
     try:
-        return weyl.WeylElement.parse(text)
+        return parse(text)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise _UsageError(f"{exc}{where}") from None
 
 
 def _parse_operand(args) -> list[list[weyl.WeylElement]]:
@@ -63,7 +64,7 @@ def _parse_operand(args) -> list[list[weyl.WeylElement]]:
     if args.op is not None and args.matrix is not None:
         raise _UsageError("give only one of --op or --matrix")
     if args.op is not None:
-        return [[_parse_operator(args.op)]]
+        return [[_read(weyl.WeylElement.parse, args.op)]]
     if args.matrix is None:
         raise _UsageError("one of --op or --matrix is required")
     try:
@@ -74,7 +75,7 @@ def _parse_operand(args) -> list[list[weyl.WeylElement]]:
             or any(not isinstance(row, list) or len(row) != len(raw)
                    or not all(isinstance(cell, str) for cell in row) for row in raw)):
         raise _UsageError("--matrix must be a square JSON array of arrays of strings")
-    return [[_parse_operator(cell) for cell in row] for row in raw]
+    return [[_read(weyl.WeylElement.parse, cell) for cell in row] for row in raw]
 
 
 # ---- subcommand handlers ----------------------------------------------
@@ -178,14 +179,6 @@ def _cmd_elliptic_check(args) -> dict:
     return payload
 
 
-def _parse_poly(text: str) -> laurent.LaurentPoly:
-    """Polynomial text "c * x^(e0,..,em)" terms joined by '+'."""
-    try:
-        return laurent.LaurentPoly(*laurent.parse_terms(text, ("x",)))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _cmd_jet(args) -> dict:
     actions = [args.derive is not None, args.free_rank, args.cyclic is not None]
     if sum(actions) != 1:
@@ -199,7 +192,9 @@ def _cmd_jet(args) -> dict:
             "rank": jets.jet_free_rank(args.m, args.N, args.r),
         }
     elif args.derive is not None:
-        poly = _parse_poly(args.derive)
+        # polynomial text "c * x^(e0,..,em)" terms joined by '+'
+        poly = _read(lambda text: laurent.LaurentPoly(*laurent.parse_terms(text, ("x",))),
+                     args.derive)
         jet = jets.universal_derivation(poly, args.N)
         return {
             "action": "derive",
@@ -207,11 +202,8 @@ def _cmd_jet(args) -> dict:
             "jet": laurent.format_terms(jet.poly.terms, ("x", "dx"), jet.m),
         }
     else:
-        try:
-            coeffs = [laurent.parse_coefficient(c) for c in args.cyclic.split(",")]
-        except ValueError as exc:
-            raise _UsageError(f"{exc} in --cyclic") from None
-        p = presented.UniPoly(coeffs)
+        p = presented.UniPoly([_read(laurent.parse_coefficient, c, " in --cyclic")
+                               for c in args.cyclic.split(",")])
         torsion = jets.cyclic_jet_invariants(p, args.N)
         return {
             "action": "cyclic",
@@ -224,7 +216,7 @@ def _cmd_jet(args) -> dict:
 
 
 def _cmd_induced_map(args) -> dict:
-    op = _parse_operator(args.op)
+    op = _read(weyl.WeylElement.parse, args.op)
     matrix, source, target = projective._induced_map(args.n, args.a, args.b, op, args.i)
     return {
         "n": args.n, "a": args.a, "b": args.b, "i": args.i,
@@ -236,7 +228,8 @@ def _cmd_induced_map(args) -> dict:
 
 
 def _cmd_block_op(args) -> dict:
-    block = projective.block_operator(args.n, args.m, args.d, _parse_operator(args.op))
+    op = _read(weyl.WeylElement.parse, args.op)
+    block = projective.block_operator(args.n, args.m, args.d, op)
     report = block.verify()
     return {
         "n": args.n, "m": args.m, "d": args.d,
@@ -260,80 +253,61 @@ def build_parser() -> _Parser:
                                  "projective space")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output", help="write the report here instead of stdout")
+    def ints(p, names):
+        for name in names.split():
+            p.add_argument(f"--{name}", type=int, required=True)
 
-    p = sub.add_parser("dim-do", help="dimension of the global operator space")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_dim_do)
+    def command(name, handler, summary, names=""):
+        """The subcommand's parser, bound to its handler, with the required
+        integer options names; --output is added last, below."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=handler)
+        ints(p, names)
+        return p
 
-    p = sub.add_parser("growth-table", help="dimension sweep with growth polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    command("dim-do", _cmd_dim_do, "dimension of the global operator space", "n a b N")
+
+    p = command("growth-table", _cmd_growth_table, "dimension sweep with growth polynomial",
+                "n a b")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    common(p)
-    p.set_defaults(func=_cmd_growth_table)
 
-    p = sub.add_parser("cohomology", help="line bundle / symmetric tangent cohomology")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("cohomology", _cmd_cohomology, "line bundle / symmetric tangent cohomology",
+                "n k")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--i", type=int, default=None)
     group.add_argument("--j", type=int, default=None,
                        help="twist: report h0 of Sym^k T(j) instead")
     p.add_argument("--method", choices=("closed", "cech"), default=None,
                    help="route for --i (default: closed)")
-    common(p)
-    p.set_defaults(func=_cmd_cohomology)
 
-    p = sub.add_parser("symbol", help="order-N symbol of an operator (matrix)")
+    p = command("symbol", _cmd_symbol, "order-N symbol of an operator (matrix)")
     p.add_argument("--op", help="operator text: 'c * x^(..) d^(..) + ...'")
     p.add_argument("--matrix", help="JSON array of arrays of operator texts")
-    p.add_argument("--N", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_symbol)
+    ints(p, "N")
 
-    p = sub.add_parser("elliptic-check", help="ellipticity of a symbol determinant")
+    p = command("elliptic-check", _cmd_elliptic_check, "ellipticity of a symbol determinant")
     p.add_argument("--mode", choices=("algebraic", "real"), required=True)
     p.add_argument("--op")
     p.add_argument("--matrix")
-    p.add_argument("--N", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_elliptic_check)
+    ints(p, "N")
 
-    p = sub.add_parser("jet", help="jet computations over affine rings")
+    p = command("jet", _cmd_jet, "jet computations over affine rings")
     p.add_argument("--derive", help="polynomial text: 'c * x^(e0,..)' + ...")
     p.add_argument("--free-rank", action="store_true", dest="free_rank")
     p.add_argument("--cyclic", help="comma coefficients of p for Q[t]/(p)")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--N", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_jet)
+    ints(p, "N")
 
-    p = sub.add_parser("induced-map", help="matrix induced on H^0 or H^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
+    p = command("induced-map", _cmd_induced_map, "matrix induced on H^0 or H^n", "n a b i")
     p.add_argument("--op", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_induced_map)
 
-    p = sub.add_parser("block-op", help="verify a unipotent block operator")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = command("block-op", _cmd_block_op, "verify a unipotent block operator", "n m d")
     p.add_argument("--op", required=True, help="the off-diagonal operator D12")
-    common(p)
-    p.set_defaults(func=_cmd_block_op)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", help="write the report here instead of stdout")
     return parser
 
 

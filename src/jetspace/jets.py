@@ -13,7 +13,9 @@ Q[t]^f + sum_i Q[t]/(d_i), the module's own invariant factors, are a free
 module of rank f (N + 1) plus the cyclic jets of the d_i, merged into one
 divisibility chain.  Universal derivations, free jet ranks and jets of
 cyclic and presented modules estimate their work from the sizes of their
-input first, and errors.check_work refuses what passes errors.WORK_LIMIT.
+input first, and errors.check_work refuses what passes errors.WORK_LIMIT;
+the Smith form of a presented module's own presentation is refused the
+same way by presented.smith_normal_form, before any elimination.
 
 The operator/jet dictionary: an order-N operator D = sum c_beta(x) d^beta
 corresponds to the module map determined on the dx-power basis by
@@ -150,10 +152,13 @@ def jet_of_presented(module: presented.PresentedModule, order: int) -> presented
     So with M = Q[t]^f + sum_i Q[t]/(d_i) read off its invariants, J^N(M) is
     A^f, free of rank f (N + 1), plus the sum over i of J^N(Q[t]/(d_i)), whose
     invariant factors cyclic_jet_invariants(d_i, N) gives.  divisibility_chain
-    merges those into one chain, and its units drop out.  The one Smith form
-    run is that of M's own g x r presentation.  Input whose work estimate
-    (_presented_work) passes errors.WORK_LIMIT is refused with
-    PreconditionError before any gcd chain.
+    merges those into one chain, and its units drop out; the result records
+    that chain as its invariants, so they cost no second Smith form.  The one
+    Smith form run is that of M's own g x r presentation, which
+    smith_normal_form refuses with PreconditionError when its own work
+    estimate passes errors.WORK_LIMIT.  Then input whose work estimate
+    (_presented_work) passes the limit is refused with PreconditionError
+    before any gcd chain.
     """
     if order < 0:
         raise PreconditionError("jet order must be nonnegative")
@@ -163,11 +168,8 @@ def jet_of_presented(module: presented.PresentedModule, order: int) -> presented
                order, free_rank, [d.degree() for d in torsion])
     merged = presented.divisibility_chain(
         e for d in torsion for e in cyclic_jet_invariants(d, order))
-    jet = presented.PresentedModule.free(free_rank * (order + 1))
-    for e in merged:
-        if not e.is_unit():
-            jet = jet.direct_sum(presented.PresentedModule.cyclic(e))
-    return jet
+    return presented.PresentedModule.from_invariants(
+        free_rank * (order + 1), [e for e in merged if not e.is_unit()])
 
 
 def _presented_work(free_rank: int, torsion: tuple[presented.UniPoly, ...], order: int) -> int:
@@ -178,15 +180,15 @@ def _presented_work(free_rank: int, torsion: tuple[presented.UniPoly, ...], orde
     division of d_i, of degree a, with each later factor, at most
     3 a (L - a) <= L^2 products in all, on coefficients of up to the bits of
     prod_i monic(d_i)^(N + 1); k - 1 rows run a step.  Then at most
-    (F + k) k^2 + F cells build the presentation of rank F = f (N + 1), one
-    summand at a time."""
+    (F + k) k + F cells build the diagonal presentation of free rank
+    F = f (N + 1)."""
     count = sum(min(order + 1, d.degree()) for d in torsion)
     length = (order + 1) * sum(d.degree() for d in torsion)
     bits = (order + 1) * sum(_monic_bits(d) + d.degree().bit_length() for d in torsion)
     rank = free_rank * (order + 1)
     return (sum(_cyclic_work(d, order) for d in torsion)
             + (count - 1) * length * length * (_ITEM_WORK + _step(bits))
-            + ((rank + count) * count * count + rank) * _ITEM_WORK)
+            + ((rank + count) * count + rank) * _ITEM_WORK)
 
 
 def cyclic_jet_invariants(p: presented.UniPoly, order: int) -> tuple[presented.UniPoly, ...]:

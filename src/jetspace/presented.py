@@ -10,7 +10,10 @@ Euclid's algorithm on rows and columns reduces the matrix to a diagonal
 (pivot on a least-degree entry; clear its column by polynomial division,
 then its row, and start the position over on any remainder).  Then
 divisibility_chain replaces each pair of diagonal entries by their gcd and
-lcm, so that each divides the next.
+lcm, so that each divides the next.  A matrix whose work estimate
+(_smith_work, from its shape, largest entry degree and coefficient bits)
+passes errors.WORK_LIMIT is refused with PreconditionError before any
+elimination.
 
 A PresentedModule is coker of a g x r relation matrix.  It is torsion
 exactly when the relation matrix has full row rank g, and then its length
@@ -22,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import _ITEM_WORK, _fraction_bits, _step, check_work
 from .laurent import TermMap, _coerce, primitive_integers
 
 
@@ -155,10 +159,14 @@ def smith_normal_form(matrix: Sequence[Sequence[UniPoly]]) -> list[UniPoly]:
     block, and the position starts over.  Only with the column clean is the
     rest of the pivot row replaced by its remainders, a column operation that
     changes no other row.  When both are clean the pivot is a diagonal entry,
-    and divisibility_chain turns the diagonal into the invariants.
+    and divisibility_chain turns the diagonal into the invariants.  A matrix
+    whose work estimate (_smith_work) passes errors.WORK_LIMIT is refused
+    with PreconditionError before any of this.
     """
     work = [list(row) for row in matrix]
     cols = len(work[0]) if work else 0
+    check_work(_smith_work(work, cols), "the Smith form of a {}x{} matrix over Q[t]",
+               len(work), cols)
     diagonal: list[UniPoly] = []
     top = 0
     while top < min(len(work), cols):
@@ -185,6 +193,29 @@ def smith_normal_form(matrix: Sequence[Sequence[UniPoly]]) -> list[UniPoly]:
             diagonal.append(piv)
             top += 1
     return divisibility_chain(diagonal)
+
+
+def _smith_work(rows: list[list[UniPoly]], cols: int) -> int:
+    """Work estimate of smith_normal_form on an r x c matrix, in products of
+    an item and a _step each, from its shape, its largest entry degree D and
+    the bits B of its largest coefficient; no polynomial arithmetic.  The
+    k = min(r, c) invariant factors have degrees adding up to at most
+    L = k D, the degree of a k x k minor, and each restart of a pivot
+    position lowers its pivot's degree; so it charges L + k sweeps of the
+    r c cells, each a product of up to L + 1 coefficients of up to
+    k (B + bits(D)) bits.  Calibrated on the Taylor-layer presentations of
+    jets, whose unit layers give early pivots (CHANGES.md has the rows); a
+    dense matrix of the same shape with no unit entries fills in and can
+    take far longer."""
+    cells = [p for row in rows for p in row if p]
+    if not cells:
+        return 0
+    deg = max(p.degree() for p in cells)
+    bits = max(_fraction_bits(c) for p in cells for c in p.terms.values())
+    k = min(len(rows), cols)
+    length = k * deg
+    return (len(rows) * cols * (length + k) * (length + 1)
+            * (_ITEM_WORK + _step(k * (bits + deg.bit_length()))))
 
 
 def divisibility_chain(diagonal: Iterable[UniPoly]) -> list[UniPoly]:
@@ -224,7 +255,21 @@ class PresentedModule:
 
     @classmethod
     def free(cls, gens: int) -> "PresentedModule":
-        return cls(gens, [() for _ in range(gens)])
+        return cls.from_invariants(gens, ())
+
+    @classmethod
+    def from_invariants(cls, free_rank: int,
+                        torsion: Sequence[UniPoly]) -> "PresentedModule":
+        """Q[t]^f + sum_i Q[t]/(d_i), presented by its diagonal, for monic
+        nonunit d_1 | d_2 | ...; invariants() returns (f, (d_1, ...)) as
+        given, with no Smith form."""
+        zero = UniPoly.zero()
+        module = cls(free_rank + len(torsion),
+                     [(zero,) * len(torsion)] * free_rank
+                     + [tuple(d if i == j else zero for j in range(len(torsion)))
+                        for i, d in enumerate(torsion)])
+        module._invariants = (free_rank, tuple(torsion))
+        return module
 
     @classmethod
     def cyclic(cls, p: UniPoly) -> "PresentedModule":

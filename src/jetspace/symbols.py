@@ -312,8 +312,6 @@ def _closure_witness(det: LaurentPoly, m: int) -> Witness | None:
 
 def _rational_root(value: Fraction, p: int) -> Fraction | None:
     """The rational t with t^p = value, if one exists."""
-    if value == 0:
-        return Fraction(0)
     if p % 2 == 0 and value < 0:
         return None
     sign = -1 if value < 0 else 1

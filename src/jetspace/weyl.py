@@ -164,12 +164,10 @@ class WeylElement(TermMap):
                             key=lambda e: (sum(e[n:]), e[n:], e[:n]))
 
     @classmethod
-    def parse(cls, text: str, nvars: int | None = None) -> "WeylElement":
+    def parse(cls, text: str) -> "WeylElement":
         """Inverse of serialize; accepts any term order and repeated keys.
         Negative exponents parse and are then rejected like any other."""
         width, pairs = parse_terms(text, ("x", "d"))
-        if nvars is not None and width != nvars:
-            raise ValueError("inconsistent variable count across terms")
         return cls(width, (((e[:width], e[width:]), c) for e, c in pairs))
 
     def __repr__(self) -> str:

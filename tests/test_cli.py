@@ -781,6 +781,32 @@ def test_retired_order_cap_variable_changes_nothing(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# golden bytes: `jetspace -h`, every subcommand's -h and four usage errors,
+# recorded at COLUMNS=80 before the parser declared each option once;
+# argparse words and wraps these differently across Python versions, so
+# they are compared on the version that recorded them
+# ---------------------------------------------------------------------------
+
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_help_golden.json").read_text())
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != HELP_GOLDEN["python"],
+                    reason=f"help bytes recorded on Python {HELP_GOLDEN['python']}")
+@pytest.mark.parametrize("case", HELP_GOLDEN["cases"],
+                         ids=[shlex.join(c["argv"]) or "no-arguments"
+                              for c in HELP_GOLDEN["cases"]])
+def test_help_and_usage_error_golden_bytes(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", str(HELP_GOLDEN["columns"]))
+    try:
+        rc = main(list(case["argv"]))
+    except SystemExit as exc:  # -h prints the help and exits 0
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# ---------------------------------------------------------------------------
 # golden bytes: jet --cyclic output recorded from the Smith-form route
 # ---------------------------------------------------------------------------
 

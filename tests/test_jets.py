@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial
-from jetspace import jets
+from jetspace import jets, presented
 from jetspace.errors import WORK_LIMIT, PreconditionError
 from jetspace.jets import (JetElement, cyclic_jet_invariants,
                            do_jet_correspondence_check, evaluate_jet_map,
@@ -363,6 +363,49 @@ def test_jet_of_presented_refuses_by_its_work_estimate(monkeypatch):
             jet_of_presented(module, order)
     with pytest.raises(PreconditionError, match="jet order must be nonnegative"):
         jet_of_presented(twice, -1)
+
+
+def test_smith_form_refuses_by_its_work_estimate_before_any_division(monkeypatch):
+    # the Taylor-layer presentations of this module: 18 x 18 at N = 8 (CI
+    # runs its Smith form, 0.5 s) is within the limit, 26 x 26 at N = 12
+    # (6 s) is not, and is refused before a single polynomial division
+    one = UniPoly.one()
+    coupled = PresentedModule(2, [[t, one + t], [one + t * t, t ** 3]])
+    accepted = prolonged_presentation(coupled, 8)
+    refused = prolonged_presentation(coupled, 12)
+    assert presented._smith_work([list(r) for r in accepted.relations], 18) <= WORK_LIMIT
+
+    def divide(*args):
+        raise AssertionError("polynomial division run")
+
+    monkeypatch.setattr(UniPoly, "__divmod__", divide)
+    message = (r"the Smith form of a 26x26 matrix over Q\[t\] has a work estimate "
+               r"of 2\^\d+ or more, above the limit 2\^37")
+    with pytest.raises(PreconditionError, match=message):
+        presented.smith_normal_form(refused.relations)
+    # jet_of_presented reads M's invariants first, so the same refusal
+    with pytest.raises(PreconditionError, match=message):
+        jet_of_presented(refused, 0)
+
+
+def test_jet_module_knows_its_invariant_factors(monkeypatch):
+    one, zero = UniPoly.one(), UniPoly.zero()
+    a, b = (t - one) ** 2 * (t + UniPoly.constant(2)), (t - one) ** 3
+    modules = [PresentedModule(2, [[a, zero], [zero, b]]),
+               PresentedModule(2, [[t, one + t], [one + t * t, t ** 3]]),
+               PresentedModule(3, [[t * t, t], [zero, zero], [t, one - t]]),
+               PresentedModule.free(2)]
+    cases = [(m, order) for m in modules for order in (0, 3, 10)]
+    jets_ = [jet_of_presented(m, order) for m, order in cases]
+    fresh = [PresentedModule(j.gens, j.relations).invariants() for j in jets_]
+
+    def smith(*args):
+        raise AssertionError("second Smith form run")
+
+    monkeypatch.setattr(presented, "smith_normal_form", smith)
+    assert [j.invariants() for j in jets_] == fresh
+    # length deg(a b) (N + 1), read off the recorded chain
+    assert [j.length() for j in jets_[:3]] == [6 * (order + 1) for order in (0, 3, 10)]
 
 
 def test_jets_of_presented_modules_by_additivity():

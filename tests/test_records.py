@@ -225,3 +225,45 @@ def test_symbol_quotient_result_truth_is_its_verdict():
     assert SymbolQuotientResult(True, 3)
     assert symbol_quotient_check(2, 2)
 
+
+
+# library refusals no other test reaches: the exception type and its message
+_SYMBOL_OP = "1 * x^(1) d^(1)"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # no float enters an exact path
+    (lambda: jetspace.LaurentPoly(1, {(0,): 0.5}), TypeError,
+     "coefficient must be int or Fraction, got float"),
+    (lambda: jetspace.UniPoly([0.5]), TypeError,
+     "coefficient must be int or Fraction, got float"),
+    (lambda: jetspace.symbol_of(jetspace.WeylElement.parse(_SYMBOL_OP), 1).xi_det(),
+     jetspace.PreconditionError, "symbol has nonconstant chart coefficients"),
+    (lambda: jetspace.symbol_of([[jetspace.WeylElement.parse(_SYMBOL_OP)] * 2], 1),
+     jetspace.PreconditionError, "operator matrix must be square"),
+    (lambda: jetspace.chi_sym_tangent(2, -1, 0), jetspace.PreconditionError,
+     "symmetric power must be nonnegative"),
+    (lambda: negative_twist_existence(2, 3, -1), jetspace.PreconditionError,
+     "search budget must be nonnegative"),
+    (lambda: jetspace.expected_delta(2, 0, 0), jetspace.PreconditionError,
+     "increments are defined for N >= 1"),
+    (lambda: jetspace.jet_free_rank(1, -1), jetspace.PreconditionError,
+     "jet_free_rank arguments must be nonnegative"),
+    (lambda: symbol_quotient_check(0, 1), jetspace.PreconditionError,
+     "symbol quotient check needs m >= 1, N >= 1"),
+    (lambda: jetspace.PresentedModule(-1, []), ValueError,
+     "generator count must be nonnegative"),
+    (lambda: jetspace.PresentedModule(2, [[jetspace.UniPoly.t()], []]), ValueError,
+     "ragged relation matrix"),
+    (lambda: jetspace.ExactMatrix(-1, 2), ValueError,
+     "matrix dimensions must be nonnegative"),
+    (lambda: jetspace.ExactMatrix(1, 1, {(1, 0): 1}), IndexError,
+     "entry (1,0) outside 1x1"),
+    (lambda: jetspace.ExactMatrix.from_rows([[1, 2], [3]]), ValueError, "ragged rows"),
+    (lambda: jetspace.ExactMatrix(1, 2) @ jetspace.ExactMatrix(1, 2), ValueError,
+     "shape mismatch in matrix product"),
+])
+def test_library_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

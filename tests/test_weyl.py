@@ -134,7 +134,6 @@ def test_serialize_parse_roundtrip():
         op = random_graded_operator(rng, 3, rng.randint(-1, 2), 3)
         text = op.serialize()
         assert WeylElement.parse(text) == op
-        assert WeylElement.parse(text, nvars=3) == op
 
 
 def test_serialize_is_sorted_and_stable():
