@@ -8,13 +8,53 @@ from jetspace.cohomology import (_h0_sym_tangent_row, chi_line, chi_sym_tangent,
                                  h0_line, h0_sym_tangent)
 from jetspace.errors import PreconditionError, StabilizationError
 from jetspace import cli, growth
-from jetspace.growth import (GrowthPolynomial, closed_form_dimension,
-                             closed_form_dimensions, expected_delta,
-                             growth_polynomial, stabilization_threshold,
-                             verify_growth)
+from jetspace.growth import (GrowthPolynomial, expected_delta, growth_polynomial,
+                             stabilization_threshold, verify_growth)
 from jetspace.presented import UniPoly
 from jetspace import dimensions
 from jetspace.projective import do_dimension, do_dimensions
+
+
+def closed_form_dimension(n, d, order):
+    """dim DO^N(O(a), O(a + d)) on P^n without an action matrix:
+    sum_{k=0..N} C(N - k + n, n) S(k), where S(k) counts the shifts in
+    Z^(n+1) of coordinate sum d whose negative part has size k.  Of those,
+    i coordinates are negative, in C(n+1, i) C(k-1, i-1) ways, and the rest
+    spread d + k; the all-negative i = n + 1 term needs d + k = 0.  The
+    tests' oracle for the product formula of dimensions.do_dimensions."""
+    return closed_form_dimensions(n, d, order)[order]
+
+
+def closed_form_dimensions(n, d, top):
+    """closed_form_dimension for N = 0..top, each S(k) computed once.
+
+    Each equals C(N + n, n) C(N + d + n, n), the kernel's dimension: this
+    is step 3 of dimensions.do_dimensions with its shifts s grouped by the
+    size k = |m(s)| of their negative part m(s) = max(0, -s).  A shift with
+    k <= N has C(N - k + n, n) exponents beta >= m(s) with |beta| = N (the
+    other N - k spread over n + 1 slots), so sum_k S(k) C(N - k + n, n)
+    counts the pairs (s, beta) with |beta| = N and beta >= m(s); a shift
+    with k > N has none.  Now beta >= m(s) iff beta >= 0 and
+    alpha = s + beta >= 0, and s = alpha - beta.  So the pairs are the
+    (alpha, beta) >= 0 with |beta| = N and |alpha| = N + d: C(N + n, n)
+    times C(N + d + n, n), and none when N + d < 0.
+
+    The sums over k are n + 1 running sums of S: by the hockey-stick
+    identity C(N - k + n, n) = sum_{j <= N - k} C(j + n - 1, n - 1), so if
+    the weight of S(k) in the n-th running sum at N is C(N - k + n - 1,
+    n - 1), in the next it is C(N - k + n, n); in the first it is 1."""
+    counts = [math.comb(d + n, n) if d >= 0 else 0] + [0] * top
+    for k in range(max(1, -d), top + 1):
+        # i = n + 1 negative coordinates only when d + k = 0; i = 1..n leave
+        # n + 1 - i slots to spread d + k over
+        total = math.comb(k - 1, n) if d + k == 0 else 0
+        for i in range(1, n + 1):
+            total += (math.comb(n + 1, i) * math.comb(k - 1, i - 1)
+                      * math.comb(d + k + n - i, n - i))
+        counts[k] = total
+    for _ in range(n + 1):
+        counts = itertools.accumulate(counts)
+    return list(counts)
 
 
 def _binomial_factor(n, shift):
@@ -285,36 +325,68 @@ def test_closed_form_sweep_counts_shifts_by_brute_force():
             assert closed_form_dimension(n, d, top) == want[top]
 
 
-def test_closed_form_sweep_makes_linearly_many_binomials(monkeypatch):
-    # S(k) takes at most 3n binomials per k, and the n + 1 running sums
-    # over k take none
-    calls = []
-
-    def counted(m, j):
-        calls.append((m, j))
-        return math.comb(m, j)
-
-    monkeypatch.setattr(growth, "comb", counted)
-    for n in (1, 2, 3):
-        for d in (-n - 3, -1, 0, 4):
-            for top in (0, 1, 7, 200):
-                calls.clear()
-                closed_form_dimensions(n, d, top)
-                assert len(calls) <= 3 * n * (top + 1) + 2, (n, d, top, len(calls))
-
-
 @pytest.mark.parametrize("n, d, top", [(1, 0, 4000), (2, -3, 1500), (3, 2, 500)])
 def test_closed_form_sweep_matches_dimensions_at_large_top(n, d, top):
     assert closed_form_dimensions(n, d, top) == list(do_dimensions(n, 0, d, top))
 
 
-def test_verify_growth_reports_first_closed_form_mismatch(monkeypatch):
-    true_forms = closed_form_dimensions
-    monkeypatch.setattr(growth, "closed_form_dimensions", lambda n, d, top: [
-        dim + (order >= 3) for order, dim in enumerate(true_forms(n, d, top))])
+def _patch_dims(monkeypatch, order, step):
+    """Patch growth.do_dimensions to add step to every dimension from order on."""
+    true_dims = do_dimensions
+    monkeypatch.setattr(growth, "do_dimensions", lambda n, a, b, top: tuple(
+        dim + step * (k >= order) for k, dim in enumerate(true_dims(n, a, b, top))))
+
+
+def test_verify_growth_fails_a_row_above_the_symbol_bound(monkeypatch):
+    # order 3 of (2, 0, 1) grows by one more than h0(Sym^3 T(1))
+    _patch_dims(monkeypatch, 3, 1)
     report = verify_growth(2, 0, 1, 4)
-    assert report.verdict is False
-    assert report.first_failure == 3
+    assert (report.verdict, report.first_failure) == (False, 3)
+
+
+@pytest.mark.parametrize("n, a, b, order", [(2, 0, 1, 3), (1, 0, 0, 3), (3, 1, -2, 3),
+                                           (2, 0, -2, 3), (2, 0, -3, 1)])
+def test_verify_growth_fails_a_row_below_the_bound_where_h1_vanishes(monkeypatch, n, a, b,
+                                                                     order):
+    # every H1(Sym^k T(b - a)) with k < order vanishes (on P^2 with d = -3
+    # only k = 0 does), so the increment at order is exactly
+    # h0(Sym^order T(b - a)), and one less is a failure
+    _patch_dims(monkeypatch, order, -1)
+    report = verify_growth(n, a, b, 4)
+    assert (report.verdict, report.first_failure) == (False, order)
+
+
+def test_verify_growth_fails_a_wrong_order_zero_dimension(monkeypatch):
+    _patch_dims(monkeypatch, 0, 1)
+    report = verify_growth(2, 0, 1, 4)
+    assert (report.verdict, report.first_failure) == (False, 0)
+
+
+@pytest.mark.parametrize("n, a, b, order", [(1, 0, -2, 1), (2, 0, -3, 2)])
+def test_verify_growth_only_bounds_the_rows_where_h1_can_be_nonzero(monkeypatch, n, a, b,
+                                                                   order):
+    # H1(O(-2)) = 1 on P^1, and H1(T(-3)) = H1(Omega^1) = 1 on P^2: the
+    # increment at order may fall short of its h0, so one less is no failure
+    _patch_dims(monkeypatch, order, -1)
+    report = verify_growth(n, a, b, 4)
+    assert report.table.rows[order].delta < report.table.rows[order].expected_delta
+    assert (report.verdict, report.first_failure) == (True, None)
+
+
+@pytest.mark.parametrize("n, nmax", [(1, 7), (2, 5), (3, 4), (4, 3)])
+def test_every_accepted_growth_request_passes_the_symbol_check(n, nmax):
+    # the sweep to nmax checks every lower order's row too
+    accepted = 0
+    for a in range(-4, 7):
+        for b in range(-12, 8):
+            if nmax <= max(0, a - b - n):
+                with pytest.raises(StabilizationError):
+                    verify_growth(n, a, b, nmax)
+                continue
+            report = verify_growth(n, a, b, nmax)
+            assert (report.verdict, report.first_failure) == (True, None), (n, a, b)
+            accepted += 1
+    assert accepted == {1: 154, 2: 143, 3: 143, 4: 143}[n]
 
 
 def test_binomial_value_is_the_factor_at_integers():

@@ -11,7 +11,6 @@ import pytest
 from conftest import random_graded_operator
 from jetspace.cohomology import h0_line, hn_line
 from jetspace.errors import PreconditionError
-from jetspace.growth import closed_form_dimension
 from jetspace import cli, dimensions, errors, linalg, projective
 from jetspace.laurent import LaurentPoly, monomials_of_degree
 from jetspace.linalg import ExactMatrix
@@ -26,6 +25,7 @@ from jetspace.projective import (WORK_LIMIT,
                                  h0_basis, hn_basis, induced_cohomology_map,
                                  negative_twist_existence)
 from jetspace.weyl import WeylElement, euler_operator, falling
+from test_growth import closed_form_dimension
 
 
 # ---------------------------------------------------------------------------
